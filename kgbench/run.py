@@ -10,7 +10,7 @@ are removed at the end.
 --trace 0 measures the end-to-end metrics with tracing off:
   wall_s       median wall time of the workload's fixed batch
   op_p50_s     median latency of one operation
-  setup_s      median, over 4 fresh interpreters, of start-up until
+  setup_s      median, over 7 fresh interpreters, of start-up until
                `import kernelgauge` and loading the scenario are done
   peak_rss_mb  peak RSS of the workload's own fresh process
   max_rel_err  largest relative error of the anchor oracles (>= 1e-12)
@@ -46,7 +46,7 @@ sys.path.insert(0, str(HERE))
 
 from workloads import WORKLOADS, make_plan  # noqa: E402
 
-SETUP_REPEATS = 4
+SETUP_REPEATS = 7
 IMPORTTIME_REPEATS = 3
 DEADLINE_S = 170.0
 

@@ -5,9 +5,10 @@ its own binding of a function.  `Tracer.install` therefore replaces the
 original object in every loaded kernelgauge module that holds it (and
 class attributes on their class), so no call path escapes its span.
 
-Spans live in memory.  A span's self time is its duration minus the
-durations of the spans it directly caused on the same thread; spans
-started in sweep pool threads are roots of their own thread.
+Each wrapped call adds one to its span's call count and its self time,
+its duration minus the durations of the wrapped calls it directly made on
+the same thread, to the span's total; calls made in sweep pool threads
+start a fresh stack of their own.
 """
 
 from __future__ import annotations
@@ -81,15 +82,14 @@ COUNTERS = ("kernels.gram.nodes", "kernels.gram.flop_computed", "geometry.area_n
 
 
 class Tracer:
-    """In-memory spans and counters; safe to use from the sweep's pool threads."""
+    """In-memory call counts, self times and counters; safe to use from the sweep's pool threads."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._local = threading.local()
         self._patches: list[tuple[object, str, object]] = []
-        self._next_id = 0
-        self.op_id: int | None = None      # request identifier shared by one operation's spans
-        self.spans: list[tuple] = []       # (id, parent, op, name, thread, start, end, self)
+        self.calls: dict[str, int] = defaultdict(int)
+        self.self_s: dict[str, float] = defaultdict(float)
         self.counters: dict[str, float] = defaultdict(float)
         self._sweep_start: float | None = None
         self.sweep_points: list[tuple[float, float]] = []   # (wait, duration)
@@ -113,23 +113,18 @@ class Tracer:
         @functools.wraps(fn)
         def traced(*args, **kwargs):
             stack = tracer._stack()
-            with tracer._lock:
-                span_id = tracer._next_id
-                tracer._next_id += 1
-            frame = [span_id, 0.0]   # id, time covered by direct children
-            parent = stack[-1][0] if stack else None
-            stack.append(frame)
+            stack.append(0.0)   # time covered by direct children
             start = perf_counter()
             try:
                 result = fn(*args, **kwargs)
             finally:
                 end = perf_counter()
-                stack.pop()
+                children = stack.pop()
                 if stack:
-                    stack[-1][1] += end - start
+                    stack[-1] += end - start
                 with tracer._lock:
-                    tracer.spans.append((span_id, parent, tracer.op_id, name, threading.get_ident(),
-                                         start, end, end - start - frame[1]))
+                    tracer.calls[name] += 1
+                    tracer.self_s[name] += end - start - children
             if hook is not None:
                 hook(tracer, args, kwargs, result, start, end)
             return result
@@ -198,11 +193,7 @@ class Tracer:
                 for key, value in vars(module).items() if id(value) in originals]
 
     def layer_metrics(self) -> dict[str, float]:
-        calls: dict[str, int] = defaultdict(int)
-        self_s: dict[str, float] = defaultdict(float)
-        for _, _, _, name, _, _, _, own in self.spans:
-            calls[name] += 1
-            self_s[name] += own
+        calls, self_s = self.calls, self.self_s
         out: dict[str, float] = {}
         for name in CALLS:
             out[f"{name}.calls"] = calls[name]

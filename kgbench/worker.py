@@ -2,9 +2,10 @@
 
     python3 kgbench/worker.py PLAN.json RESULT.json --seconds S --trace 0|1 [--once]
 
-Repeats the batch while the next repetition is expected to finish within
-`--seconds` (always at least once; `--once` runs exactly one), then writes
-the batch records, peak RSS and the environment record to RESULT.json.
+After one untimed run of the first operation, repeats the batch while the
+next repetition is expected to finish within `--seconds` (always at least
+once; `--once` runs exactly one), then writes the batch records, peak RSS
+and the environment record to RESULT.json.
 With `--trace 1` every kernelgauge layer is wrapped by `tracer.Tracer`.
 """
 
@@ -64,6 +65,11 @@ def main(argv=None) -> int:
     plan = json.loads(Path(args.plan).read_text())
     out_dir = Path(args.result).parent / f"out-{os.getpid()}"
     out_dir.mkdir()
+    # One untimed, unrecorded run of the first operation: the first large
+    # arrays of a fresh process cost page faults (0.5-1 s on the machine
+    # the benchmark was tuned on) that later calls do not pay, and they
+    # would otherwise inflate the first batch alone.
+    run_batch({**plan, "ops": plan["ops"][:1]}, out_dir)
     tracer = None
     if args.trace:
         from tracer import Tracer
@@ -74,7 +80,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         while True:
-            batches.append(run_batch(plan, out_dir, tracer))
+            batches.append(run_batch(plan, out_dir))
             elapsed = time.perf_counter() - start
             if args.once or elapsed + batches[-1]["wall_s"] > args.seconds:
                 break

@@ -4,9 +4,9 @@
 can build a run's inputs cheaply; `run_batch` executes a plan once inside
 a worker process and checks every output against its oracle.
 
-Oracles judge the values a `pass` verdict claims; an operation with any
-other verdict counts as failed without them.  Each operation that misses
-an oracle counts as failed and makes the run incorrect:
+Every output row is checked against its oracles, whatever its verdict.
+An operation fails when it raises, exits without a report, returns a
+verdict other than `pass` or misses an oracle.  The oracles are:
   * disc closed forms K = pi*B = 1 (disc_baseline);
   * pi*B on annulus_strict against the exact-series golden value;
   * |ratio - 1| at every expected-equality point, within three times the
@@ -18,10 +18,22 @@ an oracle counts as failed and makes the run incorrect:
     linear residual over G(0), the shell-identity relative gap and the
     boundary-limit gap, at the tolerances of the library's own tests.
 
-`max_rel_err` is taken over the anchors only: the shipped scenarios on
-`verify`, the matched point of the rotated shipped annulus on `sweep`, and
-the shell gap and g_curve residual of the shipped `annulus_matched` on
-`sublevel`.  Generated inputs are gated by their oracles but left out of
+A failure makes the run incorrect when the operation is an anchor (a
+shipped scenario, the sweep, or the shipped sublevel configuration), or
+when the program presented the wrong output as valid: a `pass` verdict
+or a returned gfunctional result that misses its oracle.  A generated
+verify scenario on which the program itself reports `inconclusive` or
+`fail` counts as failed, with its oracle misses listed, but leaves the
+run correct: the generator draws from the whole admissible set, which
+includes the singular-density limit where the verifier's estimates are
+known not to cover the error.
+
+`max_rel_err` is taken over the anchors only, whatever their verdict:
+the shipped scenarios on `verify`, the matched point of the rotated
+shipped annulus on `sweep`, and the shell gap and g_curve residual of the
+shipped `annulus_matched` on `sublevel`.  An anchor that produced no
+output adds an error of 1, so losing it cannot improve the metric.
+Generated inputs are gated by their oracles but left out of
 the maximum: their errors range over up to four decades from seed to seed
 and would make the metric useless as a regression bound.
 """
@@ -40,14 +52,16 @@ from pathlib import Path
 
 WORKLOADS = ("verify", "sweep", "sublevel")
 
-# Resolution block of the generated scenarios: the shipped basis schedule
-# on a grid about half the size of the shipped one (angular cells still
-# above 4 * n_max).  A batch then takes about 10 s, so a run can repeat it
-# and report a median, which host noise on a shared 2-core machine needs.
+# Resolution block of the generated scenarios and of every sublevel call:
+# the shipped basis schedule on a grid about half the size of the shipped
+# one (angular cells still above 4 * n_max).  A batch then takes 8-13 s,
+# so a run can repeat it and report a median, which host noise on a
+# shared 2-core machine needs.
 _RUN = {"basis_schedule": [8, 16, 32], "boundary_nodes": 256, "radial_cells": 160, "angular_cells": 192}
 _CUSHION = 3.0       # verifier._ESTIMATE_CUSHION: error bars are 3x the estimate
 _FLOOR = 1e-10       # CSV values carry 13 significant digits
 _ERR_FLOOR = 1e-12   # max_rel_err floor, so roundoff cannot register as a change
+_NO_OUTPUT_ERR = 1.0  # anchor error recorded when an anchor produced no output
 SWEEP_POINTS = 9
 # Tolerances of the library's own gfunctional tests.
 _MONODROMY_TOL = 1e-8
@@ -186,25 +200,30 @@ def _golden(root: Path) -> dict:
 
 
 class Outcome:
-    """Per-batch record: latencies, failures, anchor errors, output digest."""
+    """Per-batch record: latencies, failures, oracle misses, anchor errors, output digest."""
 
     def __init__(self):
         self.latencies: list[float] = []
         self.attempted = 0
         self.failed = 0
-        self.oracle_misses: list[str] = []
+        self.oracle_misses: list[str] = []   # misses that make the run incorrect
         self.failures: list[str] = []
         self.anchor_errors: list[float] = []
         self.digest = hashlib.sha256()
 
-    def op(self, name: str, seconds: float | None, ok: bool, misses: list[str]):
+    def op(self, name: str, seconds: float | None, ok: bool, misses: list[str], fatal: bool):
+        """Record one operation.  `ok` is False for a raise, a missing report
+        or a non-pass verdict; `misses` are its oracle misses; with `fatal`
+        any failure makes the run incorrect."""
         if seconds is not None:
             self.latencies.append(seconds)
         self.attempted += 1
-        if not ok or misses:
-            self.failed += 1
-            self.failures.append(name)
-        self.oracle_misses.extend(f"{name}: {m}" for m in misses)
+        if ok and not misses:
+            return
+        self.failed += 1
+        self.failures.append(name + "".join(f"; {m}" for m in misses))
+        if fatal:
+            self.oracle_misses.extend(f"{name}: {m}" for m in misses or ["no passing output"])
 
     def as_dict(self) -> dict:
         return {"latencies": self.latencies, "attempted": self.attempted, "failed": self.failed,
@@ -239,15 +258,12 @@ def _verify_op(op: dict, out_dir: Path, outcome: Outcome) -> None:
     misses: list[str] = []
     if not csv.exists():  # rejected or failed before a report was written
         outcome.digest.update(f"{op['name']}:exit{code}".encode())
-        outcome.op(op["name"], seconds, False, misses)
+        if op["anchor"]:
+            outcome.anchor_errors.append(_NO_OUTPUT_ERR)
+        outcome.op(f"{op['name']} (exit {code}, no report)", seconds, False, misses, op["anchor"])
         return
     data, (row,) = _read_csv(csv)
     outcome.digest.update(data)
-    if code != 0:
-        # The oracles judge claims: a verdict other than pass claims no
-        # value, so the operation counts as failed without them.
-        outcome.op(f"{op['name']} ({row['verdict']})", seconds, False, misses)
-        return
     k, b, ratio = float(row["K"]), float(row["B"]), float(row["ratio"])
     k_rel = (float(row["K_trunc"]) + float(row["K_quad"])) / k
     b_rel = (float(row["B_trunc"]) + float(row["B_quad"])) / b
@@ -273,7 +289,8 @@ def _verify_op(op: dict, out_dir: Path, outcome: Outcome) -> None:
         misses.append(f"ratio {ratio!r} below 1 beyond its error bar")
     if op["anchor"]:
         outcome.anchor_errors.extend(errors)
-    outcome.op(op["name"], seconds, row["verdict"] == "pass", misses)
+    passed = row["verdict"] == "pass"
+    outcome.op(f"{op['name']} ({row['verdict']})", seconds, passed, misses, op["anchor"] or passed)
 
 
 def _sweep_op(op: dict, out_dir: Path, outcome: Outcome) -> None:
@@ -282,13 +299,16 @@ def _sweep_op(op: dict, out_dir: Path, outcome: Outcome) -> None:
     # "--range=" form: a range starting below zero would read as an option.
     code, seconds = _quiet_cli(["sweep", op["scenario"], "--param", "alpha_u", f"--range={op['range']}",
                                 "--out", str(out_dir)])
-    # One sweep point as the caller observes it: the sweep's wall time
-    # shared over its points.
+    # The caller of `kernelgauge sweep` receives every point at once, when
+    # the CSV is written, so one point's latency is the sweep's wall time
+    # shared over its points: op_p50_s is wall_s / 9 here by construction.
+    # The per-point time inside the pool is the traced cli.sweep.point_s.
     per_point = seconds / SWEEP_POINTS
-    if code != 0 and not csv.exists():
+    if not csv.exists():
         outcome.digest.update(f"sweep:exit{code}".encode())
+        outcome.anchor_errors.append(_NO_OUTPUT_ERR)
         for i in range(SWEEP_POINTS):
-            outcome.op(f"point{i}", per_point, False, [])
+            outcome.op(f"point{i} (exit {code}, no report)", per_point, False, [], True)
         return
     data, rows = _read_csv(csv)
     outcome.digest.update(data)
@@ -306,9 +326,11 @@ def _sweep_op(op: dict, out_dir: Path, outcome: Outcome) -> None:
                 misses.append(f"|ratio - 1| {err:.3e} > tol_eq {tol:.1e}")
         elif ratio < 1.0 - tol:
             misses.append(f"ratio {ratio!r} below 1")
-        outcome.op(f"point{i}", per_point, row["verdict"] == "pass", misses)
+        outcome.op(f"point{i} ({row['verdict']})", per_point, row["verdict"] == "pass", misses, True)
+    if len(rows) <= op["matched_index"]:
+        outcome.anchor_errors.append(_NO_OUTPUT_ERR)
     for i in range(len(rows), SWEEP_POINTS):
-        outcome.op(f"point{i}", per_point, False, ["row missing"])
+        outcome.op(f"point{i}", per_point, False, ["row missing"], True)
 
 
 def _sublevel_ops(op: dict, outcome: Outcome) -> None:
@@ -317,7 +339,10 @@ def _sublevel_ops(op: dict, outcome: Outcome) -> None:
     from kernelgauge.errors import KernelGaugeError
 
     config = cli.build_config(cli.load_scenario(op["scenario"]))
-    name = op["name"]
+    # The generated-scenario grid, not the library default: it halves the
+    # batch, so a run repeats it and reports a median.
+    res = cli.build_resolution({"run": _RUN}, config.domain)
+    name, anchor = op["name"], op["anchor"]
 
     def run(label, check, fn, *args, **kwargs):
         """Time one library call; check(result) gives (digest values, misses)."""
@@ -326,12 +351,16 @@ def _sublevel_ops(op: dict, outcome: Outcome) -> None:
             result = fn(*args, **kwargs)
         except KernelGaugeError as exc:
             outcome.digest.update(f"{label}:{type(exc).__name__}".encode())
-            outcome.op(f"{name}.{label}", time.perf_counter() - start, False, [])
+            if anchor and label in ("g_curve", "shell_identity"):
+                outcome.anchor_errors.append(_NO_OUTPUT_ERR)
+            outcome.op(f"{name}.{label} ({type(exc).__name__})", time.perf_counter() - start, False, [], anchor)
             return None
-        seconds = time.perf_counter() - start
+        # op_p50_s is the latency of a check: constructing F0 is not one.
+        seconds = time.perf_counter() - start if label != "f0_construct" else None
         values, misses = check(result)
         outcome.digest.update(np.asarray(values, dtype=float).tobytes())
-        outcome.op(f"{name}.{label}", seconds, True, misses)
+        # A returned result is presented as valid, so any oracle miss is fatal.
+        outcome.op(f"{name}.{label}", seconds, True, misses, True)
         return result
 
     def check_f0(f0):
@@ -340,13 +369,13 @@ def _sublevel_ops(op: dict, outcome: Outcome) -> None:
 
     def check_curve(crv):
         linear = crv.linear_residual / crv.g0
-        if op["anchor"]:
+        if anchor:
             outcome.anchor_errors.append(linear)
         ok = linear <= _LINEAR_TOL
         return list(crv.g_upper) + [crv.linear_residual], [] if ok else [f"linear residual / G(0) {linear:.3e}"]
 
     def check_shell(si):
-        if op["anchor"]:
+        if anchor:
             outcome.anchor_errors.append(si.relative_gap)
         ok = si.relative_gap <= _SHELL_TOL
         return [si.lhs, si.rhs], [] if ok else [f"shell relative gap {si.relative_gap:.3e}"]
@@ -357,26 +386,24 @@ def _sublevel_ops(op: dict, outcome: Outcome) -> None:
         return list(bl.shell_ratios) + [bl.boundary_value], [] if ok else [f"boundary-limit gap / value {gap:.3e}"]
 
     f0 = run("f0_construct", check_f0, f0_construct, config)
-    run("g_curve", check_curve, g_curve, config, op["t_grid"])
+    run("g_curve", check_curve, g_curve, config, op["t_grid"], res)
     if f0 is None:
+        if anchor:
+            outcome.anchor_errors.append(_NO_OUTPUT_ERR)
         for label in ("shell_identity", "boundary_limit"):
-            outcome.op(f"{name}.{label}", None, False, ["no extremal section"])
+            outcome.op(f"{name}.{label} (no extremal section)", None, False, [], anchor)
         return
     t1, t2 = op["band"]
-    run("shell_identity", check_shell, shell_identity_check, config, CProfile.exp_delta(op["a_delta"]), t1, t2, f0=f0)
-    run("boundary_limit", check_boundary, boundary_limit_check, config, f0.abs2)
+    run("shell_identity", check_shell, shell_identity_check, config, CProfile.exp_delta(op["a_delta"]), t1, t2,
+        f0=f0, res=res)
+    run("boundary_limit", check_boundary, boundary_limit_check, config, f0.abs2, res=res)
 
 
-def run_batch(plan: dict, out_dir: Path, tracer=None) -> dict:
-    """Execute every operation of the plan once; returns the batch record.
-
-    With a tracer, each operation's index becomes the request identifier
-    of the spans it causes."""
+def run_batch(plan: dict, out_dir: Path) -> dict:
+    """Execute every operation of the plan once; returns the batch record."""
     outcome = Outcome()
     start = time.perf_counter()
-    for index, op in enumerate(plan["ops"]):
-        if tracer is not None:
-            tracer.op_id = index
+    for op in plan["ops"]:
         if op["kind"] == "verify":
             _verify_op(op, out_dir, outcome)
         elif op["kind"] == "sweep":
