@@ -23,7 +23,7 @@ metrics, the tracing overhead (traced minus untraced wall_s) and the
 import time of scipy.linalg and scipy.integrate.
 
 The last line of stdout is the JSON result.  The exit code is 0 when
-every oracle holds, 1 when one does not, 2 when the run cannot be made.
+every operation passes its oracles, 1 when one fails, 2 when the run cannot be made.
 """
 
 from __future__ import annotations
@@ -180,33 +180,31 @@ def main(argv=None) -> int:
     return 0 if report["correct"] else 1
 
 
-def _summarize(batches: list[dict]) -> tuple[bool, int, int]:
-    misses = sorted({m for b in batches for m in b["oracle_misses"]})
-    for miss in misses:
-        print(f"oracle miss: {miss}")
-    for name in sorted({f for b in batches for f in b["failures"]}):
+def _summarize(batches: list[dict], checks: list[dict]) -> tuple[bool, int, int]:
+    records = batches + checks
+    for name in sorted({f for b in records for f in b["failures"]}):
         print(f"failed operation: {name}")
-    attempted = sum(b["attempted"] for b in batches)
-    failed = sum(b["failed"] for b in batches)
-    identical = len({b["digest"] for b in batches}) == 1
+    attempted = sum(b["attempted"] for b in records)
+    failed = sum(b["failed"] for b in records)
+    identical = len({b["digest"] for b in batches}) == 1 and len({c["digest"] for c in checks}) <= 1
     if not identical:
-        print("outputs differ between repetitions of the same batch")
-    return identical and not misses, attempted, failed
+        print("outputs differ between repetitions of the same operations")
+    return identical and failed == 0, attempted, failed
 
 
 def _untraced_run(plan, plan_path, workdir, seconds, deadline) -> dict:
-    first_scenario = plan["ops"][0]["scenario"]
+    first_scenario = (plan["checks"] + plan["ops"])[0]["scenario"]
     setup = measure_setup(first_scenario, deadline)
     result = run_worker(plan_path, workdir, seconds, 0, False, deadline)
     batches = result["batches"]
-    correct, attempted, failed = _summarize(batches)
+    correct, attempted, failed = _summarize(batches, result["checks"])
     latencies = [t for b in batches for t in b["latencies"]]
     metrics = {
         "wall_s": _metric(statistics.median(b["wall_s"] for b in batches), "s"),
         "op_p50_s": _metric(statistics.median(latencies), "s"),
         "setup_s": _metric(statistics.median(setup), "s"),
         "peak_rss_mb": _metric(result["peak_rss_mb"], "MB"),
-        "max_rel_err": _metric(max(b["max_rel_err"] for b in batches), "ratio"),
+        "max_rel_err": _metric(max(b["max_rel_err"] for b in batches + result["checks"]), "ratio"),
     }
     print("env " + json.dumps({**result["env"], **_source_record()}, sort_keys=True))
     print(f"workload {plan['workload']} seed {plan['seed']}: {len(batches)} batch(es), "
@@ -222,7 +220,7 @@ def _traced_run(plan, plan_path, workdir, seconds, deadline) -> dict:
     plain = run_worker(plan_path, workdir, seconds, 0, True, deadline)
     traced = run_worker(plan_path, workdir, seconds, 1, True, deadline)
     batches = plain["batches"] + traced["batches"]
-    correct, attempted, failed = _summarize(batches)
+    correct, attempted, failed = _summarize(batches, plain["checks"] + traced["checks"])
     layers = dict(traced["layers"])
     layers["import.scipy_linalg_s"] = imports["scipy.linalg"]
     layers["import.scipy_integrate_s"] = imports["scipy.integrate"]

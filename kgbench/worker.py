@@ -2,10 +2,11 @@
 
     python3 kgbench/worker.py PLAN.json RESULT.json --seconds S --trace 0|1 [--once]
 
-After one untimed run of the first operation, repeats the batch while the
-next repetition is expected to finish within `--seconds` (always at least
-once; `--once` runs exactly one), then writes the batch records, peak RSS
-and the environment record to RESULT.json.
+After the plan's untimed once-per-run checks (or an unrecorded run of the
+first operation), repeats the batch while the next repetition is expected
+to finish within `--seconds` (always at least once; `--once` runs exactly
+one), then writes the batch and check records, peak RSS and the
+environment record to RESULT.json.
 With `--trace 1` every kernelgauge layer is wrapped by `tracer.Tracer`.
 """
 
@@ -60,16 +61,12 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(HERE))
     import kernelgauge.cli  # noqa: F401  (imported before timing, so no batch pays for it)
-    from workloads import run_batch
+    from workloads import run_batch, run_checks
 
     plan = json.loads(Path(args.plan).read_text())
     out_dir = Path(args.result).parent / f"out-{os.getpid()}"
     out_dir.mkdir()
-    # One untimed, unrecorded run of the first operation: the first large
-    # arrays of a fresh process cost page faults (0.5-1 s on the machine
-    # the benchmark was tuned on) that later calls do not pay, and they
-    # would otherwise inflate the first batch alone.
-    run_batch({**plan, "ops": plan["ops"][:1]}, out_dir)
+    checks = run_checks(plan, out_dir)
     tracer = None
     if args.trace:
         from tracer import Tracer
@@ -89,6 +86,7 @@ def main(argv=None) -> int:
             tracer.uninstall()
     result = {
         "batches": batches,
+        "checks": [checks] if checks else [],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "env": environment(),
     }

@@ -18,15 +18,10 @@ verdict other than `pass` or misses an oracle.  The oracles are:
     linear residual over G(0), the shell-identity relative gap and the
     boundary-limit gap, at the tolerances of the library's own tests.
 
-A failure makes the run incorrect when the operation is an anchor (a
-shipped scenario, the sweep, or the shipped sublevel configuration), or
-when the program presented the wrong output as valid: a `pass` verdict
-or a returned gfunctional result that misses its oracle.  A generated
-verify scenario on which the program itself reports `inconclusive` or
-`fail` counts as failed, with its oracle misses listed, but leaves the
-run correct: the generator draws from the whole admissible set, which
-includes the singular-density limit where the verifier's estimates are
-known not to cover the error.
+Any failed operation makes the run incorrect.  The generated inputs
+therefore stay where the verifier resolves them on the benchmark's grid,
+which leaves out equality cases whose density is singular at an
+off-center z0 (see `_generated_verify`).
 
 `max_rel_err` is taken over the anchors only, whatever their verdict:
 the shipped scenarios on `verify`, the matched point of the rotated
@@ -54,7 +49,7 @@ WORKLOADS = ("verify", "sweep", "sublevel")
 
 # Resolution block of the generated scenarios and of every sublevel call:
 # the shipped basis schedule on a grid about half the size of the shipped
-# one (angular cells still above 4 * n_max).  A batch then takes 8-13 s,
+# one (angular cells still above 4 * n_max).  A batch then takes 4-13 s,
 # so a run can repeat it and report a median, which host noise on a
 # shared 2-core machine needs.
 _RUN = {"basis_schedule": [8, 16, 32], "boundary_nodes": 256, "radial_cells": 160, "angular_cells": 192}
@@ -97,12 +92,16 @@ def _generated_verify(rng: random.Random) -> list[tuple[str, dict, str]]:
                     "c": {"kind": "constant_one"}}},
         "equality",
     ))
-    # Off-center z0 with a density that is singular there for delta > 0:
-    # the limit the README documents as resolving only at the angular rate.
+    # Off-center z0.  For delta > 0 the density is singular there, the
+    # limit the README documents as resolving only at the angular rate: at
+    # some angles of z0 the quadrature estimate then misses the error even
+    # for delta = 0.04, and above about 0.35 the verdict turns inconclusive
+    # or fail.  A benchmark operation must not fail, so delta stops at 0
+    # here; the strict k = 1 scenario below keeps a singular density.
     out.append((
         "disc_offcenter_expdelta_eq",
         {"domain": {"kind": "disc"}, "point": {"z0": _polar(0.4, rng.uniform(0, 2 * math.pi))},
-         "k": 0, "weight": {"p0": 1.0, "c": {"kind": "exp_delta", "delta": rng.uniform(-0.9, 0.9)}}},
+         "k": 0, "weight": {"p0": 1.0, "c": {"kind": "exp_delta", "delta": rng.uniform(-0.9, 0.0)}}},
         "equality",
     ))
     q, r = 0.25, 0.65
@@ -126,13 +125,18 @@ def _generated_verify(rng: random.Random) -> list[tuple[str, dict, str]]:
     ))
     for _, doc, _ in out:
         doc["run"] = dict(_RUN)
+    # |ratio - 1| of the poly profile grows like m / radial_cells^2; at 160
+    # radial cells it crosses tol_eq for m above about 1.8, at 480 it stays
+    # below half of tol_eq over the whole range of m.
+    out[2][1]["run"]["radial_cells"] = 480
     return out
 
 
 def make_plan(workload: str, seed: int, root: Path, workdir: Path) -> dict:
     """Write the run's scenario files into workdir and return its plan."""
     rng = random.Random(f"kgbench-{workload}-{seed}")
-    ops = []
+    ops = []      # the timed batch
+    checks = []   # checked once per run, before timing; see run_checks
 
     def scenario(name: str, doc: dict) -> str:
         path = workdir / f"{name}.json"
@@ -172,12 +176,14 @@ def make_plan(workload: str, seed: int, root: Path, workdir: Path) -> dict:
     elif workload == "sublevel":
         # The shipped equality scenario is the anchor: masked-rule errors
         # change by 2x under a mere rotation of z0, so only fixed inputs
-        # give a steady max_rel_err.  The seeded configuration sits closer
-        # to the boundary (92 Laurent terms per side against 52); its
-        # clearance is fixed because the Laurent cost, and so wall_s, follows it.
-        ops.append({"kind": "sublevel", "name": "annulus_matched", "anchor": True,
-                    "scenario": str(root / "scenarios" / "annulus_matched.json"),
-                    "t_grid": [0.0, 0.3, 0.6, 0.9], "band": [1.1, 0.2], "a_delta": 0.25})
+        # give a steady max_rel_err.  It is checked once per run, before
+        # timing, so the timed batch is short enough to repeat five or more
+        # times in a run.  The seeded configuration sits closer to the
+        # boundary (92 Laurent terms per side against 52); its clearance is
+        # fixed because the Laurent cost, and so wall_s, follows it.
+        checks.append({"kind": "sublevel", "name": "annulus_matched", "anchor": True,
+                       "scenario": str(root / "scenarios" / "annulus_matched.json"),
+                       "t_grid": [0.0, 0.3, 0.6, 0.9], "band": [1.1, 0.2], "a_delta": 0.25})
         q, r = 0.25, 0.7
         doc = {"domain": {"kind": "annulus", "q": q},
                "point": {"z0": _polar(r, rng.uniform(0, 2 * math.pi))}, "k": 0,
@@ -192,7 +198,7 @@ def make_plan(workload: str, seed: int, root: Path, workdir: Path) -> dict:
                     "a_delta": rng.uniform(0.0, 0.5)})
     else:
         raise ValueError(f"unknown workload {workload!r}")
-    return {"workload": workload, "seed": seed, "ops": ops}
+    return {"workload": workload, "seed": seed, "ops": ops, "checks": checks}
 
 
 def _golden(root: Path) -> dict:
@@ -206,15 +212,13 @@ class Outcome:
         self.latencies: list[float] = []
         self.attempted = 0
         self.failed = 0
-        self.oracle_misses: list[str] = []   # misses that make the run incorrect
         self.failures: list[str] = []
         self.anchor_errors: list[float] = []
         self.digest = hashlib.sha256()
 
-    def op(self, name: str, seconds: float | None, ok: bool, misses: list[str], fatal: bool):
+    def op(self, name: str, seconds: float | None, ok: bool, misses: list[str]):
         """Record one operation.  `ok` is False for a raise, a missing report
-        or a non-pass verdict; `misses` are its oracle misses; with `fatal`
-        any failure makes the run incorrect."""
+        or a non-pass verdict; `misses` are its oracle misses."""
         if seconds is not None:
             self.latencies.append(seconds)
         self.attempted += 1
@@ -222,12 +226,10 @@ class Outcome:
             return
         self.failed += 1
         self.failures.append(name + "".join(f"; {m}" for m in misses))
-        if fatal:
-            self.oracle_misses.extend(f"{name}: {m}" for m in misses or ["no passing output"])
 
     def as_dict(self) -> dict:
         return {"latencies": self.latencies, "attempted": self.attempted, "failed": self.failed,
-                "oracle_misses": self.oracle_misses, "failures": self.failures, "anchor_errors": self.anchor_errors,
+                "failures": self.failures, "anchor_errors": self.anchor_errors,
                 "digest": self.digest.hexdigest()}
 
 
@@ -260,7 +262,7 @@ def _verify_op(op: dict, out_dir: Path, outcome: Outcome) -> None:
         outcome.digest.update(f"{op['name']}:exit{code}".encode())
         if op["anchor"]:
             outcome.anchor_errors.append(_NO_OUTPUT_ERR)
-        outcome.op(f"{op['name']} (exit {code}, no report)", seconds, False, misses, op["anchor"])
+        outcome.op(f"{op['name']} (exit {code}, no report)", seconds, False, misses)
         return
     data, (row,) = _read_csv(csv)
     outcome.digest.update(data)
@@ -290,7 +292,7 @@ def _verify_op(op: dict, out_dir: Path, outcome: Outcome) -> None:
     if op["anchor"]:
         outcome.anchor_errors.extend(errors)
     passed = row["verdict"] == "pass"
-    outcome.op(f"{op['name']} ({row['verdict']})", seconds, passed, misses, op["anchor"] or passed)
+    outcome.op(f"{op['name']} ({row['verdict']})", seconds, passed, misses)
 
 
 def _sweep_op(op: dict, out_dir: Path, outcome: Outcome) -> None:
@@ -308,7 +310,7 @@ def _sweep_op(op: dict, out_dir: Path, outcome: Outcome) -> None:
         outcome.digest.update(f"sweep:exit{code}".encode())
         outcome.anchor_errors.append(_NO_OUTPUT_ERR)
         for i in range(SWEEP_POINTS):
-            outcome.op(f"point{i} (exit {code}, no report)", per_point, False, [], True)
+            outcome.op(f"point{i} (exit {code}, no report)", per_point, False, [])
         return
     data, rows = _read_csv(csv)
     outcome.digest.update(data)
@@ -326,11 +328,11 @@ def _sweep_op(op: dict, out_dir: Path, outcome: Outcome) -> None:
                 misses.append(f"|ratio - 1| {err:.3e} > tol_eq {tol:.1e}")
         elif ratio < 1.0 - tol:
             misses.append(f"ratio {ratio!r} below 1")
-        outcome.op(f"point{i} ({row['verdict']})", per_point, row["verdict"] == "pass", misses, True)
+        outcome.op(f"point{i} ({row['verdict']})", per_point, row["verdict"] == "pass", misses)
     if len(rows) <= op["matched_index"]:
         outcome.anchor_errors.append(_NO_OUTPUT_ERR)
     for i in range(len(rows), SWEEP_POINTS):
-        outcome.op(f"point{i}", per_point, False, ["row missing"], True)
+        outcome.op(f"point{i}", per_point, False, ["row missing"])
 
 
 def _sublevel_ops(op: dict, outcome: Outcome) -> None:
@@ -353,14 +355,13 @@ def _sublevel_ops(op: dict, outcome: Outcome) -> None:
             outcome.digest.update(f"{label}:{type(exc).__name__}".encode())
             if anchor and label in ("g_curve", "shell_identity"):
                 outcome.anchor_errors.append(_NO_OUTPUT_ERR)
-            outcome.op(f"{name}.{label} ({type(exc).__name__})", time.perf_counter() - start, False, [], anchor)
+            outcome.op(f"{name}.{label} ({type(exc).__name__})", time.perf_counter() - start, False, [])
             return None
         # op_p50_s is the latency of a check: constructing F0 is not one.
         seconds = time.perf_counter() - start if label != "f0_construct" else None
         values, misses = check(result)
         outcome.digest.update(np.asarray(values, dtype=float).tobytes())
-        # A returned result is presented as valid, so any oracle miss is fatal.
-        outcome.op(f"{name}.{label}", seconds, True, misses, True)
+        outcome.op(f"{name}.{label}", seconds, True, misses)
         return result
 
     def check_f0(f0):
@@ -391,7 +392,7 @@ def _sublevel_ops(op: dict, outcome: Outcome) -> None:
         if anchor:
             outcome.anchor_errors.append(_NO_OUTPUT_ERR)
         for label in ("shell_identity", "boundary_limit"):
-            outcome.op(f"{name}.{label} (no extremal section)", None, False, [], anchor)
+            outcome.op(f"{name}.{label} (no extremal section)", None, False, [])
         return
     t1, t2 = op["band"]
     run("shell_identity", check_shell, shell_identity_check, config, CProfile.exp_delta(op["a_delta"]), t1, t2,
@@ -399,11 +400,24 @@ def _sublevel_ops(op: dict, outcome: Outcome) -> None:
     run("boundary_limit", check_boundary, boundary_limit_check, config, f0.abs2, res=res)
 
 
-def run_batch(plan: dict, out_dir: Path) -> dict:
-    """Execute every operation of the plan once; returns the batch record."""
+def run_checks(plan: dict, out_dir: Path) -> dict | None:
+    """Run the plan's once-per-run checks, or, when it has none, the first
+    operation of its batch unrecorded.  Either way this comes before timing
+    and absorbs the page faults of the first large arrays of a fresh
+    process (0.5-1 s on the machine the benchmark was tuned on), which
+    would otherwise inflate the first batch alone.  Returns the checks'
+    record: its oracles count, its timings do not."""
+    if plan["checks"]:
+        return run_batch(plan, out_dir, plan["checks"])
+    run_batch(plan, out_dir, plan["ops"][:1])
+    return None
+
+
+def run_batch(plan: dict, out_dir: Path, ops: list[dict] | None = None) -> dict:
+    """Execute every operation of the plan's batch (or `ops`) once; returns the batch record."""
     outcome = Outcome()
     start = time.perf_counter()
-    for op in plan["ops"]:
+    for op in plan["ops"] if ops is None else ops:
         if op["kind"] == "verify":
             _verify_op(op, out_dir, outcome)
         elif op["kind"] == "sweep":
