@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -398,6 +399,21 @@ def cmd_selftest(_args) -> int:
     return _EXIT_PASS if all(r.passed for r in results) else _EXIT_FAIL
 
 
+def _bind_negative_range(argv: list[str]) -> list[str]:
+    """Join `--range -a:b:n` into `--range=-a:b:n`.
+
+    argparse reads a token that starts with '-' and is not a plain number
+    as an option, so a negative range start would leave --range empty.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--range" and re.match(r"-[0-9.]", token):
+            out[-1] = f"--range={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="kernelgauge",
@@ -426,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     p_self = sub.add_parser("selftest", help="run the built-in oracle suite")
     p_self.set_defaults(func=cmd_selftest)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_negative_range(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -14,6 +14,15 @@ toward |z0|, and its angular grid coincides with the global one.  The
 grading resolves integrable radial densities behaving like
 |z - z0|^(2*beta), beta > -1, while the uniform angular structure keeps
 the trapezoid-exact orthogonality of Laurent monomials intact.
+
+Every rule here is a set of rings times one uniform angle grid, and
+records that structure as a `RingGrid` where it builds its nodes: node j
+of ring r sits at radii[r] * exp(i * (theta0 + 2 pi j / n_theta)), and
+the flat node and weight arrays are stored ring-major, ring after ring,
+each ring in increasing angle.  Area rules put nodes at the angular cell
+midpoints (theta0 = pi / n_theta), boundary rules on the circles
+(theta0 = 0).  `kernels.gram` relies on this invariant to sum each ring
+by one FFT; masked rules break it and carry no `RingGrid`.
 """
 
 from __future__ import annotations
@@ -80,6 +89,15 @@ def annulus(q: float) -> DomainSpec:
 
 
 @dataclass(frozen=True)
+class RingGrid:
+    """Ring x angle structure of a ring-major rule (see the module docstring)."""
+
+    radii: np.ndarray
+    n_theta: int
+    theta0: float
+
+
+@dataclass(frozen=True)
 class BoundaryQuadrature:
     """Equispaced trapezoid nodes on every boundary circle.
 
@@ -93,6 +111,7 @@ class BoundaryQuadrature:
     normals: np.ndarray
     normal_signs: np.ndarray
     component_slices: tuple[slice, ...]
+    rings: RingGrid
 
     @property
     def nodes_per_component(self) -> int:
@@ -127,6 +146,7 @@ def boundary_quadrature(domain: DomainSpec, nodes_per_component: int) -> Boundar
         normals=np.concatenate(normals),
         normal_signs=np.concatenate(signs),
         component_slices=tuple(slices),
+        rings=RingGrid(np.array(domain.component_radii), n, 0.0),
     )
 
 
@@ -142,6 +162,7 @@ class AreaQuadrature:
     r1: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
+    rings: RingGrid
 
     @property
     def cell_count(self) -> int:
@@ -180,12 +201,6 @@ def _subdivide(edges: np.ndarray, spacing: float, min_panels: int = 1) -> np.nda
     return np.concatenate(out)
 
 
-def _cells_from_edges(r_edges: np.ndarray, t_edges: np.ndarray):
-    r0, t0 = np.meshgrid(r_edges[:-1], t_edges[:-1], indexing="ij")
-    r1, t1 = np.meshgrid(r_edges[1:], t_edges[1:], indexing="ij")
-    return r0.ravel(), r1.ravel(), t0.ravel(), t1.ravel()
-
-
 def area_quadrature(
     domain: DomainSpec,
     z0: complex,
@@ -222,62 +237,46 @@ def area_quadrature(
         patch_radius = min(0.5 * clearance, 0.25)
     if patch_radius == 0.0:
         # No refinement block: plain global grid (smooth densities).
-        r0, t0 = np.meshgrid(global_r[:-1], global_t[:-1], indexing="ij")
-        r1, t1 = np.meshgrid(global_r[1:], global_t[1:], indexing="ij")
-        r0, r1, t0, t1 = r0.ravel(), r1.ravel(), t0.ravel(), t1.ravel()
-        rmid = 0.5 * (r0 + r1)
-        tmid = 0.5 * (t0 + t1)
-        return AreaQuadrature(
-            domain,
-            complex(z0),
-            rmid * np.exp(1j * tmid),
-            rmid * (r1 - r0) * (t1 - t0),
-            r0,
-            r1,
-            t0,
-            t1,
-        )
-    if patch_radius >= clearance:
-        raise PatchTooLarge(
-            f"patch radius {patch_radius:.4g} reaches the boundary "
-            f"(clearance {clearance:.4g})"
-        )
+        inner, outer = global_r[:-1], global_r[1:]
+    else:
+        if patch_radius >= clearance:
+            raise PatchTooLarge(
+                f"patch radius {patch_radius:.4g} reaches the boundary "
+                f"(clearance {clearance:.4g})"
+            )
 
-    # Snap the patch band to global radial grid lines so the tiling is
-    # exact.  The patch is a full ring: radii geometrically graded toward
-    # |z0| (putting z0 on a radial edge, so no quadrature node ever
-    # coincides with it) while angles stay on the global uniform grid.
-    # Keeping the angular structure uniform at every radius preserves the
-    # exact angular orthogonality of monomial products; the radial
-    # grading is what integrable radial singularities require.
-    i0 = int(np.searchsorted(global_r, s - patch_radius, side="right")) - 1
-    i0 = max(i0, 0)
-    i1 = int(np.searchsorted(global_r, s + patch_radius, side="left"))
-    i1 = min(max(i1, i0 + 1), radial_cells)
-    ra, rb = float(global_r[i0]), float(global_r[i1])
+        # Snap the patch band to global radial grid lines so the tiling is
+        # exact.  The patch is a full ring: radii geometrically graded toward
+        # |z0| (putting z0 on a radial edge, so no quadrature node ever
+        # coincides with it) while angles stay on the global uniform grid.
+        # Keeping the angular structure uniform at every radius preserves the
+        # exact angular orthogonality of monomial products; the radial
+        # grading is what integrable radial singularities require.
+        i0 = int(np.searchsorted(global_r, s - patch_radius, side="right")) - 1
+        i0 = max(i0, 0)
+        i1 = int(np.searchsorted(global_r, s + patch_radius, side="left"))
+        i1 = min(max(i1, i0 + 1), radial_cells)
+        ra, rb = float(global_r[i0]), float(global_r[i1])
 
-    keep_r = np.concatenate([np.arange(0, i0), np.arange(i1, radial_cells)])
-    r0, t0 = np.meshgrid(global_r[keep_r], global_t[:-1], indexing="ij")
-    r1, t1 = np.meshgrid(global_r[keep_r + 1], global_t[1:], indexing="ij")
+        pivot_r = min(max(s, ra), rb)
+        spacing_r = float(np.min(np.diff(global_r[i0 : i1 + 1])))
+        pr_edges = _subdivide(
+            _graded_edges(ra, rb, pivot_r, patch_levels, grading), spacing_r, patch_panels
+        )
+        # Global rings outside the band first, then the patch rings.
+        keep_r = np.concatenate([np.arange(0, i0), np.arange(i1, radial_cells)])
+        inner = np.concatenate([global_r[keep_r], pr_edges[:-1]])
+        outer = np.concatenate([global_r[keep_r + 1], pr_edges[1:]])
+
+    r0, t0 = np.meshgrid(inner, global_t[:-1], indexing="ij")
+    r1, t1 = np.meshgrid(outer, global_t[1:], indexing="ij")
     r0, r1, t0, t1 = r0.ravel(), r1.ravel(), t0.ravel(), t1.ravel()
-
-    pivot_r = min(max(s, ra), rb)
-    spacing_r = float(np.min(np.diff(global_r[i0 : i1 + 1])))
-    pr_edges = _subdivide(
-        _graded_edges(ra, rb, pivot_r, patch_levels, grading), spacing_r, patch_panels
-    )
-    pr0, pr1, pt0, pt1 = _cells_from_edges(pr_edges, global_t)
-
-    r0 = np.concatenate([r0, pr0])
-    r1 = np.concatenate([r1, pr1])
-    t0 = np.concatenate([t0, pt0])
-    t1 = np.concatenate([t1, pt1])
-
     rmid = 0.5 * (r0 + r1)
     tmid = 0.5 * (t0 + t1)
     weights = rmid * (r1 - r0) * (t1 - t0)
     nodes = rmid * np.exp(1j * tmid)
-    return AreaQuadrature(domain, complex(z0), nodes, weights, r0, r1, t0, t1)
+    rings = RingGrid(0.5 * (inner + outer), angular_cells, np.pi / angular_cells)
+    return AreaQuadrature(domain, complex(z0), nodes, weights, r0, r1, t0, t1, rings)
 
 
 @dataclass(frozen=True)

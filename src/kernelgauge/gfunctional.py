@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BranchInconsistency, EmptySublevel, NotEqualityShape
 from .geometry import AreaQuadrature, MaskedQuadrature, boundary_quadrature, mask_quadrature
-from .kernels import BasisDescriptor, Resolution, area_quadrature_for
+from .kernels import BasisDescriptor, Resolution, area_measure, area_quadrature_for, gram
 from .numerics import HermitianMatrix, constrained_min
 from .potential import HarmonicFunctionRep, LaurentSeries, PoleDerivative
 from .weights import CProfile, WeightConfig
@@ -360,12 +360,8 @@ def minimizer_orthogonality_residual(
     any competitor f with the same jet; returns the normalized residual."""
     if res is None:
         res = Resolution.for_domain(config.domain)
-    aq = area_quadrature_for(config, res)
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
-    phi = basis.matrix(aq.nodes)
-    wd = aq.weights * config.rho(aq.nodes)
-    m = (phi.conj().T * wd) @ phi
-    matrix = HermitianMatrix(m)
+    matrix = gram(basis, area_measure(config, area_quadrature_for(config, res)))
     result = constrained_min(matrix, basis.constraints())
     c_f = result.minimizer
     c_d = np.asarray(competitor_coeffs, dtype=complex) - c_f

@@ -30,6 +30,7 @@ from .geometry import (
     AreaQuadrature,
     BoundaryQuadrature,
     DomainSpec,
+    RingGrid,
     area_quadrature,
     boundary_quadrature,
 )
@@ -164,29 +165,66 @@ class BasisDescriptor:
 
 @dataclass(frozen=True)
 class Measure:
-    """Quadrature points with weight-times-density factors."""
+    """Quadrature points with weight-times-density factors.
+
+    rings is the rule's ring x angle structure when the points follow it
+    (see `geometry`), and None for rules without one, such as masked ones.
+    """
 
     kind: Literal["area", "boundary"]
     points: np.ndarray
     wdensity: np.ndarray
+    rings: RingGrid | None = None
 
 
 def boundary_measure(config: WeightConfig, bq: BoundaryQuadrature) -> Measure:
     lam = config.boundary_lambda(bq.nodes, bq.normal_signs)
-    return Measure("boundary", bq.nodes, bq.weights * lam)
+    return Measure("boundary", bq.nodes, bq.weights * lam, bq.rings)
 
 
 def area_measure(config: WeightConfig, aq: AreaQuadrature) -> Measure:
-    return Measure("area", aq.nodes, aq.weights * config.rho(aq.nodes))
+    return Measure("area", aq.nodes, aq.weights * config.rho(aq.nodes), aq.rings)
+
+
+# Bound on the (rings, nb, nb) intermediate of one ring chunk.
+_RING_CHUNK_BYTES = 20 << 20
 
 
 def gram(basis: BasisDescriptor, measure: Measure, chunk: int = 1 << 16) -> HermitianMatrix:
     """Hermitian Gram matrix of the basis under the measure.
 
-    Assembled in fixed node chunks so large quadratures never materialize
-    the full basis matrix; chunk boundaries are fixed, keeping the
-    summation order deterministic.
+    On a ring measure each ring's angular sum is a DFT of its weights:
+
+        Gram[i,j] = sum_r R[r,i] R[r,j] F_r[e_j - e_i] exp(i (e_j - e_i) theta0),
+
+    with R[r,i] = radii[r]^e_i / s_i and F_r = n_theta * ifft(w[r]) read
+    modulo n_theta -- the same discrete sum as the dense path, aliasing
+    included.  Rings are processed in chunks that keep the gathered
+    (rings, nb, nb) array near _RING_CHUNK_BYTES.
+
+    Other measures are assembled densely in fixed chunks of `chunk` nodes,
+    so large quadratures never materialize the full basis matrix.
     """
+    if measure.rings is None:
+        return _dense_gram(basis, measure, chunk)
+    rings = measure.rings
+    n = rings.n_theta
+    exps = basis.exponents
+    shift = exps[None, :] - exps[:, None]
+    index = shift % n
+    radial = basis.matrix(rings.radii).real
+    w = measure.wdensity.reshape(len(rings.radii), n)
+    nb = len(exps)
+    step = max(1, _RING_CHUNK_BYTES // (16 * nb * nb))
+    m = np.zeros((nb, nb), dtype=complex)
+    for start in range(0, len(rings.radii), step):
+        sl = slice(start, start + step)
+        f = n * np.fft.ifft(w[sl], axis=1)
+        m += np.einsum("ri,rj,rij->ij", radial[sl], radial[sl], f[:, index])
+    return HermitianMatrix(m * np.exp(1j * rings.theta0 * shift))
+
+
+def _dense_gram(basis: BasisDescriptor, measure: Measure, chunk: int) -> HermitianMatrix:
     nb = len(basis.exponents)
     m = np.zeros((nb, nb), dtype=complex)
     for start in range(0, len(measure.points), chunk):

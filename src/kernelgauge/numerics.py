@@ -19,6 +19,9 @@ from .errors import InconsistentConstraints, NonConvergent, SingularGram
 _JITTER = 1e-12
 # Relative residual allowed on the constraint equations of a minimizer.
 _CONSTRAINT_RTOL = 1e-10
+# Relative level below which a difference of two computed values is taken
+# as roundoff (BLAS thread counts alone move kernel values by ~1e-14).
+ROUNDOFF_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ def richardson_sweep(evaluate: Callable[[int], float], schedule: Sequence[int]) 
         raise ValueError("schedule must be strictly increasing")
     values = [float(evaluate(n)) for n in schedule]
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-    floor = 1e-12 * max(abs(values[-1]), 1e-300)
+    floor = ROUNDOFF_REL * max(abs(values[-1]), 1e-300)
     if len(diffs) >= 2 and diffs[-1] > diffs[-2] and diffs[-1] > floor:
         raise NonConvergent(
             f"differences grow over last points: {diffs[-2]:.3e} -> {diffs[-1]:.3e}"

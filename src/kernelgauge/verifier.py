@@ -20,7 +20,7 @@ significantly below 1 is always a failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -28,6 +28,7 @@ import numpy as np
 from .errors import InvalidConfig, RouteMismatch
 from .geometry import DomainSpec
 from .kernels import KernelValue, Resolution, area_quadrature_for, kernel_diag
+from .numerics import ROUNDOFF_REL
 from .potential import log_capacity
 from .weights import CProfile, PhiSpec, PsiSpec, WeightConfig, validate_config
 
@@ -68,6 +69,13 @@ def equality_predicate(config: WeightConfig, char_tol: float = 1e-8) -> Equality
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Outcome of one comparison.
+
+    k_value and b_value carry their error estimates floored at the
+    roundoff level (see `_reported`); combined_estimate, tol_ineq and the
+    verdict come from the unfloored estimates.
+    """
+
     k_value: KernelValue
     b_value: KernelValue
     c_total: float
@@ -95,6 +103,21 @@ class VerificationReport:
             f"character {self.flags.characters_match}, distance {self.character_distance:.6g})",
             f"verdict: {self.verdict}",
         ]
+
+
+def _reported(value: KernelValue) -> KernelValue:
+    """The kernel value with both estimates floored at ROUNDOFF_REL * |value|.
+
+    An estimate below that level measures roundoff, which moves with the
+    BLAS thread count (the Cholesky factor of a 65 x 65 Gram differs in its
+    last bits between one and two threads), so reports print the floor.
+    """
+    floor = ROUNDOFF_REL * abs(value.value)
+    return replace(
+        value,
+        truncation_estimate=max(value.truncation_estimate, floor),
+        quadrature_estimate=max(value.quadrature_estimate, floor),
+    )
 
 
 def _combined_relative_estimate(k: KernelValue, b: KernelValue) -> float:
@@ -148,8 +171,8 @@ def verify_main(
     prediction = equality_predicate(config)
     verdict, tol_ineq = _decide(ratio, prediction.expected, tol_eq, combined)
     return VerificationReport(
-        k_value=k_val,
-        b_value=b_val,
+        k_value=_reported(k_val),
+        b_value=_reported(b_val),
         c_total=total,
         ratio=ratio,
         combined_estimate=combined,
@@ -201,8 +224,8 @@ def verify_higher(
     prediction = equality_predicate(config)
     verdict, tol_ineq = _decide(ratio, prediction.expected, tol_eq, combined)
     return VerificationReport(
-        k_value=k_direct,
-        b_value=b_direct,
+        k_value=_reported(k_direct),
+        b_value=_reported(b_direct),
         c_total=total,
         ratio=ratio,
         combined_estimate=combined,

@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from kernelgauge.cli import main
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 def _write(tmp_path, doc, name="scenario.json"):
@@ -128,6 +132,35 @@ def test_sweep_bad_range(tmp_path, capsys):
     path = _fast_disc(tmp_path, tmp_path / "o")
     assert main(["sweep", path, "--param", "alpha_u", "--range", "0..1"]) == 2
     assert main(["sweep", path, "--param", "bogus", "--range", "0:1:3"]) == 2
+
+
+def test_sweep_negative_range_start(tmp_path):
+    out = tmp_path / "neg"
+    path = _fast_disc(tmp_path, out, c={"kind": "exp_delta", "delta": 0.0})
+    assert main(["sweep", path, "--param", "delta", "--range", "-0.4:-0.2:2"]) == 0
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [-0.4, -0.2]
+
+
+def test_reports_identical_across_blas_thread_counts(tmp_path):
+    names = ("disc_baseline", "annulus_strict", "annulus_matched")
+    script = (
+        "import sys\n"
+        "from kernelgauge.cli import main\n"
+        "for name in sys.argv[2:]:\n"
+        "    main(['verify', f'{sys.argv[1]}/{name}.json', '--out', name])\n"
+    )
+    reports = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        subprocess.run([sys.executable, "-c", script, str(SCENARIOS), *names], cwd=cwd, env=env,
+                       check=True, capture_output=True, timeout=600)
+        reports[threads] = [(cwd / name / "report.csv").read_bytes() for name in names]
+    assert reports["1"] == reports["2"]
 
 
 def test_kernel_eval_radial_baseline(tmp_path):

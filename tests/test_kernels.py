@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,10 +17,11 @@ from kernelgauge import (
     disc,
     gram,
     kernel_diag,
+    mask_quadrature,
     kernel_section,
     reproducing_residual,
 )
-from kernelgauge.kernels import area_measure, boundary_measure
+from kernelgauge.kernels import Measure, area_measure, area_quadrature_for, boundary_measure
 from kernelgauge.numerics import constrained_min
 from kernelgauge.potential import HarmonicFunctionRep
 
@@ -82,6 +84,48 @@ def test_gram_positive_definite_and_hermitian():
     assert np.max(np.abs(m - m.conj().T)) == 0.0
     eigs = np.linalg.eigvalsh(m)
     assert eigs[0] > 0.0
+
+
+RING_RES = Resolution(basis_schedule=(4, 8), boundary_nodes=40, radial_cells=48, angular_cells=40,
+                      patch_levels=12, patch_panels=2)
+RING_CASES = [
+    (disc(), 0.0, HarmonicFunctionRep.from_coefficients(0.0, {1: 0.2 + 0.1j})),
+    (disc(), 0.45 + 0.2j, HarmonicFunctionRep.from_coefficients(0.0, {2: -0.1j})),
+    (annulus(0.25), 0.5, HarmonicFunctionRep.from_coefficients(0.3, {1: 0.1, -1: 0.05j})),
+    (annulus(0.25), -0.3 + 0.4j, HarmonicFunctionRep.log_mode(-0.5)),
+]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize("side", ["bergman", "szego"])
+@pytest.mark.parametrize("domain,z0,u", RING_CASES, ids=["disc-center", "disc-off", "annulus", "annulus-off"])
+def test_ring_gram_matches_dense(domain, z0, u, side, factor, k):
+    cfg = _cfg(domain, z0, k=k, u=u, c=CProfile.exp_delta(-0.4))
+    res = RING_RES.scaled(factor)
+    basis = BasisDescriptor.create(domain, res.n_max, z0, k)
+    if side == "szego":
+        measure = boundary_measure(cfg, boundary_quadrature(domain, res.boundary_nodes))
+        assert len(measure.rings.radii) == len(domain.component_radii)
+    else:
+        measure = area_measure(cfg, area_quadrature_for(cfg, res))
+        # The graded patch ring adds rings to the global radial grid.
+        assert len(measure.rings.radii) > res.radial_cells
+    ring = gram(basis, measure).entries
+    dense = gram(basis, dataclasses.replace(measure, rings=None)).entries
+    assert np.max(np.abs(ring - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_masked_rule_gram_is_dense_and_exact():
+    # Clipping the disc to |z| < 0.6 leaves no ring structure; the dense
+    # Gram of the clipped rule reproduces the moments of the smaller disc.
+    rho = 0.6
+    aq = area_quadrature(disc(), 0.0, 2048, 32, patch_radius=0.0)
+    masked = mask_quadrature(aq, lambda z: np.log(np.abs(z)), math.log(rho))
+    basis = BasisDescriptor.create(disc(), 4, 0.0, 0)
+    m = gram(basis, Measure("area", masked.nodes, masked.weights)).entries
+    exact = np.diag([math.pi * rho ** (2 * n + 2) / (n + 1) for n in range(5)])
+    assert np.max(np.abs(m - exact)) < 1e-6 * math.pi * rho**2
 
 
 # ------------------------------------------------------------ kernel_diag
