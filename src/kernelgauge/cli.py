@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidConfig, KernelGaugeError, ScenarioError
 from .geometry import DomainSpec
-from .kernels import Resolution, kernel_section
+from .kernels import KernelValue, Resolution, kernel_section
 from .potential import HarmonicFunctionRep
 from .selftest import run_selftest
 from .verifier import VerificationReport, verify
@@ -229,14 +229,19 @@ _REPORT_COLUMNS = [
 ]
 
 
+def _quad_cell(value: KernelValue) -> str:
+    quad = value.quadrature_estimate
+    return "nan" if quad is None else f"{quad:.6e}"
+
+
 def _report_row(report: VerificationReport) -> list[str]:
     return [
         f"{report.k_value.value:.12e}",
         f"{report.k_value.truncation_estimate:.6e}",
-        f"{report.k_value.quadrature_estimate:.6e}",
+        _quad_cell(report.k_value),
         f"{report.b_value.value:.12e}",
         f"{report.b_value.truncation_estimate:.6e}",
-        f"{report.b_value.quadrature_estimate:.6e}",
+        _quad_cell(report.b_value),
         f"{report.c_total:.12e}",
         f"{report.ratio:.12e}",
         f"{report.character_distance:.12e}",

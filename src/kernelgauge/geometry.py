@@ -108,18 +108,9 @@ class BoundaryQuadrature:
     domain: DomainSpec
     nodes: np.ndarray
     weights: np.ndarray
-    normals: np.ndarray
     normal_signs: np.ndarray
     component_slices: tuple[slice, ...]
     rings: RingGrid
-
-    @property
-    def nodes_per_component(self) -> int:
-        sl = self.component_slices[0]
-        return sl.stop - sl.start
-
-    def component_nodes(self, index: int) -> np.ndarray:
-        return self.nodes[self.component_slices[index]]
 
 
 def boundary_quadrature(domain: DomainSpec, nodes_per_component: int) -> BoundaryQuadrature:
@@ -129,13 +120,12 @@ def boundary_quadrature(domain: DomainSpec, nodes_per_component: int) -> Boundar
     n = nodes_per_component
     theta = _TWO_PI * np.arange(n) / n
     unit = np.exp(1j * theta)
-    nodes, weights, normals, signs, slices = [], [], [], [], []
+    nodes, weights, signs, slices = [], [], [], []
     start = 0
     for comp_index, radius in enumerate(domain.component_radii):
         sign = 1.0 if comp_index == 0 else -1.0
         nodes.append(radius * unit)
         weights.append(np.full(n, _TWO_PI * radius / n))
-        normals.append(sign * unit)
         signs.append(np.full(n, sign))
         slices.append(slice(start, start + n))
         start += n
@@ -143,7 +133,6 @@ def boundary_quadrature(domain: DomainSpec, nodes_per_component: int) -> Boundar
         domain=domain,
         nodes=np.concatenate(nodes),
         weights=np.concatenate(weights),
-        normals=np.concatenate(normals),
         normal_signs=np.concatenate(signs),
         component_slices=tuple(slices),
         rings=RingGrid(np.array(domain.component_radii), n, 0.0),
@@ -163,10 +152,6 @@ class AreaQuadrature:
     t0: np.ndarray
     t1: np.ndarray
     rings: RingGrid
-
-    @property
-    def cell_count(self) -> int:
-        return self.nodes.shape[0]
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.real(np.sum(self.weights * values)))

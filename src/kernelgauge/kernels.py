@@ -186,11 +186,35 @@ def area_measure(config: WeightConfig, aq: AreaQuadrature) -> Measure:
     return Measure("area", aq.nodes, aq.weights * config.rho(aq.nodes), aq.rings)
 
 
-# Bound on the (rings, nb, nb) intermediate of one ring chunk.
-_RING_CHUNK_BYTES = 20 << 20
+def area_quadrature_for(config: WeightConfig, res: Resolution) -> AreaQuadrature:
+    return area_quadrature(
+        config.domain,
+        config.z0,
+        res.radial_cells,
+        res.angular_cells,
+        patch_radius=res.patch_radius,
+        grading=res.patch_grading,
+        patch_levels=res.patch_levels,
+        patch_panels=res.patch_panels,
+    )
 
 
-def gram(basis: BasisDescriptor, measure: Measure, chunk: int = 1 << 16) -> HermitianMatrix:
+# Kernel diagonal = normalizer / minimal plain sum (see the module docstring).
+_SIDE_NORMALIZER = {"szego": _TWO_PI, "bergman": 1.0}
+
+
+def side_measure(config: WeightConfig, side: Side, res: Resolution) -> Measure:
+    """The weighted rule of one side: boundary for szego, area for bergman."""
+    if side == "szego":
+        return boundary_measure(config, boundary_quadrature(config.domain, res.boundary_nodes))
+    return area_measure(config, area_quadrature_for(config, res))
+
+
+_RING_CHUNK_BYTES = 20 << 20  # bound on one ring chunk's (rings, nb, nb) intermediate
+_DENSE_CHUNK_NODES = 1 << 16  # nodes per block of the dense assembly
+
+
+def gram(basis: BasisDescriptor, measure: Measure) -> HermitianMatrix:
     """Hermitian Gram matrix of the basis under the measure.
 
     On a ring measure each ring's angular sum is a DFT of its weights:
@@ -202,11 +226,11 @@ def gram(basis: BasisDescriptor, measure: Measure, chunk: int = 1 << 16) -> Herm
     included.  Rings are processed in chunks that keep the gathered
     (rings, nb, nb) array near _RING_CHUNK_BYTES.
 
-    Other measures are assembled densely in fixed chunks of `chunk` nodes,
-    so large quadratures never materialize the full basis matrix.
+    Other measures are assembled densely in blocks of _DENSE_CHUNK_NODES
+    nodes, so large quadratures never materialize the full basis matrix.
     """
     if measure.rings is None:
-        return _dense_gram(basis, measure, chunk)
+        return _dense_gram(basis, measure)
     rings = measure.rings
     n = rings.n_theta
     exps = basis.exponents
@@ -224,11 +248,11 @@ def gram(basis: BasisDescriptor, measure: Measure, chunk: int = 1 << 16) -> Herm
     return HermitianMatrix(m * np.exp(1j * rings.theta0 * shift))
 
 
-def _dense_gram(basis: BasisDescriptor, measure: Measure, chunk: int) -> HermitianMatrix:
+def _dense_gram(basis: BasisDescriptor, measure: Measure) -> HermitianMatrix:
     nb = len(basis.exponents)
     m = np.zeros((nb, nb), dtype=complex)
-    for start in range(0, len(measure.points), chunk):
-        sl = slice(start, start + chunk)
+    for start in range(0, len(measure.points), _DENSE_CHUNK_NODES):
+        sl = slice(start, start + _DENSE_CHUNK_NODES)
         phi = basis.matrix(measure.points[sl])
         m += (phi.conj().T * measure.wdensity[sl]) @ phi
     return HermitianMatrix(m)
@@ -236,32 +260,15 @@ def _dense_gram(basis: BasisDescriptor, measure: Measure, chunk: int) -> Hermiti
 
 @dataclass(frozen=True)
 class KernelValue:
-    """Kernel diagonal with truncation and quadrature error estimates."""
+    """Kernel diagonal with error estimates; no quadrature estimate (None) if unrefined."""
 
     value: float
     truncation_estimate: float
-    quadrature_estimate: float
+    quadrature_estimate: float | None
 
     @property
     def total_estimate(self) -> float:
-        return self.truncation_estimate + self.quadrature_estimate
-
-
-def area_quadrature_for(config: WeightConfig, res: Resolution) -> AreaQuadrature:
-    return area_quadrature(
-        config.domain,
-        config.z0,
-        res.radial_cells,
-        res.angular_cells,
-        patch_radius=res.patch_radius,
-        grading=res.patch_grading,
-        patch_levels=res.patch_levels,
-        patch_panels=res.patch_panels,
-    )
-
-
-def make_quadratures(config: WeightConfig, res: Resolution) -> tuple[BoundaryQuadrature, AreaQuadrature]:
-    return boundary_quadrature(config.domain, res.boundary_nodes), area_quadrature_for(config, res)
+        return self.truncation_estimate + (self.quadrature_estimate or 0.0)
 
 
 def _sweep_over_schedule(config: WeightConfig, side: Side, res: Resolution, basis: BasisDescriptor):
@@ -270,20 +277,13 @@ def _sweep_over_schedule(config: WeightConfig, side: Side, res: Resolution, basi
             f"quadrature resolution too coarse for basis order {res.n_max}; "
             "need more than 4*N angular/boundary nodes"
         )
-    if side == "szego":
-        measure = boundary_measure(config, boundary_quadrature(config.domain, res.boundary_nodes))
-    else:
-        measure = area_measure(config, area_quadrature_for(config, res))
-    full = gram(basis, measure)
+    full = gram(basis, side_measure(config, side, res))
     constraints = basis.constraints()
-    cache: dict[int, float] = {}
 
     def value_at(n: int) -> float:
-        if n not in cache:
-            m = basis.size(n)
-            result = constrained_min(full.principal(m), constraints.restricted(m))
-            cache[n] = (_TWO_PI / result.value) if side == "szego" else (1.0 / result.value)
-        return cache[n]
+        m = basis.size(n)
+        result = constrained_min(full.principal(m), constraints.restricted(m))
+        return _SIDE_NORMALIZER[side] / result.value
 
     return richardson_sweep(value_at, res.basis_schedule)
 
@@ -293,14 +293,14 @@ def kernel_diag(config: WeightConfig, side: Side, res: Resolution | None = None)
 
     Truncation is estimated by sweeping the basis schedule; quadrature
     error by recomputing at doubled node counts (the reported value is
-    the doubled-resolution one).
+    the doubled-resolution one), unless res.refine_quadrature is off.
     """
     if res is None:
         res = Resolution.for_domain(config.domain)
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
     base = _sweep_over_schedule(config, side, res, basis)
     if not res.refine_quadrature:
-        return KernelValue(base.value, base.error_estimate, 0.0)
+        return KernelValue(base.value, base.error_estimate, None)
     fine = _sweep_over_schedule(config, side, res.scaled(2), basis)
     return KernelValue(fine.value, fine.error_estimate, abs(fine.value - base.value))
 
@@ -334,19 +334,13 @@ def kernel_section(config: WeightConfig, side: Side, res: Resolution | None = No
     if res is None:
         res = Resolution.for_domain(config.domain)
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, 0)
-    if side == "szego":
-        measure = boundary_measure(config, boundary_quadrature(config.domain, res.boundary_nodes))
-    else:
-        measure = area_measure(config, area_quadrature_for(config, res))
-    full = gram(basis, measure)
-    result = constrained_min(full, basis.constraints())
-    diag = (_TWO_PI / result.value) if side == "szego" else (1.0 / result.value)
+    result = constrained_min(gram(basis, side_measure(config, side, res)), basis.constraints())
     return KernelSection(
         side=side,
         z0=config.z0,
         exponents=basis.exponents.copy(),
         coefficients=basis.to_monomial(result.minimizer),
-        diagonal=diag,
+        diagonal=_SIDE_NORMALIZER[side] / result.value,
     )
 
 
@@ -366,12 +360,8 @@ def reproducing_residual(
         raise ValueError("negative exponents are not disc basis elements")
     if section is None:
         section = kernel_section(config, side, res)
-    if side == "szego":
-        measure = boundary_measure(config, boundary_quadrature(config.domain, res.boundary_nodes))
-        scale = 1.0 / _TWO_PI
-    else:
-        measure = area_measure(config, area_quadrature_for(config, res))
-        scale = 1.0
+    measure = side_measure(config, side, res)
     kvals = section.two_point(measure.points)
+    scale = 1.0 / _SIDE_NORMALIZER[side]
     integral = scale * np.sum(measure.wdensity * measure.points ** test_exponent * np.conj(kvals))
     return float(np.abs(integral - config.z0 ** test_exponent))

@@ -26,7 +26,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import InvalidConfig, RouteMismatch
-from .geometry import DomainSpec
+from .geometry import DomainSpec, mask_quadrature
 from .kernels import KernelValue, Resolution, area_quadrature_for, kernel_diag
 from .numerics import ROUNDOFF_REL
 from .potential import log_capacity
@@ -92,10 +92,8 @@ class VerificationReport:
 
     def summary_lines(self) -> list[str]:
         return [
-            f"K = {self.k_value.value:.10g} "
-            f"(trunc {self.k_value.truncation_estimate:.2e}, quad {self.k_value.quadrature_estimate:.2e})",
-            f"B = {self.b_value.value:.10g} "
-            f"(trunc {self.b_value.truncation_estimate:.2e}, quad {self.b_value.quadrature_estimate:.2e})",
+            f"K = {self.k_value.value:.10g} ({_estimates(self.k_value)})",
+            f"B = {self.b_value.value:.10g} ({_estimates(self.b_value)})",
             f"I(c) = {self.c_total:.10g}",
             f"ratio = K / (I(c) pi B) = {self.ratio:.10g}",
             f"expected equality: {self.expected_equality} "
@@ -105,23 +103,25 @@ class VerificationReport:
         ]
 
 
+def _estimates(value: KernelValue) -> str:
+    quad = "not checked" if value.quadrature_estimate is None else f"{value.quadrature_estimate:.2e}"
+    return f"trunc {value.truncation_estimate:.2e}, quad {quad}"
+
+
 def _reported(value: KernelValue) -> KernelValue:
-    """The kernel value with both estimates floored at ROUNDOFF_REL * |value|.
+    """The kernel value with its estimates floored at ROUNDOFF_REL * |value|.
 
     An estimate below that level measures roundoff, which moves with the
     BLAS thread count (the Cholesky factor of a 65 x 65 Gram differs in its
     last bits between one and two threads), so reports print the floor.
     """
     floor = ROUNDOFF_REL * abs(value.value)
+    quad = value.quadrature_estimate
     return replace(
         value,
         truncation_estimate=max(value.truncation_estimate, floor),
-        quadrature_estimate=max(value.quadrature_estimate, floor),
+        quadrature_estimate=None if quad is None else max(quad, floor),
     )
-
-
-def _combined_relative_estimate(k: KernelValue, b: KernelValue) -> float:
-    return k.total_estimate / k.value + b.total_estimate / b.value + 1e-12
 
 
 def _decide(
@@ -154,20 +154,44 @@ def _require_valid(config: WeightConfig) -> None:
         raise InvalidConfig(details)
 
 
-def verify_main(
+def _route_gap(direct: KernelValue, reduced: KernelValue) -> float:
+    """Relative gap of an order-k kernel from its order-zero reduction;
+    RouteMismatch when it exceeds their combined error estimates."""
+    gap = abs(direct.value - reduced.value) / direct.value
+    allowance = _ESTIMATE_CUSHION * (
+        direct.total_estimate / direct.value + reduced.total_estimate / reduced.value
+    ) + 1e-9
+    if gap > allowance:
+        raise RouteMismatch(
+            f"direct-k and reduced routes disagree: {direct.value:.10g} vs "
+            f"{reduced.value:.10g} (relative gap {gap:.3e} > allowance {allowance:.3e})"
+        )
+    return gap
+
+
+def verify(
     config: WeightConfig,
     res: Resolution | None = None,
     tol_eq: float = DEFAULT_TOL_EQ,
 ) -> VerificationReport:
-    """Kernel comparison and equality characterization for k = 0."""
-    if config.k != 0:
-        raise InvalidConfig("verify_main handles k = 0; use verify_higher")
+    """Kernel comparison and equality characterization at the configured order.
+
+    For k >= 1 both kernels are cross-checked against the order-zero
+    reduction, whose density carries the |z - z0|^(2k) factor.
+    """
     _require_valid(config)
     k_val = kernel_diag(config, "szego", res)
     b_val = kernel_diag(config, "bergman", res)
+    route_gap = 0.0
+    if config.k >= 1:
+        reduced = config.reduced()
+        route_gap = max(
+            _route_gap(k_val, kernel_diag(reduced, "szego", res)),
+            _route_gap(b_val, kernel_diag(reduced, "bergman", res)),
+        )
     total = config.c.total
     ratio = k_val.value / (total * math.pi * b_val.value)
-    combined = _combined_relative_estimate(k_val, b_val)
+    combined = k_val.total_estimate / k_val.value + b_val.total_estimate / b_val.value + 1e-12
     prediction = equality_predicate(config)
     verdict, tol_ineq = _decide(ratio, prediction.expected, tol_eq, combined)
     return VerificationReport(
@@ -182,8 +206,20 @@ def verify_main(
         tol_eq=tol_eq,
         tol_ineq=tol_ineq,
         verdict=verdict,
-        order=0,
+        order=config.k,
+        route_gap=route_gap,
     )
+
+
+def verify_main(
+    config: WeightConfig,
+    res: Resolution | None = None,
+    tol_eq: float = DEFAULT_TOL_EQ,
+) -> VerificationReport:
+    """`verify` restricted to k = 0."""
+    if config.k != 0:
+        raise InvalidConfig("verify_main handles k = 0; use verify_higher")
+    return verify(config, res, tol_eq)
 
 
 def verify_higher(
@@ -191,60 +227,10 @@ def verify_higher(
     res: Resolution | None = None,
     tol_eq: float = DEFAULT_TOL_EQ,
 ) -> VerificationReport:
-    """Order-k comparison, cross-checked against the order-zero reduction.
-
-    Both kernels are computed twice: with k-th derivative constraints
-    directly, and at k = 0 for the reduced configuration whose density
-    carries the |z - z0|^(2k) factor.  The two routes must agree within
-    their combined error estimates.
-    """
+    """`verify` restricted to k >= 1, cross-checked against the order-zero reduction."""
     if config.k < 1:
         raise InvalidConfig("verify_higher requires k >= 1")
-    _require_valid(config)
-    reduced = config.reduced()
-    k_direct = kernel_diag(config, "szego", res)
-    b_direct = kernel_diag(config, "bergman", res)
-    k_reduced = kernel_diag(reduced, "szego", res)
-    b_reduced = kernel_diag(reduced, "bergman", res)
-    route_gap = 0.0
-    for direct, other in ((k_direct, k_reduced), (b_direct, b_reduced)):
-        gap = abs(direct.value - other.value) / direct.value
-        allowance = _ESTIMATE_CUSHION * (
-            direct.total_estimate / direct.value + other.total_estimate / other.value
-        ) + 1e-9
-        route_gap = max(route_gap, gap)
-        if gap > allowance:
-            raise RouteMismatch(
-                f"direct-k and reduced routes disagree: {direct.value:.10g} vs "
-                f"{other.value:.10g} (relative gap {gap:.3e} > allowance {allowance:.3e})"
-            )
-    total = config.c.total
-    ratio = k_direct.value / (total * math.pi * b_direct.value)
-    combined = _combined_relative_estimate(k_direct, b_direct)
-    prediction = equality_predicate(config)
-    verdict, tol_ineq = _decide(ratio, prediction.expected, tol_eq, combined)
-    return VerificationReport(
-        k_value=_reported(k_direct),
-        b_value=_reported(b_direct),
-        c_total=total,
-        ratio=ratio,
-        combined_estimate=combined,
-        expected_equality=prediction.expected,
-        flags=prediction.flags,
-        character_distance=prediction.character_distance,
-        tol_eq=tol_eq,
-        tol_ineq=tol_ineq,
-        verdict=verdict,
-        order=config.k,
-        route_gap=route_gap,
-    )
-
-
-def verify(config: WeightConfig, res: Resolution | None = None, tol_eq: float = DEFAULT_TOL_EQ):
-    """Dispatch on the configured derivative order."""
-    if config.k == 0:
-        return verify_main(config, res, tol_eq)
-    return verify_higher(config, res, tol_eq)
+    return verify(config, res, tol_eq)
 
 
 @dataclass(frozen=True)
@@ -313,8 +299,6 @@ def hardy_diagnostic(
     classification doubles as the verdict (growth by more than 2x across
     the sample set reports `increasing`).
     """
-    from .geometry import mask_quadrature
-
     if res is None:
         res = Resolution.for_domain(config.domain)
     aq = area_quadrature_for(config, res)

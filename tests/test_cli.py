@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from kernelgauge.cli import main
 
@@ -226,8 +227,8 @@ def test_verify_inconclusive_exit(tmp_path):
     assert code == 3
 
 
-def test_verify_higher_order_scenario(tmp_path, capsys):
-    doc = {
+def _k1_disc(out_dir):
+    return {
         "domain": {"kind": "disc"},
         "point": {"z0": 0.0},
         "k": 1,
@@ -238,10 +239,65 @@ def test_verify_higher_order_scenario(tmp_path, capsys):
             "radial_cells": 160,
             "angular_cells": 96,
             "refine_quadrature": False,
-            "output_dir": str(tmp_path / "o4"),
+            "output_dir": str(out_dir),
         },
     }
-    code = main(["verify", _write(tmp_path, doc)])
+
+
+def test_verify_higher_order_scenario(tmp_path, capsys):
+    code = main(["verify", _write(tmp_path, _k1_disc(tmp_path / "o4"))])
     out = capsys.readouterr().out
     assert code == 0
     assert "K = 2" in out
+
+
+def test_reduced_route_mismatch(tmp_path, capsys, monkeypatch):
+    # Shift only the reduced (k = 0) route of a k = 1 problem by 1e-3
+    # relative: the cross-check must refuse the report.
+    import dataclasses
+
+    import kernelgauge.verifier as verifier
+    from kernelgauge.cli import build_config, build_resolution
+    from kernelgauge.errors import RouteMismatch
+
+    real = verifier.kernel_diag
+
+    def shifted(config, side, res=None):
+        value = real(config, side, res)
+        if config.k == 0:
+            return dataclasses.replace(value, value=value.value * (1.0 + 1e-3))
+        return value
+
+    monkeypatch.setattr(verifier, "kernel_diag", shifted)
+    doc = _k1_disc(tmp_path / "o5")
+    config = build_config(doc)
+    with pytest.raises(RouteMismatch):
+        verifier.verify(config, build_resolution(doc, config.domain))
+    assert main(["verify", _write(tmp_path, doc)]) == 3
+    assert "RouteMismatch" in capsys.readouterr().err
+
+
+def test_verify_unrefined_quadrature_reported_unchecked(tmp_path, capsys):
+    # With refinement off there is no quadrature estimate; reports say so
+    # instead of printing the roundoff floor as if it had been measured.
+    doc = json.loads((SCENARIOS / "disc_baseline.json").read_text())
+    out = tmp_path / "out"
+    doc["run"].update(refine_quadrature=False, output_dir=str(out))
+    assert main(["verify", _write(tmp_path, doc)]) == 0
+    summary = capsys.readouterr().out
+    assert "K = 1 (trunc 1.00e-12, quad not checked)" in summary
+    assert "(trunc 3.18e-13, quad not checked)" in summary
+    header, values = (out / "report.csv").read_text().strip().splitlines()
+    row = dict(zip(header.split(","), values.split(",")))
+    assert row["K_quad"] == row["B_quad"] == "nan"
+    # The truncation estimates, tol_ineq and the verdict are as with the
+    # missing estimate counted as 0.
+    assert row["K_trunc"] == "1.000000e-12"
+    assert row["tol_ineq"] == "3.000e-12"
+    assert row["verdict"] == "pass"
+    md = (out / "report.md").read_text()
+    assert "| K_quad | nan |" in md and "| B_quad | nan |" in md
+
+
+def test_selftest_command(capsys):
+    assert main(["selftest"]) == 0

@@ -21,7 +21,7 @@ from kernelgauge import (
     kernel_section,
     reproducing_residual,
 )
-from kernelgauge.kernels import Measure, area_measure, area_quadrature_for, boundary_measure
+from kernelgauge.kernels import Measure, area_measure, boundary_measure, side_measure
 from kernelgauge.numerics import constrained_min
 from kernelgauge.potential import HarmonicFunctionRep
 
@@ -104,11 +104,12 @@ def test_ring_gram_matches_dense(domain, z0, u, side, factor, k):
     cfg = _cfg(domain, z0, k=k, u=u, c=CProfile.exp_delta(-0.4))
     res = RING_RES.scaled(factor)
     basis = BasisDescriptor.create(domain, res.n_max, z0, k)
+    measure = side_measure(cfg, side, res)
     if side == "szego":
-        measure = boundary_measure(cfg, boundary_quadrature(domain, res.boundary_nodes))
+        assert measure.kind == "boundary"
         assert len(measure.rings.radii) == len(domain.component_radii)
     else:
-        measure = area_measure(cfg, area_quadrature_for(cfg, res))
+        assert measure.kind == "area"
         # The graded patch ring adds rings to the global radial grid.
         assert len(measure.rings.radii) > res.radial_cells
     ring = gram(basis, measure).entries
