@@ -21,8 +21,10 @@ of ring r sits at radii[r] * exp(i * (theta0 + 2 pi j / n_theta)), and
 the flat node and weight arrays are stored ring-major, ring after ring,
 each ring in increasing angle.  Area rules put nodes at the angular cell
 midpoints (theta0 = pi / n_theta), boundary rules on the circles
-(theta0 = 0).  `kernels.gram` relies on this invariant to sum each ring
-by one FFT; masked rules break it and carry no `RingGrid`.
+(theta0 = 0).  `kernels.gram` and `potential.LaurentSeries` rely on this
+invariant to sum each ring by one FFT, and `mask_quadrature` to share
+cell corners between neighbours; masked rules break it and carry no
+`RingGrid`.
 """
 
 from __future__ import annotations
@@ -289,24 +291,35 @@ def mask_quadrature(
     """Restrict an area quadrature to {field < threshold} or {field >= threshold}.
 
     Cells crossed by the level curve are split radially at the crossing
-    point along the cell's angular midline (a single subdivision).  On
-    radially symmetric fields the clipped areas are exact because the
-    midpoint rule integrates the Jacobian r exactly.
+    points along the cell's angular midline, and each piece is kept or
+    dropped by the field at its midpoint.  On radially symmetric fields
+    the clipped areas are exact because the midpoint rule integrates the
+    Jacobian r exactly.
     """
     def shifted(z):
         # Level fields carry log poles; -inf corner values classify fine.
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.asarray(level_field(z)) - threshold
 
-    tmid = 0.5 * (quad.t0 + quad.t1)
-    corners = [
-        quad.r0 * np.exp(1j * quad.t0),
-        quad.r0 * np.exp(1j * quad.t1),
-        quad.r1 * np.exp(1j * quad.t0),
-        quad.r1 * np.exp(1j * quad.t1),
-        quad.nodes,
-    ]
-    vals = np.stack([shifted(c) for c in corners])
+    # Neighbouring cells share corners: evaluate the field once on the
+    # distinct edge radii x edge angles of the ring-major rule and gather.
+    n = quad.rings.n_theta
+    inner, outer = quad.r0[::n], quad.r1[::n]
+    edge_r = np.unique(np.concatenate([inner, outer]))
+    edge_t = np.append(quad.t0[:n], quad.t1[n - 1])
+    grid = shifted((edge_r[:, None] * np.exp(1j * edge_t)[None, :]).ravel())
+    grid = grid.reshape(edge_r.size, n + 1)
+    lo_r = grid[np.searchsorted(edge_r, inner)]
+    hi_r = grid[np.searchsorted(edge_r, outer)]
+    vals = np.stack(
+        [
+            lo_r[:, :-1].ravel(),
+            lo_r[:, 1:].ravel(),
+            hi_r[:, :-1].ravel(),
+            hi_r[:, 1:].ravel(),
+            shifted(quad.nodes),
+        ]
+    )
     if keep == "below":
         full = np.max(vals, axis=0) < 0.0
         empty = np.min(vals, axis=0) >= 0.0
@@ -322,16 +335,16 @@ def mask_quadrature(
     if idx.size:
         r0 = quad.r0[idx]
         r1 = quad.r1[idx]
-        th = tmid[idx]
+        th = 0.5 * (quad.t0 + quad.t1)[idx]
         dt_cell = (quad.t1 - quad.t0)[idx]
         # Sample the radial line through each straddling cell and bisect
         # every sign change to locate the crossing radii.
         frac = np.linspace(0.0, 1.0, radial_samples + 1)
         rgrid = r0[:, None] + (r1 - r0)[:, None] * frac[None, :]
         fgrid = shifted(rgrid * np.exp(1j * th)[:, None])
-        cuts = [[] for _ in range(idx.size)]
         change = np.sign(fgrid[:, :-1]) != np.sign(fgrid[:, 1:])
         ci, cj = np.nonzero(change)
+        roots = np.empty(0)
         if ci.size:
             lo = rgrid[ci, cj].copy()
             hi = rgrid[ci, cj + 1].copy()
@@ -345,28 +358,27 @@ def mask_quadrature(
                 flo = np.where(same, fmid, flo)
                 hi = np.where(same, hi, mid)
             roots = 0.5 * (lo + hi)
-            for k, cell in enumerate(ci):
-                cuts[cell].append(roots[k])
-        sub_r0, sub_r1, sub_th, sub_dt = [], [], [], []
-        for k in range(idx.size):
-            edges = np.concatenate([[r0[k]], np.sort(np.array(cuts[k])), [r1[k]]])
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            f_mid = shifted(mids * np.exp(1j * th[k]))
-            if keep == "below":
-                use = f_mid < 0.0
-            else:
-                use = f_mid >= 0.0
-            for a, b, ok in zip(edges[:-1], edges[1:], use):
-                if ok and b - a > 1e-15:
-                    sub_r0.append(a)
-                    sub_r1.append(b)
-                    sub_th.append(th[k])
-                    sub_dt.append(dt_cell[k])
-        if sub_r0:
-            a = np.array(sub_r0)
-            b = np.array(sub_r1)
-            rm = 0.5 * (a + b)
-            nodes.append(rm * np.exp(1j * np.array(sub_th)))
-            weights.append(rm * (b - a) * np.array(sub_dt))
+        # Edges of cell k: r0[k], its cuts in increasing order, r1[k].
+        order = np.lexsort((roots, ci))
+        cut_cell = ci[order]
+        per_cell = np.bincount(cut_cell, minlength=idx.size)
+        last = np.cumsum(per_cell + 2) - 1
+        first = last - per_cell - 1
+        edges = np.empty(last[-1] + 1)
+        edges[first] = r0
+        edges[last] = r1
+        # Ahead of sorted cut i, of cell c, lie the i earlier cuts, the two
+        # outer edges of each of the c earlier cells and r0 of cell c.
+        edges[np.arange(cut_cell.size) + 2 * cut_cell + 1] = roots[order]
+        # Pieces run between consecutive edges of one cell; classify all
+        # of them with one field call at their midpoints.
+        a, b = np.delete(edges, last), np.delete(edges, first)
+        piece_cell = np.repeat(np.arange(idx.size), per_cell + 1)
+        rm = 0.5 * (a + b)
+        f_mid = shifted(rm * np.exp(1j * th[piece_cell]))
+        use = (f_mid < 0.0 if keep == "below" else f_mid >= 0.0) & (b - a > 1e-15)
+        rm, width, piece_cell = rm[use], (b - a)[use], piece_cell[use]
+        nodes.append(rm * np.exp(1j * th[piece_cell]))
+        weights.append(rm * width * dt_cell[piece_cell])
 
     return MaskedQuadrature(np.concatenate(nodes), np.concatenate(weights))

@@ -51,7 +51,7 @@ def _sublevel_range_check(config: WeightConfig, aq: AreaQuadrature, t: float) ->
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if t > 0.0:
-        top = float(np.max(-config.two_psi(aq.nodes)))
+        top = float(np.max(-config.two_psi(aq.nodes, aq.rings)))
         if t >= top:
             raise EmptySublevel(f"t={t} exceeds max(-2 psi)={top:.6g} on the grid")
 
@@ -340,7 +340,7 @@ def boundary_limit_check(
         ratios.append(num / den)
     ratios = np.array(ratios)
     bq = boundary_quadrature(config.domain, res.boundary_nodes)
-    lam = config.boundary_lambda(bq.nodes, bq.normal_signs)
+    lam = config.boundary_lambda(bq.nodes, bq.normal_signs, bq.rings)
     boundary_value = 0.5 * float(np.sum(bq.weights * f_abs2(bq.nodes) * lam))
     if len(ratios) >= 2:
         x = 1.0 - r_values

@@ -178,12 +178,12 @@ class Measure:
 
 
 def boundary_measure(config: WeightConfig, bq: BoundaryQuadrature) -> Measure:
-    lam = config.boundary_lambda(bq.nodes, bq.normal_signs)
+    lam = config.boundary_lambda(bq.nodes, bq.normal_signs, bq.rings)
     return Measure("boundary", bq.nodes, bq.weights * lam, bq.rings)
 
 
 def area_measure(config: WeightConfig, aq: AreaQuadrature) -> Measure:
-    return Measure("area", aq.nodes, aq.weights * config.rho(aq.nodes), aq.rings)
+    return Measure("area", aq.nodes, aq.weights * config.rho(aq.nodes, aq.rings), aq.rings)
 
 
 def area_quadrature_for(config: WeightConfig, res: Resolution) -> AreaQuadrature:
@@ -210,7 +210,7 @@ def side_measure(config: WeightConfig, side: Side, res: Resolution) -> Measure:
     return area_measure(config, area_quadrature_for(config, res))
 
 
-_RING_CHUNK_BYTES = 20 << 20  # bound on one ring chunk's (rings, nb, nb) intermediate
+_RING_CHUNK_BYTES = 8 << 20  # bound on one ring chunk's (rings, nb, nb) intermediate
 _DENSE_CHUNK_NODES = 1 << 16  # nodes per block of the dense assembly
 
 
@@ -329,12 +329,21 @@ class KernelSection:
 
 def kernel_section(config: WeightConfig, side: Side, res: Resolution | None = None) -> KernelSection:
     """Minimal-norm element with value 1 at z0; equals the kernel section."""
-    if config.k != 0:
-        raise InvalidConfig("kernel sections are defined for k = 0 configurations")
+    _require_order_zero(config)
     if res is None:
         res = Resolution.for_domain(config.domain)
+    return _section_on(config, side, res, side_measure(config, side, res))
+
+
+def _require_order_zero(config: WeightConfig) -> None:
+    if config.k != 0:
+        raise InvalidConfig("kernel sections are defined for k = 0 configurations")
+
+
+def _section_on(config: WeightConfig, side: Side, res: Resolution, measure: Measure) -> KernelSection:
+    """The kernel section from the side's weighted rule, built by the caller."""
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, 0)
-    result = constrained_min(gram(basis, side_measure(config, side, res)), basis.constraints())
+    result = constrained_min(gram(basis, measure), basis.constraints())
     return KernelSection(
         side=side,
         z0=config.z0,
@@ -359,8 +368,10 @@ def reproducing_residual(
     if config.domain.kind == "disc" and test_exponent < 0:
         raise ValueError("negative exponents are not disc basis elements")
     if section is None:
-        section = kernel_section(config, side, res)
+        _require_order_zero(config)
     measure = side_measure(config, side, res)
+    if section is None:
+        section = _section_on(config, side, res, measure)
     kvals = section.two_point(measure.points)
     scale = 1.0 / _SIDE_NORMALIZER[side]
     integral = scale * np.sum(measure.wdensity * measure.points ** test_exponent * np.conj(kvals))

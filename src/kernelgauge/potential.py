@@ -25,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleTooCloseToBoundary, TruncationInsufficient
-from .geometry import DomainSpec
+from .geometry import DomainSpec, RingGrid
 
 _TWO_PI = 2.0 * np.pi
 # Target for truncation tails when auto-sizing expansions.
 _TAIL_TOL = 1e-13
 _FLUX_NODES = 512
+_RING_CHUNK_BYTES = 8 << 20  # bound on one ring chunk's (rings, terms) array
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,19 @@ class LaurentSeries:
     def m_max(self) -> int:
         return self.m_min + len(self.coeffs) - 1
 
-    def __call__(self, z):
+    def __call__(self, z, rings: RingGrid | None = None):
+        """Values at z; pass the rule's rings when z are its ring-major nodes.
+
+        Without rings the series is summed by Horner's rule point by point.
+        With rings, ring r's values are n * ifft(b_r) with
+        b_r[k] = sum over m = k (mod n) of c_m radii[r]^m exp(i m theta0):
+        the same sum, aliasing included, at O(M + n log n) per ring.  Each
+        term is exp(log c_m + m log r), so r^m is never formed on its own
+        (q^-m overflows long before c_m q^-m does).
+        """
         z = np.asarray(z, dtype=complex)
+        if rings is not None:
+            return self._on_rings(z, rings)
         out = np.zeros_like(z)
         lo, hi = self.m_min, self.m_max
         if hi >= 0:
@@ -58,7 +70,8 @@ class LaurentSeries:
             pos = self.coeffs[start - lo :]
             acc = np.zeros_like(z)
             for c in pos[::-1]:
-                acc = acc * z + c
+                acc *= z
+                acc += c
             out = out + (acc * z**start if start > 0 else acc)
         if lo < 0:
             stop = min(hi, -1)
@@ -66,9 +79,35 @@ class LaurentSeries:
             w = 1.0 / z
             acc = np.zeros_like(z)
             for c in neg:
-                acc = acc * w + c
+                acc *= w
+                acc += c
             out = out + acc * w ** (-lo - (len(neg) - 1))
         return out
+
+    def _on_rings(self, z: np.ndarray, rings: RingGrid) -> np.ndarray:
+        n, radii = rings.n_theta, rings.radii
+        if z.size != radii.size * n:
+            raise ValueError(
+                f"{z.size} points given for a ring grid of {radii.size} x {n} nodes"
+            )
+        nonzero = np.flatnonzero(self.coeffs)
+        if nonzero.size == 0:
+            return np.zeros_like(z)
+        m = self.m_min + nonzero
+        log_c = np.log(self.coeffs[nonzero]) + 1j * rings.theta0 * m
+        # Slot s holds exponent m with s = m (mod n), so folding the padded
+        # row into (blocks, n) and summing the blocks aliases it as the DFT does.
+        slot = m - m[0] + m[0] % n
+        width = n * -(-(int(slot[-1]) + 1) // n)
+        step = max(1, _RING_CHUNK_BYTES // (16 * width))
+        out = np.empty((radii.size, n), dtype=complex)
+        for start in range(0, radii.size, step):
+            log_r = np.log(radii[start : start + step])
+            terms = np.zeros((log_r.size, width), dtype=complex)
+            terms[:, slot] = np.exp(log_c + np.multiply.outer(log_r, m))
+            folded = terms.reshape(log_r.size, -1, n).sum(axis=1)
+            out[start : start + step] = n * np.fft.ifft(folded, axis=1)
+        return out.reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -121,9 +160,9 @@ class HarmonicFunctionRep:
     def truncation(self) -> int:
         return max(self.series.m_max, -self.series.m_min)
 
-    def value(self, z):
+    def value(self, z, rings: RingGrid | None = None):
         z = np.asarray(z, dtype=complex)
-        out = np.real(self.series(z))
+        out = np.real(self.series(z, rings))
         if self.alpha_log != 0.0:
             out = out + self.alpha_log * np.log(np.abs(z))
         return out
@@ -182,9 +221,9 @@ class PoleDerivative:
     pole: complex
     regular: LaurentSeries
 
-    def __call__(self, z):
+    def __call__(self, z, rings: RingGrid | None = None):
         z = np.asarray(z, dtype=complex)
-        return 1.0 / (z - self.pole) + self.regular(z)
+        return 1.0 / (z - self.pole) + self.regular(z, rings)
 
     def pole_factor(self, z):
         """(z - pole) * h'(z), analytic and equal to 1 at the pole."""
@@ -200,11 +239,11 @@ class GreenFunctionRep:
     pole: complex
     correction: HarmonicFunctionRep
 
-    def value(self, z):
+    def value(self, z, rings: RingGrid | None = None):
         z = np.asarray(z, dtype=complex)
         # -inf at the pole itself is the correct value.
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(z - self.pole)) + self.correction.value(z)
+            return np.log(np.abs(z - self.pole)) + self.correction.value(z, rings)
 
     @property
     def robin_constant(self) -> float:
@@ -215,11 +254,11 @@ class GreenFunctionRep:
         reg = self.correction.analytic_derivative().series
         return PoleDerivative(self.pole, reg)
 
-    def normal_derivative(self, zeta, signs):
+    def normal_derivative(self, zeta, signs, rings: RingGrid | None = None):
         """dG/dnu at boundary points; signs +1 outer circle, -1 inner."""
         zeta = np.asarray(zeta, dtype=complex)
         h = self.derivative()
-        return np.asarray(signs, dtype=float) * np.real(zeta / np.abs(zeta) * h(zeta))
+        return np.asarray(signs, dtype=float) * np.real(zeta / np.abs(zeta) * h(zeta, rings))
 
 
 def _auto_truncation(ratio: float, minimum: int = 48, maximum: int = 6000) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad as _quad
 
 from .errors import EvaluationAtPole, InvalidProfile
-from .geometry import DomainSpec, area_quadrature, boundary_quadrature
+from .geometry import DomainSpec, RingGrid, area_quadrature, boundary_quadrature
 from .potential import (
     Character,
     GreenFunctionRep,
@@ -192,38 +192,42 @@ class WeightConfig:
         r = np.abs(z)
         return 2.0 * r - self._bump_b / r
 
-    def psi_value(self, z):
-        val = self.psi.p0 * self.green_rep.value(z)
+    # Every evaluator below takes the rule's RingGrid as `rings` when its
+    # points are that rule's ring-major nodes; the Laurent parts are then
+    # summed ring by ring (see potential.LaurentSeries).
+
+    def psi_value(self, z, rings: RingGrid | None = None):
+        val = self.psi.p0 * self.green_rep.value(z, rings)
         if self.psi.eps:
             val = val + self.psi.eps * self.bump(z)
         return val
 
-    def two_psi(self, z):
-        return 2.0 * self.psi_value(z)
+    def two_psi(self, z, rings: RingGrid | None = None):
+        return 2.0 * self.psi_value(z, rings)
 
-    def dpsi_dnu(self, zeta, signs):
+    def dpsi_dnu(self, zeta, signs, rings: RingGrid | None = None):
         """Outward normal derivative of psi at boundary nodes."""
-        val = self.psi.p0 * self.green_rep.normal_derivative(zeta, signs)
+        val = self.psi.p0 * self.green_rep.normal_derivative(zeta, signs, rings)
         if self.psi.eps:
             val = val + self.psi.eps * np.asarray(signs, dtype=float) * self.bump_radial_derivative(zeta)
         return val
 
-    def phi_value(self, z):
+    def phi_value(self, z, rings: RingGrid | None = None):
         val = np.zeros(np.shape(np.asarray(z)), dtype=float)
         if self.phi.a_g != 0.0:
-            val = val + self.phi.a_g * self.green_rep.value(z)
-        val = val + 2.0 * self.phi.u.value(z)
+            val = val + self.phi.a_g * self.green_rep.value(z, rings)
+        val = val + 2.0 * self.phi.u.value(z, rings)
         return val
 
     # -- densities -----------------------------------------------------
 
-    def rho(self, z):
+    def rho(self, z, rings: RingGrid | None = None):
         """Interior density exp(-phi) c(-2 psi)."""
-        return np.exp(-self.phi_value(z)) * self.c.c(-self.two_psi(z))
+        return np.exp(-self.phi_value(z, rings)) * self.c.c(-self.two_psi(z, rings))
 
-    def boundary_lambda(self, zeta, signs):
+    def boundary_lambda(self, zeta, signs, rings: RingGrid | None = None):
         """Boundary density exp(-phi) c(0) / (dpsi/dnu)."""
-        return np.exp(-self.phi_value(zeta)) / self.dpsi_dnu(zeta, signs)
+        return np.exp(-self.phi_value(zeta, rings)) / self.dpsi_dnu(zeta, signs, rings)
 
     def density_unbounded_at_z0(self) -> bool:
         if self.phi.a_g > 0.0:
@@ -337,8 +341,8 @@ def validate_config(config: WeightConfig) -> list[ConfigCheck]:
     )
 
     bq = boundary_quadrature(config.domain, 128)
-    trace = float(np.max(np.abs(config.psi_value(bq.nodes))))
-    flux = config.dpsi_dnu(bq.nodes, bq.normal_signs)
+    trace = float(np.max(np.abs(config.psi_value(bq.nodes, bq.rings))))
+    flux = config.dpsi_dnu(bq.nodes, bq.normal_signs, bq.rings)
     min_flux = float(np.min(flux))
     checks.append(
         ConfigCheck(
@@ -358,7 +362,7 @@ def validate_config(config: WeightConfig) -> list[ConfigCheck]:
     )
 
     aq = area_quadrature(config.domain, config.z0, 96, 96, patch_levels=12)
-    rho_vals = config.rho(aq.nodes)
+    rho_vals = config.rho(aq.nodes, aq.rings)
     min_rho = float(np.min(rho_vals))
     finite = bool(np.all(np.isfinite(rho_vals)))
     checks.append(

@@ -149,3 +149,25 @@ def test_mask_nonradial_field():
 
     below = mask_quadrature(aq, field, 0.0, keep="below")
     assert below.total_weight == pytest.approx(np.pi / 2.0, rel=1e-4)
+
+
+def test_mask_two_crossings_in_one_cell():
+    # Both roots of a radially symmetric field fall inside the radial cell
+    # [0.5, 0.5625]; the band between them must be clipped out exactly.
+    aq = area_quadrature(disc(), 0.0, 16, 32, patch_radius=0.0)
+    a, b = 0.51, 0.55
+
+    def field(z):
+        r = np.abs(z)
+        return (r - a) * (r - b)
+
+    band = mask_quadrature(aq, field, 0.0, keep="below")
+    assert band.total_weight == pytest.approx(np.pi * (b * b - a * a), abs=1e-13)
+    outside = mask_quadrature(aq, field, 0.0, keep="above")
+    assert outside.total_weight == pytest.approx(np.pi * (1.0 - (b * b - a * a)), abs=1e-12)
+    # The straddling cell at angle 0 keeps its two outer pieces, in
+    # increasing radius, after the cells left whole.
+    first_cell = np.abs(np.angle(outside.nodes) - np.pi / 32) < 1e-12
+    radii = np.abs(outside.nodes[first_cell])
+    pieces = radii[(radii > 0.5) & (radii < 0.5625)]
+    assert pieces == pytest.approx([0.505, 0.55625], abs=1e-12)

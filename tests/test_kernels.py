@@ -270,6 +270,23 @@ def test_reproducing_residuals_annulus_negative_mode():
     assert reproducing_residual(cfg, "szego", -2, FAST_ANNULUS, section=sec) < 1e-6
 
 
+def test_reproducing_residual_builds_its_rule_once(monkeypatch):
+    import kernelgauge.kernels as kernels_module
+
+    builds = []
+    real = kernels_module.area_quadrature
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels_module, "area_quadrature", counting)
+    cfg = _cfg(disc(), 0.5)
+    res = Resolution(basis_schedule=(8,), radial_cells=96, angular_cells=64, refine_quadrature=False)
+    assert reproducing_residual(cfg, "bergman", 1, res) < 1e-8
+    assert len(builds) == 1
+
+
 def test_sections_coincide_in_matched_configs():
     # In extremal-family configurations the normalized Hardy and Bergman
     # kernel sections are one and the same function.

@@ -9,6 +9,7 @@ from kernelgauge import (
     PoleTooCloseToBoundary,
     TruncationInsufficient,
     annulus,
+    area_quadrature,
     boundary_quadrature,
     character_distance,
     character_exponent,
@@ -250,3 +251,79 @@ def test_harmonic_derivative_formulas():
     h = 1e-6
     fd = (u3.value(z * (1 + h)) - u3.value(z * (1 - h))) / (2 * h)
     assert abs(np.real(z * w3(np.array([z]))[0]) - fd) < 1e-6
+
+
+# ------------------------------------------------------ ring evaluation
+
+
+def _rules(domain, w, factor):
+    aq = area_quadrature(domain, w, 48 * factor, 40 * factor, patch_levels=12, patch_panels=2)
+    return {"area": aq, "boundary": boundary_quadrature(domain, 40 * factor)}
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize("rule", ["area", "boundary"])
+@pytest.mark.parametrize(
+    "domain,w",
+    [(disc(), 0.0), (disc(), 0.45 + 0.2j), (disc(), 0.9), (annulus(0.25), 0.5), (annulus(0.25), -0.3 + 0.4j)],
+    ids=["disc-center", "disc-off", "disc-near-edge", "annulus", "annulus-off"],
+)
+def test_ring_evaluation_matches_horner(domain, w, rule, factor):
+    quad = _rules(domain, w, factor)[rule]
+    z, rings = quad.nodes, quad.rings
+    g = green(domain, w)
+    h = g.derivative()
+    # A series with harmonics on both sides of m = 0, whatever the pole.
+    u = HarmonicFunctionRep.from_coefficients(0.2, {1: 0.3 - 0.1j, 3: 0.05j, -2: 0.01 * domain.q**2})
+    pairs = [
+        (g.correction.series(z, rings), g.correction.series(z)),
+        (h(z, rings), h(z)),
+        (u.value(z, rings), u.value(z)),
+    ]
+    if rule == "boundary":
+        pairs.append((g.normal_derivative(z, quad.normal_signs, rings),
+                      g.normal_derivative(z, quad.normal_signs)))
+    for ring, horner in pairs:
+        assert ring.shape == horner.shape
+        assert np.max(np.abs(ring - horner)) <= 1e-13 * max(np.max(np.abs(horner)), 1e-300)
+    # G vanishes on the boundary; measure its difference against the size
+    # of the Laurent part, the only part the ring path sums.
+    scale = max(np.max(np.abs(pairs[0][1])), 1.0)
+    assert np.max(np.abs(g.value(z, rings) - g.value(z))) <= 1e-13 * scale
+
+
+def test_ring_evaluation_aliases_long_series():
+    # More terms than angles: the ring sum folds them modulo n_theta.
+    bq = boundary_quadrature(disc(), 16)
+    series = green(disc(), 0.9).correction.series
+    assert len(series.coeffs) > 10 * bq.rings.n_theta
+    horner = series(bq.nodes)
+    ring = series(bq.nodes, bq.rings)
+    assert np.max(np.abs(ring - horner)) <= 1e-13 * np.max(np.abs(horner))
+
+
+def test_ring_evaluation_checks_node_count():
+    bq = boundary_quadrature(annulus(0.25), 32)
+    series = green(annulus(0.25), 0.5).correction.series
+    with pytest.raises(ValueError, match="ring grid"):
+        series(bq.nodes[:-1], bq.rings)
+
+
+def test_ring_evaluation_near_pole_against_exact_sum():
+    # |w| = 0.2515 sits 1.5e-3 from the inner circle: the inner expansion has
+    # coefficients down in the subnormal range while q^-m overflows.  The ring
+    # path must still reproduce the exact sum of the stored coefficients.
+    mpmath = pytest.importorskip("mpmath")
+    domain = annulus(0.25)
+    series = green(domain, 0.2515).correction.series
+    bq = boundary_quadrature(domain, 64)
+    ring = series(bq.nodes, bq.rings)
+    assert np.all(np.isfinite(ring))
+    nonzero = np.flatnonzero(series.coeffs)
+    with mpmath.workdps(40):
+        terms = [(series.m_min + int(i), mpmath.mpc(complex(series.coeffs[i]))) for i in nonzero]
+        picks = np.concatenate([np.arange(0, 64, 8), 64 + np.arange(0, 64, 4)])  # outer, inner circle
+        for i in picks:
+            zi = mpmath.mpc(complex(bq.nodes[i]))
+            exact = complex(mpmath.fsum(c * zi**m for m, c in terms))
+            assert abs(ring[i] - exact) <= 1e-12 * np.max(np.abs(ring))

@@ -12,6 +12,7 @@ from kernelgauge import (
     PsiSpec,
     WeightConfig,
     annulus,
+    area_quadrature,
     boundary_quadrature,
     c_integrals,
     disc,
@@ -171,3 +172,33 @@ def test_character_mismatch_arithmetic():
     assert _cfg(annulus(0.25), 0.5).character_mismatch() == pytest.approx(0.5, abs=1e-10)
     # k = 1 with trivial u: 2 * 0.5 + 0 is an integer.
     assert _cfg(annulus(0.25), 0.5, k=1, p0=2.0).character_mismatch() < 1e-10
+
+
+# --------------------------------------------------- densities on rings
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize(
+    "domain,z0,u",
+    [
+        (disc(), 0.0, HarmonicFunctionRep.from_coefficients(0.0, {1: 0.2 + 0.1j})),
+        (disc(), 0.45 + 0.2j, HarmonicFunctionRep.from_coefficients(0.0, {2: -0.1j})),
+        (annulus(0.25), 0.5, HarmonicFunctionRep.from_coefficients(0.3, {1: 0.1, -1: 0.05j})),
+        (annulus(0.25), -0.3 + 0.4j, HarmonicFunctionRep.log_mode(-0.5)),
+    ],
+    ids=["disc-center", "disc-off", "annulus", "annulus-off"],
+)
+def test_densities_on_rings_match_pointwise(domain, z0, u, factor):
+    cfg = _cfg(domain, z0, eps=0.1, a_g=0.5, u=u, c=CProfile.exp_delta(-0.4))
+    aq = area_quadrature(domain, z0, 48 * factor, 40 * factor, patch_levels=12, patch_panels=2)
+    bq = boundary_quadrature(domain, 40 * factor)
+    pairs = [
+        (cfg.rho(aq.nodes, aq.rings), cfg.rho(aq.nodes)),
+        (cfg.phi_value(aq.nodes, aq.rings), cfg.phi_value(aq.nodes)),
+        (cfg.two_psi(aq.nodes, aq.rings), cfg.two_psi(aq.nodes)),
+        (cfg.boundary_lambda(bq.nodes, bq.normal_signs, bq.rings),
+         cfg.boundary_lambda(bq.nodes, bq.normal_signs)),
+        (cfg.dpsi_dnu(bq.nodes, bq.normal_signs, bq.rings), cfg.dpsi_dnu(bq.nodes, bq.normal_signs)),
+    ]
+    for ring, pointwise in pairs:
+        assert np.max(np.abs(ring - pointwise)) <= 1e-13 * np.max(np.abs(pointwise))
