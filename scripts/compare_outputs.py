@@ -1,0 +1,99 @@
+"""Compare the CLI outputs of two source trees byte for byte.
+
+Usage: python scripts/compare_outputs.py PARENT_TREE CHANGE_TREE
+
+For each tree, and under OPENBLAS_NUM_THREADS=1 and =2, this runs in
+fresh interpreters with PYTHONPATH=<tree>/src, each writing into its own
+temporary directory:
+
+    kernelgauge verify scenarios/{disc_baseline,annulus_strict,annulus_matched}.json
+    kernelgauge sweep scenarios/annulus_strict.json --param alpha_u --range=-0.4:0.5:9
+
+Both trees read the scenario files of CHANGE_TREE, so only the code
+differs.  Every report.csv, report.md and sweep.csv (and exit code) that
+differs between the trees is printed with a diff; the script exits 1 if
+any differs or is missing, and 0 if all are byte-identical.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SCENARIOS = ("disc_baseline", "annulus_strict", "annulus_matched")
+THREADS = ("1", "2")
+
+
+def commands(scenarios: Path):
+    """(name, CLI arguments, output files) of every compared command."""
+    for name in SCENARIOS:
+        yield name, ["verify", str(scenarios / f"{name}.json")], ("report.csv", "report.md")
+    sweep = ["sweep", str(scenarios / "annulus_strict.json"), "--param", "alpha_u", "--range=-0.4:0.5:9"]
+    yield "sweep_alpha_u", sweep, ("sweep.csv",)
+
+
+def run_tree(tree: Path, scenarios: Path, threads: str, work: Path) -> dict[str, bytes | int | None]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    outputs: dict[str, bytes | int | None] = {}
+    for name, args, files in commands(scenarios):
+        out = work / name
+        proc = subprocess.run([sys.executable, "-m", "kernelgauge.cli", *args, "--out", str(out)],
+                              cwd=work, env=env, capture_output=True)
+        outputs[f"{name} exit code"] = proc.returncode
+        for file in files:
+            path = out / file
+            outputs[f"{name}/{file}"] = path.read_bytes() if path.exists() else None
+    return outputs
+
+
+def show_difference(parent, change) -> None:
+    if isinstance(parent, bytes) and isinstance(change, bytes):
+        diff = difflib.unified_diff(parent.decode().splitlines(), change.decode().splitlines(),
+                                    "parent", "change", lineterm="")
+        for line in diff:
+            print("    " + line)
+    else:
+        print(f"    parent: {parent!r}, change: {change!r}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Compare the CLI outputs of two source trees byte for byte.")
+    parser.add_argument("parent_tree", type=Path)
+    parser.add_argument("change_tree", type=Path)
+    args = parser.parse_args(argv)
+    trees = (args.parent_tree.resolve(), args.change_tree.resolve())
+    scenarios = trees[1] / "scenarios"
+    compared = failed = 0
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        for threads in THREADS:
+            results = []
+            for label, tree in zip(("parent", "change"), trees):
+                work = Path(tmp) / threads / label
+                work.mkdir(parents=True)
+                results.append(run_tree(tree, scenarios, threads, work))
+            parent, change = results
+            for key in parent:
+                compared += 1
+                if parent[key] is None or change[key] is None:
+                    failed += 1
+                    print(f"MISSING  OPENBLAS_NUM_THREADS={threads}  {key}")
+                    show_difference(parent[key], change[key])
+                elif parent[key] != change[key]:
+                    failed += 1
+                    print(f"DIFFERS  OPENBLAS_NUM_THREADS={threads}  {key}")
+                    show_difference(parent[key], change[key])
+                else:
+                    print(f"same     OPENBLAS_NUM_THREADS={threads}  {key}")
+    print(f"{compared - failed} of {compared} outputs byte-identical")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -65,10 +65,7 @@ from .potential import (
     character_exponent,
     dirichlet_solve,
     green,
-    green_boundary_normal_derivative,
-    harmonic_analytic_derivative,
     log_capacity,
-    pole_part_derivative,
 )
 from .verifier import (
     EqualityPrediction,
@@ -88,7 +85,6 @@ from .weights import (
     PhiSpec,
     PsiSpec,
     WeightConfig,
-    c_integrals,
     rho_lambda_eval,
     validate_config,
 )

@@ -3,7 +3,7 @@
 Boundary integrals use the periodic trapezoid rule, which is spectrally
 accurate for integrands analytic in the angle.  Area integrals use a
 midpoint rule on polar cells.  Cell nodes sit at the radial midpoint
-(r0+r1)/2, which makes the rule exact for the Jacobian factor r, so the
+(inner+outer)/2, which makes the rule exact for the Jacobian factor r, so the
 cell weights sum to the domain area at machine precision regardless of
 how the radial edges are graded.
 
@@ -15,16 +15,19 @@ grading resolves integrable radial densities behaving like
 |z - z0|^(2*beta), beta > -1, while the uniform angular structure keeps
 the trapezoid-exact orthogonality of Laurent monomials intact.
 
-Every rule here is a set of rings times one uniform angle grid, and
-records that structure as a `RingGrid` where it builds its nodes: node j
-of ring r sits at radii[r] * exp(i * (theta0 + 2 pi j / n_theta)), and
-the flat node and weight arrays are stored ring-major, ring after ring,
-each ring in increasing angle.  Area rules put nodes at the angular cell
-midpoints (theta0 = pi / n_theta), boundary rules on the circles
-(theta0 = 0).  `kernels.gram` and `potential.LaurentSeries` rely on this
-invariant to sum each ring by one FFT, and `mask_quadrature` to share
-cell corners between neighbours; masked rules break it and carry no
-`RingGrid`.
+Every rule here is stored in its product form: a set of rings times one
+uniform angle grid of n_theta angles, recorded as a `RingGrid`.  Node j
+of ring r sits at radii[r] * exp(i * (theta0 + 2 pi j / n_theta)).  Area
+rules put nodes at the angular cell midpoints (theta0 = pi / n_theta) and
+also keep each ring's inner and outer edge and the n_theta + 1 angle
+edges; boundary rules put them on the circles (theta0 = 0), ring c being
+boundary component c.  The flat `nodes` and `weights` arrays are the
+outer products of the per-ring and per-angle factors, stored ring-major:
+ring after ring, each ring in increasing angle, so reshaping them to
+(rings, n_theta) recovers the product.  `kernels.gram` and
+`potential.LaurentSeries` sum each ring by one FFT on this layout, and
+`mask_quadrature` reads a cell's ring and angle from its flat index;
+masked rules break the product and carry no `RingGrid`.
 """
 
 from __future__ import annotations
@@ -101,17 +104,15 @@ class RingGrid:
 
 @dataclass(frozen=True)
 class BoundaryQuadrature:
-    """Equispaced trapezoid nodes on every boundary circle.
+    """Equispaced trapezoid nodes on every boundary circle, one ring each.
 
     normal_signs is +1 where the outward normal points away from the
     origin (outer circle) and -1 where it points toward it (inner hole).
     """
 
-    domain: DomainSpec
     nodes: np.ndarray
     weights: np.ndarray
     normal_signs: np.ndarray
-    component_slices: tuple[slice, ...]
     rings: RingGrid
 
 
@@ -120,39 +121,30 @@ def boundary_quadrature(domain: DomainSpec, nodes_per_component: int) -> Boundar
     if nodes_per_component < 8:
         raise ValueError("need at least 8 nodes per boundary component")
     n = nodes_per_component
+    radii = np.array(domain.component_radii)
     theta = _TWO_PI * np.arange(n) / n
-    unit = np.exp(1j * theta)
-    nodes, weights, signs, slices = [], [], [], []
-    start = 0
-    for comp_index, radius in enumerate(domain.component_radii):
-        sign = 1.0 if comp_index == 0 else -1.0
-        nodes.append(radius * unit)
-        weights.append(np.full(n, _TWO_PI * radius / n))
-        signs.append(np.full(n, sign))
-        slices.append(slice(start, start + n))
-        start += n
+    signs = np.where(np.arange(radii.size) == 0, 1.0, -1.0)
     return BoundaryQuadrature(
-        domain=domain,
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
-        normal_signs=np.concatenate(signs),
-        component_slices=tuple(slices),
-        rings=RingGrid(np.array(domain.component_radii), n, 0.0),
+        nodes=np.outer(radii, np.exp(1j * theta)).ravel(),
+        weights=np.repeat(_TWO_PI * radii / n, n),
+        normal_signs=np.repeat(signs, n),
+        rings=RingGrid(radii, n, 0.0),
     )
 
 
 @dataclass(frozen=True)
 class AreaQuadrature:
-    """Midpoint rule on polar cells; cell k covers [r0,r1] x [t0,t1]."""
+    """Midpoint rule on polar cells.
 
-    domain: DomainSpec
-    z0: complex
+    Ring r spans [inner[r], outer[r]] (rings in build order, not sorted by
+    radius) and angle cell j spans [angle_edges[j], angle_edges[j + 1]].
+    """
+
     nodes: np.ndarray
     weights: np.ndarray
-    r0: np.ndarray
-    r1: np.ndarray
-    t0: np.ndarray
-    t1: np.ndarray
+    inner: np.ndarray
+    outer: np.ndarray
+    angle_edges: np.ndarray
     rings: RingGrid
 
     def integrate(self, values: np.ndarray) -> float:
@@ -255,15 +247,12 @@ def area_quadrature(
         inner = np.concatenate([global_r[keep_r], pr_edges[:-1]])
         outer = np.concatenate([global_r[keep_r + 1], pr_edges[1:]])
 
-    r0, t0 = np.meshgrid(inner, global_t[:-1], indexing="ij")
-    r1, t1 = np.meshgrid(outer, global_t[1:], indexing="ij")
-    r0, r1, t0, t1 = r0.ravel(), r1.ravel(), t0.ravel(), t1.ravel()
-    rmid = 0.5 * (r0 + r1)
-    tmid = 0.5 * (t0 + t1)
-    weights = rmid * (r1 - r0) * (t1 - t0)
-    nodes = rmid * np.exp(1j * tmid)
-    rings = RingGrid(0.5 * (inner + outer), angular_cells, np.pi / angular_cells)
-    return AreaQuadrature(domain, complex(z0), nodes, weights, r0, r1, t0, t1, rings)
+    rmid = 0.5 * (inner + outer)
+    tmid = 0.5 * (global_t[:-1] + global_t[1:])
+    weights = np.outer(rmid * (outer - inner), np.diff(global_t)).ravel()
+    nodes = np.outer(rmid, np.exp(1j * tmid)).ravel()
+    rings = RingGrid(rmid, angular_cells, np.pi / angular_cells)
+    return AreaQuadrature(nodes, weights, inner, outer, global_t, rings)
 
 
 @dataclass(frozen=True)
@@ -302,12 +291,11 @@ def mask_quadrature(
             return np.asarray(level_field(z)) - threshold
 
     # Neighbouring cells share corners: evaluate the field once on the
-    # distinct edge radii x edge angles of the ring-major rule and gather.
+    # distinct edge radii x angle edges and gather.
     n = quad.rings.n_theta
-    inner, outer = quad.r0[::n], quad.r1[::n]
+    inner, outer, angle_edges = quad.inner, quad.outer, quad.angle_edges
     edge_r = np.unique(np.concatenate([inner, outer]))
-    edge_t = np.append(quad.t0[:n], quad.t1[n - 1])
-    grid = shifted((edge_r[:, None] * np.exp(1j * edge_t)[None, :]).ravel())
+    grid = shifted((edge_r[:, None] * np.exp(1j * angle_edges)[None, :]).ravel())
     grid = grid.reshape(edge_r.size, n + 1)
     lo_r = grid[np.searchsorted(edge_r, inner)]
     hi_r = grid[np.searchsorted(edge_r, outer)]
@@ -333,10 +321,11 @@ def mask_quadrature(
 
     idx = np.nonzero(straddle)[0]
     if idx.size:
-        r0 = quad.r0[idx]
-        r1 = quad.r1[idx]
-        th = 0.5 * (quad.t0 + quad.t1)[idx]
-        dt_cell = (quad.t1 - quad.t0)[idx]
+        ring, angle = np.divmod(idx, n)
+        r0 = inner[ring]
+        r1 = outer[ring]
+        th = 0.5 * (angle_edges[:-1] + angle_edges[1:])[angle]
+        dt_cell = np.diff(angle_edges)[angle]
         # Sample the radial line through each straddling cell and bisect
         # every sign change to locate the crossing radii.
         frac = np.linspace(0.0, 1.0, radial_samples + 1)

@@ -22,13 +22,13 @@ the character mismatch; it equals 1 exactly in matched configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import BranchInconsistency, EmptySublevel, NotEqualityShape
-from .geometry import AreaQuadrature, MaskedQuadrature, boundary_quadrature, mask_quadrature
+from .geometry import AreaQuadrature, MaskedQuadrature, mask_quadrature
 from .kernels import BasisDescriptor, Measure, Resolution, area_quadrature_for, gram, side_measure
 from .kernels import _dense_gram
 from .numerics import constrained_min
@@ -77,7 +77,7 @@ def g_of_t(
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
     # Masked rules carry no rings.  Calling the dense assembly directly keeps
     # kgbench's kernels.gram layer to the Grams of kernel diagonals.
-    measure = Measure("area", masked.nodes, masked.weights * config.rho(masked.nodes))
+    measure = Measure(masked.nodes, masked.weights * config.rho(masked.nodes))
     return constrained_min(_dense_gram(basis, measure), basis.constraints()).value
 
 
@@ -236,16 +236,7 @@ def f0_construct(config: WeightConfig, branch_probes: int = 8) -> ExtremalFuncti
         monodromy_defect=defect,
     )
     a_z0 = complex(partial._exp_primitive(np.array([config.z0]))[0])
-    f0 = ExtremalFunction(
-        config=config,
-        pole_derivative=h_prime,
-        exponent_rep=v_rep,
-        exponent_derivative=w_prime,
-        base_point=base,
-        base_value=base_value,
-        log_c0=-np.log(a_z0),
-        monodromy_defect=defect,
-    )
+    f0 = replace(partial, log_c0=-np.log(a_z0))
     if defect < 1e-8 and config.domain.kind == "annulus":
         rng_t = np.linspace(0.3, 5.9, branch_probes)
         radius = 0.5 * (math.sqrt(config.domain.q) + 1.0)
@@ -339,9 +330,8 @@ def boundary_limit_check(
         den = config.c.total - float(config.c.h(-math.log(r)))
         ratios.append(num / den)
     ratios = np.array(ratios)
-    bq = boundary_quadrature(config.domain, res.boundary_nodes)
-    lam = config.boundary_lambda(bq.nodes, bq.normal_signs, bq.rings)
-    boundary_value = 0.5 * float(np.sum(bq.weights * f_abs2(bq.nodes) * lam))
+    boundary = side_measure(config, "szego", res)
+    boundary_value = 0.5 * float(np.sum(boundary.wdensity * f_abs2(boundary.points)))
     if len(ratios) >= 2:
         x = 1.0 - r_values
         slope = (ratios[-1] - ratios[-2]) / (x[-1] - x[-2])

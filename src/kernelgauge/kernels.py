@@ -171,7 +171,6 @@ class Measure:
     (see `geometry`), and None for rules without one, such as masked ones.
     """
 
-    kind: Literal["area", "boundary"]
     points: np.ndarray
     wdensity: np.ndarray
     rings: RingGrid | None = None
@@ -179,11 +178,11 @@ class Measure:
 
 def boundary_measure(config: WeightConfig, bq: BoundaryQuadrature) -> Measure:
     lam = config.boundary_lambda(bq.nodes, bq.normal_signs, bq.rings)
-    return Measure("boundary", bq.nodes, bq.weights * lam, bq.rings)
+    return Measure(bq.nodes, bq.weights * lam, bq.rings)
 
 
 def area_measure(config: WeightConfig, aq: AreaQuadrature) -> Measure:
-    return Measure("area", aq.nodes, aq.weights * config.rho(aq.nodes, aq.rings), aq.rings)
+    return Measure(aq.nodes, aq.weights * config.rho(aq.nodes, aq.rings), aq.rings)
 
 
 def area_quadrature_for(config: WeightConfig, res: Resolution) -> AreaQuadrature:

@@ -302,14 +302,6 @@ def green(domain: DomainSpec, w: complex) -> GreenFunctionRep:
     return GreenFunctionRep(domain, w, HarmonicFunctionRep(alpha, LaurentSeries(-m, arr)))
 
 
-def green_boundary_normal_derivative(g: GreenFunctionRep, zeta, signs=None):
-    """Outward normal derivative of a Green function at boundary nodes."""
-    zeta = np.asarray(zeta, dtype=complex)
-    if signs is None:
-        signs = np.where(np.abs(zeta) > 0.5 * (1.0 + g.domain.inner_radius), 1.0, -1.0)
-    return g.normal_derivative(zeta, signs)
-
-
 def log_capacity(domain: DomainSpec, z0: complex) -> float:
     """exp of the Robin constant of the Green function at z0."""
     return float(np.exp(green(domain, z0).robin_constant))
@@ -396,13 +388,3 @@ def character_exponent(domain: DomainSpec, h) -> Character:
     d_dr = np.real(zeta / s * deriv(zeta))
     flux = float(np.sum(d_dr) * s * (_TWO_PI / _FLUX_NODES) / _TWO_PI)
     return Character(flux)
-
-
-def pole_part_derivative(g: GreenFunctionRep) -> PoleDerivative:
-    """Analytic derivative 2 dG/dz with a simple pole of residue 1."""
-    return g.derivative()
-
-
-def harmonic_analytic_derivative(u: HarmonicFunctionRep) -> AnalyticDerivative:
-    """Analytic derivative 2 du/dz with the loop period recorded."""
-    return u.analytic_derivative()

@@ -38,13 +38,6 @@ _PROFILE_GRID = np.concatenate([[0.0], np.logspace(-6, np.log10(50.0), 999)])
 
 
 @dataclass(frozen=True)
-class CIntegrals:
-    c: float
-    h: float
-    total: float
-
-
-@dataclass(frozen=True)
 class CProfile:
     """Radial reweighting profile c(t) with c(0) = 1 and c(t)e^-t decreasing.
 
@@ -111,11 +104,6 @@ class CProfile:
         """Largest increase of c(t)e^-t along a log-spaced sample grid."""
         vals = self.c(_PROFILE_GRID) * np.exp(-_PROFILE_GRID)
         return float(np.max(np.diff(vals), initial=0.0))
-
-
-def c_integrals(profile: CProfile, t: float) -> CIntegrals:
-    """Profile value, tail integral and total mass at a single point."""
-    return CIntegrals(float(profile.c(t)), float(profile.h(t)), profile.total)
 
 
 @dataclass(frozen=True)

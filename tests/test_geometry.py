@@ -19,8 +19,28 @@ def test_boundary_weights_sum_to_circumference():
     assert np.allclose(bq.weights, TWO_PI / 16)
 
     bq = boundary_quadrature(annulus(0.25), 8)
-    inner = bq.component_slices[1]
-    assert bq.weights[inner].sum() == pytest.approx(TWO_PI * 0.25, abs=1e-12)
+    inner = bq.weights.reshape(2, 8)[1]
+    assert inner.sum() == pytest.approx(TWO_PI * 0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("domain", [disc(), annulus(0.25)], ids=["disc", "annulus"])
+def test_boundary_rule_is_ring_major_product(domain):
+    # Ring c is boundary component c: kernels.gram and LaurentSeries read
+    # the flat arrays as (components, n_theta) with theta0 = 0.
+    n = 16
+    bq = boundary_quadrature(domain, n)
+    radii = domain.component_radii
+    assert np.array_equal(bq.rings.radii, radii)
+    assert (bq.rings.n_theta, bq.rings.theta0) == (n, 0.0)
+    nodes = bq.nodes.reshape(len(radii), n)
+    weights = bq.weights.reshape(len(radii), n)
+    signs = bq.normal_signs.reshape(len(radii), n)
+    unit = np.exp(1j * TWO_PI * np.arange(n) / n)
+    for c, radius in enumerate(radii):
+        assert np.array_equal(nodes[c], radius * unit)
+        assert np.max(np.abs(np.abs(nodes[c]) - radius)) < 1e-15
+        assert np.array_equal(weights[c], np.full(n, TWO_PI * radius / n))
+        assert np.array_equal(signs[c], np.full(n, 1.0 if c == 0 else -1.0))
 
 
 def test_boundary_node_count_minimum():
@@ -51,6 +71,43 @@ def test_area_weights_sum_exactly():
         radii = np.abs(aq.nodes)
         assert np.all(radii < 1.0)
         assert np.all(radii > domain.inner_radius)
+
+
+@pytest.mark.parametrize("patch_radius", [None, 0.0], ids=["patch", "no-patch"])
+@pytest.mark.parametrize(
+    "domain,z0",
+    [(disc(), 0.0), (disc(), 0.3 + 0.4j), (annulus(0.25), 0.5), (annulus(0.25), -0.4 + 0.5j)],
+    ids=["disc-center", "disc-off", "annulus", "annulus-off"],
+)
+def test_area_rule_is_ring_major_product(domain, z0, patch_radius):
+    # The flat nodes and weights are the outer products of the stored ring
+    # and angle arrays, ring-major, bit for bit; kernels.gram and
+    # LaurentSeries rely on this layout.
+    radial, angular = 40, 24
+    aq = area_quadrature(domain, z0, radial, angular, patch_radius=patch_radius)
+    rings = len(aq.inner)
+    assert aq.rings.n_theta == angular and aq.angle_edges.shape == (angular + 1,)
+    if patch_radius is None:
+        assert rings > radial
+    else:
+        assert rings == radial
+    rmid = 0.5 * (aq.inner + aq.outer)
+    tmid = 0.5 * (aq.angle_edges[:-1] + aq.angle_edges[1:])
+    assert np.array_equal(aq.rings.radii, rmid)
+    assert np.array_equal(aq.nodes.reshape(rings, angular), np.outer(rmid, np.exp(1j * tmid)))
+    assert np.array_equal(
+        aq.weights.reshape(rings, angular),
+        np.outer(rmid * (aq.outer - aq.inner), np.diff(aq.angle_edges)),
+    )
+    # The rings tile [inner radius, 1] and the angle edges split [0, 2 pi]
+    # uniformly, with node j of every ring at theta0 + 2 pi j / n_theta.
+    order = np.argsort(aq.inner)
+    assert np.array_equal(aq.inner[order][1:], aq.outer[order][:-1])
+    assert (aq.inner[order][0], aq.outer[order][-1]) == (domain.inner_radius, 1.0)
+    assert (aq.angle_edges[0], aq.angle_edges[-1]) == (0.0, TWO_PI)
+    assert np.allclose(np.diff(aq.angle_edges), TWO_PI / angular, rtol=0, atol=1e-14)
+    theta = aq.rings.theta0 + TWO_PI * np.arange(angular) / angular
+    assert np.max(np.abs(np.exp(1j * tmid) - np.exp(1j * theta))) < 1e-14
 
 
 def test_area_inverse_radius():

@@ -106,10 +106,8 @@ def test_ring_gram_matches_dense(domain, z0, u, side, factor, k):
     basis = BasisDescriptor.create(domain, res.n_max, z0, k)
     measure = side_measure(cfg, side, res)
     if side == "szego":
-        assert measure.kind == "boundary"
         assert len(measure.rings.radii) == len(domain.component_radii)
     else:
-        assert measure.kind == "area"
         # The graded patch ring adds rings to the global radial grid.
         assert len(measure.rings.radii) > res.radial_cells
     ring = gram(basis, measure).entries
@@ -124,7 +122,7 @@ def test_masked_rule_gram_is_dense_and_exact():
     aq = area_quadrature(disc(), 0.0, 2048, 32, patch_radius=0.0)
     masked = mask_quadrature(aq, lambda z: np.log(np.abs(z)), math.log(rho))
     basis = BasisDescriptor.create(disc(), 4, 0.0, 0)
-    m = gram(basis, Measure("area", masked.nodes, masked.weights)).entries
+    m = gram(basis, Measure(masked.nodes, masked.weights)).entries
     exact = np.diag([math.pi * rho ** (2 * n + 2) / (n + 1) for n in range(5)])
     assert np.max(np.abs(m - exact)) < 1e-6 * math.pi * rho**2
 

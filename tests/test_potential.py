@@ -16,10 +16,7 @@ from kernelgauge import (
     dirichlet_solve,
     disc,
     green,
-    green_boundary_normal_derivative,
-    harmonic_analytic_derivative,
     log_capacity,
-    pole_part_derivative,
 )
 from kernelgauge.selftest import green_image_series, robin_image_series
 
@@ -85,13 +82,13 @@ def test_pole_too_close_raises():
 def test_normal_derivative_radial_pole():
     g = green(disc(), 0.0)
     bq = boundary_quadrature(disc(), 16)
-    vals = green_boundary_normal_derivative(g, bq.nodes, bq.normal_signs)
+    vals = g.normal_derivative(bq.nodes, bq.normal_signs)
     assert np.allclose(vals, 1.0, atol=1e-14)
 
 
 def test_normal_derivative_poisson():
     g = green(disc(), 0.5)
-    val = green_boundary_normal_derivative(g, np.array([1.0 + 0j]), np.array([1.0]))[0]
+    val = g.normal_derivative(np.array([1.0 + 0j]), np.array([1.0]))[0]
     assert val == pytest.approx((1 - 0.25) / abs(1 - 0.5) ** 2, abs=1e-12)
 
 
@@ -99,9 +96,9 @@ def test_flux_normalization():
     for domain, w in ((disc(), 0.4 - 0.2j), (annulus(0.25), 0.5), (annulus(0.5), 0.7j)):
         g = green(domain, w)
         bq = boundary_quadrature(domain, 256)
-        flux = np.sum(bq.weights * green_boundary_normal_derivative(g, bq.nodes, bq.normal_signs))
+        flux = np.sum(bq.weights * g.normal_derivative(bq.nodes, bq.normal_signs))
         assert flux == pytest.approx(TWO_PI, abs=1e-8)
-        vals = green_boundary_normal_derivative(g, bq.nodes, bq.normal_signs)
+        vals = g.normal_derivative(bq.nodes, bq.normal_signs)
         assert np.all(vals > 0.0)
 
 
@@ -211,20 +208,20 @@ def test_character_distance_range():
 
 
 def test_pole_derivative_disc_center():
-    h = pole_part_derivative(green(disc(), 0.0))
+    h = green(disc(), 0.0).derivative()
     zs = np.array([0.5, 0.2 + 0.3j])
     assert np.max(np.abs(h(zs) - 1.0 / zs)) < 1e-14
 
 
 def test_pole_derivative_disc_moebius():
-    h = pole_part_derivative(green(disc(), 0.2))
+    h = green(disc(), 0.2).derivative()
     zs = np.array([0.5, -0.3 + 0.4j])
     exact = 1.0 / (zs - 0.2) + 0.2 / (1.0 - 0.2 * zs)
     assert np.max(np.abs(h(zs) - exact)) < 1e-12
 
 
 def test_pole_derivative_residue():
-    h = pole_part_derivative(green(annulus(0.25), 0.5))
+    h = green(annulus(0.25), 0.5).derivative()
     theta = TWO_PI * np.arange(512) / 512
     circle = 0.5 + 0.1 * np.exp(1j * theta)
     integral = np.sum(h(circle) * 0.1j * np.exp(1j * theta)) * (TWO_PI / 512) / (2j * math.pi)
@@ -233,17 +230,17 @@ def test_pole_derivative_residue():
 
 def test_harmonic_derivative_formulas():
     u = HarmonicFunctionRep.from_coefficients(0.0, {1: 1.0})  # Re z
-    w = harmonic_analytic_derivative(u)
+    w = u.analytic_derivative()
     zs = np.array([0.5 + 0.1j, -0.2])
     assert np.max(np.abs(w(zs) - 1.0)) < 1e-14
 
     u2 = HarmonicFunctionRep.log_mode(0.4)
-    w2 = harmonic_analytic_derivative(u2)
+    w2 = u2.analytic_derivative()
     assert np.max(np.abs(w2(zs) - 0.4 / zs)) < 1e-14
     assert w2.character.exponent == pytest.approx(0.4)
 
     u3 = HarmonicFunctionRep.from_coefficients(0.3, {2: 1.0})  # Re z^2 + 0.3 log|z|
-    w3 = harmonic_analytic_derivative(u3)
+    w3 = u3.analytic_derivative()
     exact = 2.0 * zs + 0.3 / zs
     assert np.max(np.abs(w3(zs) - exact)) < 1e-14
     # Cross-check along a ray with finite differences of the harmonic part.

@@ -14,7 +14,6 @@ from kernelgauge import (
     annulus,
     area_quadrature,
     boundary_quadrature,
-    c_integrals,
     disc,
     rho_lambda_eval,
     validate_config,
@@ -37,22 +36,20 @@ def _cfg(domain, z0, k=0, p0=1.0, eps=0.0, a_g=0.0, u=None, c=None):
 
 
 def test_c_integrals_constant():
-    vals = c_integrals(CProfile.constant_one(), 0.0)
-    assert (vals.c, vals.h, vals.total) == (1.0, 1.0, 1.0)
+    profile = CProfile.constant_one()
+    assert (float(profile.c(0.0)), float(profile.h(0.0)), profile.total) == (1.0, 1.0, 1.0)
 
 
 def test_c_integrals_exp_delta():
-    assert c_integrals(CProfile.exp_delta(0.5), 0.0).total == pytest.approx(2.0, abs=1e-14)
-    vals = c_integrals(CProfile.exp_delta(0.3), 1.0)
-    assert vals.h == pytest.approx(math.exp(-0.7) / 0.7, abs=1e-14)
+    assert CProfile.exp_delta(0.5).total == pytest.approx(2.0, abs=1e-14)
+    assert float(CProfile.exp_delta(0.3).h(1.0)) == pytest.approx(math.exp(-0.7) / 0.7, abs=1e-14)
 
 
 def test_c_integrals_poly_numeric():
     profile = CProfile.poly(2.0)
-    vals = c_integrals(profile, 0.5)
     reference = quad(lambda s: (1 + s) ** -2.0 * math.exp(-s), 0.5, np.inf, epsabs=1e-13)[0]
-    assert vals.h == pytest.approx(reference, abs=1e-10)
-    assert vals.c == pytest.approx(1.5**-2.0, abs=1e-14)
+    assert float(profile.h(0.5)) == pytest.approx(reference, abs=1e-10)
+    assert float(profile.c(0.5)) == pytest.approx(1.5**-2.0, abs=1e-14)
 
 
 def test_invalid_profiles():
