@@ -11,12 +11,17 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InconsistentConstraints, NonConvergent, SingularGram
 
 # Relative diagonal jitter used in the single Cholesky retry.
 _JITTER = 1e-12
+# Largest order factored by one LAPACK potrf call.  OpenBLAS runs potrf of
+# order 64 and up on its thread pool, whose spinning workers starve the
+# other points of a threaded sweep (kgbench sweep batch on 2 cores: about
+# 0.58 s with one potrf call per Gram, 0.36 s with blocks below 64), and
+# whose result then depends on the thread count in the last bits.
+_CHOLESKY_BLOCK = 63
 # Relative residual allowed on the constraint equations of a minimizer.
 _CONSTRAINT_RTOL = 1e-10
 # Relative level below which a difference of two computed values is taken
@@ -106,14 +111,41 @@ class SweepResult:
     error_estimate: float
 
 
-def _cholesky_with_retry(m: np.ndarray):
+def cho_factor(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of the Hermitian m = L L^H, reading m's lower triangle.
+
+    Built from diagonal blocks of order at most _CHOLESKY_BLOCK, so up to
+    that order it is one LAPACK potrf call.  Raises np.linalg.LinAlgError
+    when m is not numerically positive definite.
+    """
+    n = m.shape[0]
+    factor = np.zeros_like(m)
+    for j in range(0, n, _CHOLESKY_BLOCK):
+        e = min(j + _CHOLESKY_BLOCK, n)
+        left = factor[j:e, :j]
+        diag = np.linalg.cholesky(m[j:e, j:e] - left @ left.conj().T)
+        factor[j:e, j:e] = diag
+        if e < n:
+            below = m[e:, j:e].conj().T - left @ factor[e:, :j].conj().T
+            factor[e:, j:e] = np.linalg.solve(diag, below).conj().T
+    return factor
+
+
+def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs from the lower factor L of M = L L^H: two solves, L then L^H."""
+    return np.linalg.solve(factor.conj().T, np.linalg.solve(factor, rhs))
+
+
+def _cholesky_with_retry(m: np.ndarray) -> np.ndarray:
+    if not np.isfinite(m).all():
+        raise ValueError("array must not contain infs or NaNs")
     try:
-        return cho_factor(m, lower=True)
+        return cho_factor(m)
     except np.linalg.LinAlgError:
         pass
     jitter = _JITTER * float(np.real(np.trace(m))) / m.shape[0]
     try:
-        return cho_factor(m + jitter * np.eye(m.shape[0]), lower=True)
+        return cho_factor(m + jitter * np.eye(m.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise SingularGram(
             f"Cholesky failed after jitter retry (dim {m.shape[0]}): {exc}"

@@ -16,12 +16,12 @@ order-zero one by moving 2k log|z - z0| out of phi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from .errors import EvaluationAtPole, InvalidProfile
 from .geometry import DomainSpec, RingGrid, area_quadrature, boundary_quadrature
@@ -37,13 +37,29 @@ from .potential import (
 _PROFILE_GRID = np.concatenate([[0.0], np.logspace(-6, np.log10(50.0), 999)])
 
 
+@functools.cache
+def _poly_tail_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes v and weights of 8 Gauss-Legendre panels of 64 points on [0, 1].
+
+    Panel edges 1 - 2^-j (j = 0..7) and 1 grade the rule toward v = 1, where
+    the substitution y = v / (1 - v) of the poly tail sends y to infinity.
+    """
+    x, w = np.polynomial.legendre.leggauss(64)
+    edges = np.append(1.0 - 2.0 ** -np.arange(8.0), 1.0)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    nodes, weights = (mid + half * x).ravel(), (half * w).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 @dataclass(frozen=True)
 class CProfile:
     """Radial reweighting profile c(t) with c(0) = 1 and c(t)e^-t decreasing.
 
     Three closed families: constant one, exp_delta with c(t) = e^(delta t)
     (delta < 1), and poly with c(t) = (1 + t)^-m (m > 0).  The first two
-    have closed-form tails; poly tails are integrated numerically.
+    have closed-form tails; poly tails use a fixed Gauss-Legendre rule.
     """
 
     kind: Literal["constant_one", "exp_delta", "poly"]
@@ -84,15 +100,13 @@ class CProfile:
             return np.exp(-np.asarray(t, dtype=float))
         if self.kind == "exp_delta":
             return np.exp((self.delta - 1.0) * np.asarray(t, dtype=float)) / (1.0 - self.delta)
+        # s = t + (1 + t) y, then y = v / (1 - v):
+        # h(t) = e^-t (1+t)^(1-m) int_0^1 (1-v)^(m-2) exp(-(1+t) v/(1-v)) dv.
         scalar = np.isscalar(t)
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array(
-            [
-                _quad(lambda s: (1.0 + s) ** (-self.m) * math.exp(-s), ti, np.inf,
-                      epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-                for ti in ts
-            ]
-        )
+        v, w = _poly_tail_rule()
+        integrand = (1.0 - v) ** (self.m - 2.0) * np.exp(-np.multiply.outer(1.0 + ts, v / (1.0 - v)))
+        out = np.exp(-ts) * (1.0 + ts) ** (1.0 - self.m) * (integrand @ w)
         return float(out[0]) if scalar else out
 
     @property

@@ -164,6 +164,23 @@ def test_reports_identical_across_blas_thread_counts(tmp_path):
     assert reports["1"] == reports["2"]
 
 
+def test_runtime_path_imports_no_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "import kernelgauge\n"
+        "from kernelgauge import cli\n"
+        "assert cli.main(['verify', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert kernelgauge.CProfile.poly(2.0).h(0.5) > 0.0\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script, str(SCENARIOS / "disc_baseline.json"), str(tmp_path / "out")],
+                   cwd=tmp_path, env=env, check=True, capture_output=True, timeout=600)
+    assert (tmp_path / "out" / "report.csv").exists()
+
+
 def test_kernel_eval_radial_baseline(tmp_path):
     out = tmp_path / "keval"
     path = _fast_disc(tmp_path, out)

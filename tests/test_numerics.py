@@ -104,6 +104,58 @@ def test_singular_gram_raises():
         constrained_min(m, ConstraintSystem(np.array([[1.0, 0.0]]), np.array([1.0])))
 
 
+def test_singular_psd_gram_recovers_by_jitter(monkeypatch):
+    from kernelgauge import numerics
+
+    calls = []
+    factor = numerics.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "cho_factor", counted)
+    m = HermitianMatrix(np.array([[1.0, 1j], [-1j, 1.0]]))
+    constraints = ConstraintSystem(np.array([[1.0, 0.0]]), np.array([1.0]))
+    result = constrained_min(m, constraints)
+    assert len(calls) == 2
+    assert np.isfinite(result.value) and result.value >= 0.0
+    residual = np.linalg.norm(constraints.rows @ result.minimizer - constraints.target)
+    assert residual <= numerics._CONSTRAINT_RTOL * np.linalg.norm(constraints.target)
+
+
+@pytest.mark.parametrize("n", [5, 63, 64, 65, 130])
+def test_blocked_cholesky_matches_lapack(n):
+    from kernelgauge.numerics import _CHOLESKY_BLOCK, cho_factor, cho_solve
+
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = a.conj().T @ a + 0.1 * np.eye(n)
+    factor = cho_factor(m)
+    reference = np.linalg.cholesky(m)
+    if n <= _CHOLESKY_BLOCK:
+        assert np.array_equal(factor, reference)
+    np.testing.assert_allclose(factor, reference, rtol=0.0, atol=1e-13 * np.abs(reference).max())
+    assert not np.any(np.triu(factor, 1))
+    rhs = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    np.testing.assert_allclose(m @ cho_solve(factor, rhs), rhs, rtol=0.0, atol=1e-10 * np.abs(rhs).max())
+
+
+def test_blocked_cholesky_rejects_indefinite_trailing_block():
+    from kernelgauge.numerics import cho_factor
+
+    m = np.eye(100, dtype=complex)
+    m[90, 90] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        cho_factor(m)
+
+
+def test_nonfinite_gram_raises():
+    m = HermitianMatrix(np.diag([1.0, np.nan]))
+    with pytest.raises(ValueError):
+        constrained_min(m, ConstraintSystem(np.array([[1.0, 0.0]]), np.array([1.0])))
+
+
 def test_richardson_geometric_tail():
     sweep = richardson_sweep(lambda n: 1.0 + 2.0**-n, [4, 8, 16])
     assert sweep.value == pytest.approx(1.0 + 2.0**-16, abs=1e-15)

@@ -52,6 +52,20 @@ def test_c_integrals_poly_numeric():
     assert float(profile.c(0.5)) == pytest.approx(1.5**-2.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("m", [0.25, 1.0, 2.5, 4.0])
+def test_poly_tail_relative_accuracy(m):
+    ts = [0.0, 0.11, 1.0, 20.0, 30.0, 50.0]
+    profile = CProfile.poly(m)
+    reference = np.array([
+        quad(lambda s: (1.0 + s) ** -m * math.exp(-s), t, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for t in ts
+    ])
+    scalar = [profile.h(t) for t in ts]
+    assert all(type(v) is float for v in scalar)
+    np.testing.assert_allclose(scalar, reference, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(profile.h(np.array(ts)), reference, rtol=1e-13, atol=0.0)
+
+
 def test_invalid_profiles():
     with pytest.raises(InvalidProfile):
         CProfile.exp_delta(1.2)
