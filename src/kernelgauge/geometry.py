@@ -26,8 +26,9 @@ outer products of the per-ring and per-angle factors, stored ring-major:
 ring after ring, each ring in increasing angle, so reshaping them to
 (rings, n_theta) recovers the product.  `kernels.gram` and
 `potential.LaurentSeries` sum each ring by one FFT on this layout, and
-`mask_quadrature` reads a cell's ring and angle from its flat index;
-masked rules break the product and carry no `RingGrid`.
+`mask_quadrature` reads a cell's ring and angle from its flat index.  A
+masked rule keeps its parent rule and marks the cells it keeps whole, so
+only its clipped pieces lack the ring structure.
 """
 
 from __future__ import annotations
@@ -257,10 +258,17 @@ def area_quadrature(
 
 @dataclass(frozen=True)
 class MaskedQuadrature:
-    """Nodes and weights restricted to one side of a level set."""
+    """Nodes and weights restricted to one side of a level set.
+
+    whole marks the cells of the parent rule kept whole.  Their nodes and
+    weights come first, in the parent's ring-major order, followed by the
+    clipped pieces, so `pieces` slices out the part without ring structure.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
+    parent: AreaQuadrature
+    whole: np.ndarray
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.real(np.sum(self.weights * values)))
@@ -269,15 +277,25 @@ class MaskedQuadrature:
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
 
+    @property
+    def pieces(self) -> slice:
+        return slice(int(np.count_nonzero(self.whole)), None)
+
 
 def mask_quadrature(
     quad: AreaQuadrature,
-    level_field: Callable[[np.ndarray], np.ndarray],
+    level_field: Callable[..., np.ndarray],
     threshold: float,
     keep: Literal["below", "above"] = "below",
     radial_samples: int = 12,
 ) -> MaskedQuadrature:
     """Restrict an area quadrature to {field < threshold} or {field >= threshold}.
+
+    The field is called as level_field(z, rings): rings is the RingGrid of
+    z when z are the ring-major nodes of a ring grid (the rule's nodes, or
+    the cell corners as the grid RingGrid(edge radii, n_theta, 0)), and
+    None for scattered points.  It only tells the field that the points
+    have that structure, so a field may ignore it.
 
     Cells crossed by the level curve are split radially at the crossing
     points along the cell's angular midline, and each piece is kept or
@@ -285,18 +303,20 @@ def mask_quadrature(
     the clipped areas are exact because the midpoint rule integrates the
     Jacobian r exactly.
     """
-    def shifted(z):
+    def shifted(z, rings=None):
         # Level fields carry log poles; -inf corner values classify fine.
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(level_field(z)) - threshold
+            return np.asarray(level_field(z, rings)) - threshold
 
     # Neighbouring cells share corners: evaluate the field once on the
-    # distinct edge radii x angle edges and gather.
+    # distinct edge radii x angle edges, a ring grid whose angle edge
+    # n_theta is edge 0 again, and gather.
     n = quad.rings.n_theta
     inner, outer, angle_edges = quad.inner, quad.outer, quad.angle_edges
     edge_r = np.unique(np.concatenate([inner, outer]))
-    grid = shifted((edge_r[:, None] * np.exp(1j * angle_edges)[None, :]).ravel())
-    grid = grid.reshape(edge_r.size, n + 1)
+    corners = np.outer(edge_r, np.exp(1j * angle_edges[:-1])).ravel()
+    grid = shifted(corners, RingGrid(edge_r, n, 0.0)).reshape(edge_r.size, n)
+    grid = np.concatenate([grid, grid[:, :1]], axis=1)
     lo_r = grid[np.searchsorted(edge_r, inner)]
     hi_r = grid[np.searchsorted(edge_r, outer)]
     vals = np.stack(
@@ -305,7 +325,7 @@ def mask_quadrature(
             lo_r[:, 1:].ravel(),
             hi_r[:, :-1].ravel(),
             hi_r[:, 1:].ravel(),
-            shifted(quad.nodes),
+            shifted(quad.nodes, quad.rings),
         ]
     )
     if keep == "below":
@@ -326,27 +346,16 @@ def mask_quadrature(
         r1 = outer[ring]
         th = 0.5 * (angle_edges[:-1] + angle_edges[1:])[angle]
         dt_cell = np.diff(angle_edges)[angle]
-        # Sample the radial line through each straddling cell and bisect
-        # every sign change to locate the crossing radii.
+        # Sample the radial line through each straddling cell and narrow
+        # every sign change to the crossing radius.
         frac = np.linspace(0.0, 1.0, radial_samples + 1)
         rgrid = r0[:, None] + (r1 - r0)[:, None] * frac[None, :]
         fgrid = shifted(rgrid * np.exp(1j * th)[:, None])
         change = np.sign(fgrid[:, :-1]) != np.sign(fgrid[:, 1:])
         ci, cj = np.nonzero(change)
-        roots = np.empty(0)
-        if ci.size:
-            lo = rgrid[ci, cj].copy()
-            hi = rgrid[ci, cj + 1].copy()
-            theta_c = th[ci]
-            flo = fgrid[ci, cj].copy()
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fmid = shifted(mid * np.exp(1j * theta_c))
-                same = np.sign(fmid) == np.sign(flo)
-                lo = np.where(same, mid, lo)
-                flo = np.where(same, fmid, flo)
-                hi = np.where(same, hi, mid)
-            roots = 0.5 * (lo + hi)
+        roots = _crossings(
+            shifted, rgrid[ci, cj], rgrid[ci, cj + 1], fgrid[ci, cj], fgrid[ci, cj + 1], th[ci]
+        )
         # Edges of cell k: r0[k], its cuts in increasing order, r1[k].
         order = np.lexsort((roots, ci))
         cut_cell = ci[order]
@@ -370,4 +379,46 @@ def mask_quadrature(
         nodes.append(rm * np.exp(1j * th[piece_cell]))
         weights.append(rm * width * dt_cell[piece_cell])
 
-    return MaskedQuadrature(np.concatenate(nodes), np.concatenate(weights))
+    return MaskedQuadrature(np.concatenate(nodes), np.concatenate(weights), quad, full)
+
+
+def _crossings(f, lo, hi, f_lo, f_hi, theta) -> np.ndarray:
+    """Radii in [lo, hi] where f(r exp(i theta)) changes sign, one per bracket.
+
+    Illinois steps: regula falsi, halving the value kept at an endpoint
+    that survives two steps in a row, which converges superlinearly
+    without derivatives.  A step lands at least one ulp inside its
+    bracket, so a crossing next to an endpoint closes the bracket on the
+    next step.  A bracket with a non-finite value at an end, or one that
+    three steps did not halve, is bisected instead.  Brackets narrow until
+    their ends are adjacent floats; their midpoints are returned.
+    """
+    unit = np.exp(1j * theta)
+    # An endpoint where f is exactly 0 is the crossing.
+    lo, hi = np.where(f_hi == 0.0, hi, lo), np.where(f_lo == 0.0, lo, hi)
+    f_lo, f_hi = f_lo.copy(), f_hi.copy()
+    moved = np.zeros(lo.size, dtype=int)  # endpoint replaced last: -1 lo, +1 hi
+    before = [np.full(lo.size, np.inf)] * 3  # widths of the last three steps
+    while True:
+        width = hi - lo
+        act = np.nonzero(width > np.spacing(hi))[0]
+        if not act.size:
+            return 0.5 * (lo + hi)
+        a, b, fa, fb = lo[act], hi[act], f_lo[act], f_hi[act]
+        ulp = np.spacing(b)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            x = np.clip(b - fb * ((b - a) / (fb - fa)), a + ulp, b - ulp)
+        finite = np.isfinite(fa) & np.isfinite(fb) & np.isfinite(x)
+        bisect = ~finite | (width[act] > 0.5 * before[0][act])
+        x = np.where(bisect, 0.5 * (a + b), x)
+        fx = f(x * unit[act])
+        left = np.sign(fx) == np.sign(fa)  # x replaces lo
+        hit = fx == 0.0
+        fb = np.where(left & (moved[act] == -1), 0.5 * fb, fb)
+        fa = np.where(~left & (moved[act] == 1), 0.5 * fa, fa)
+        lo[act] = np.where(left | hit, x, a)
+        hi[act] = np.where(left, b, x)
+        f_lo[act] = np.where(left, fx, fa)
+        f_hi[act] = np.where(left, fb, fx)
+        moved[act] = np.where(left, -1, 1)
+        before = before[1:] + [width]

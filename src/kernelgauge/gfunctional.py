@@ -30,8 +30,8 @@ import numpy as np
 from .errors import BranchInconsistency, EmptySublevel, NotEqualityShape
 from .geometry import AreaQuadrature, MaskedQuadrature, mask_quadrature
 from .kernels import BasisDescriptor, Measure, Resolution, area_quadrature_for, gram, side_measure
-from .kernels import _dense_gram
-from .numerics import constrained_min
+from .kernels import _dense_gram, _ring_gram
+from .numerics import HermitianMatrix, constrained_min
 from .potential import HarmonicFunctionRep, LaurentSeries, PoleDerivative
 from .weights import CProfile, WeightConfig
 
@@ -43,8 +43,24 @@ _MONODROMY_NODES = 1024
 def _masked_measure(config: WeightConfig, aq: AreaQuadrature, t: float, keep: str) -> MaskedQuadrature:
     if t == 0.0 and keep == "below":
         # psi < 0 on the open domain, so the t = 0 sublevel set is everything.
-        return MaskedQuadrature(aq.nodes, aq.weights)
+        return MaskedQuadrature(aq.nodes, aq.weights, aq, np.ones(aq.nodes.size, dtype=bool))
     return mask_quadrature(aq, config.two_psi, -t, keep=keep)
+
+
+def _masked_gram(config: WeightConfig, basis: BasisDescriptor, masked: MaskedQuadrature) -> HermitianMatrix:
+    """Gram of the basis under rho on a masked rule.
+
+    The whole cells are the parent rule with the other weights zeroed, so
+    they take the ring-FFT assembly with rho summed ring by ring; only the
+    clipped pieces are assembled densely.  Both are private helpers of
+    `kernels.gram`, which kgbench counts for kernel diagonals alone.
+    """
+    aq = masked.parent
+    rho = config.rho(aq.nodes, aq.rings)
+    whole = Measure(aq.nodes, np.where(masked.whole, aq.weights * rho, 0.0), aq.rings)
+    pieces = masked.pieces
+    clipped = Measure(masked.nodes[pieces], masked.weights[pieces] * config.rho(masked.nodes[pieces]))
+    return HermitianMatrix(_ring_gram(basis, whole).entries + _dense_gram(basis, clipped).entries)
 
 
 def _sublevel_range_check(config: WeightConfig, aq: AreaQuadrature, t: float) -> None:
@@ -75,10 +91,7 @@ def g_of_t(
     _sublevel_range_check(config, aq, t)
     masked = _masked_measure(config, aq, t, "below")
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
-    # Masked rules carry no rings.  Calling the dense assembly directly keeps
-    # kgbench's kernels.gram layer to the Grams of kernel diagonals.
-    measure = Measure(masked.nodes, masked.weights * config.rho(masked.nodes))
-    return constrained_min(_dense_gram(basis, measure), basis.constraints()).value
+    return constrained_min(_masked_gram(config, basis, masked), basis.constraints()).value
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,8 @@ class Measure:
     """Quadrature points with weight-times-density factors.
 
     rings is the rule's ring x angle structure when the points follow it
-    (see `geometry`), and None for rules without one, such as masked ones.
+    (see `geometry`), and None for rules without one, such as the clipped
+    pieces of masked ones.
     """
 
     points: np.ndarray
@@ -230,6 +231,10 @@ def gram(basis: BasisDescriptor, measure: Measure) -> HermitianMatrix:
     """
     if measure.rings is None:
         return _dense_gram(basis, measure)
+    return _ring_gram(basis, measure)
+
+
+def _ring_gram(basis: BasisDescriptor, measure: Measure) -> HermitianMatrix:
     rings = measure.rings
     n = rings.n_theta
     exps = basis.exponents

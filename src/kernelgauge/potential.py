@@ -102,7 +102,10 @@ class LaurentSeries:
         step = max(1, _RING_CHUNK_BYTES // (16 * width))
         out = np.empty((radii.size, n), dtype=complex)
         for start in range(0, radii.size, step):
+            # A ring of radius 0 (a disc's corner grid) takes log r = -1e300
+            # for -inf, so r^0 = 1 there rather than NaN, and r^m = 0 for m > 0.
             log_r = np.log(radii[start : start + step])
+            np.maximum(log_r, -1e300, out=log_r)
             terms = np.zeros((log_r.size, width), dtype=complex)
             terms[:, slot] = np.exp(log_c + np.multiply.outer(log_r, m))
             folded = terms.reshape(log_r.size, -1, n).sum(axis=1)

@@ -175,7 +175,7 @@ def test_patch_too_large():
 def test_mask_disc_sublevel_exact():
     aq = area_quadrature(disc(), 0.0, 128, 128)
 
-    def field(z):
+    def field(z, rings=None):
         return 2.0 * np.log(np.abs(z))
 
     below = mask_quadrature(aq, field, -1.0, keep="below")
@@ -191,7 +191,7 @@ def test_mask_disc_sublevel_exact():
 def test_mask_annulus_band():
     aq = area_quadrature(annulus(0.25), 0.5, 160, 128)
 
-    def field(z):
+    def field(z, rings=None):
         return np.abs(z)
 
     below = mask_quadrature(aq, field, 0.7, keep="below")
@@ -201,7 +201,7 @@ def test_mask_annulus_band():
 def test_mask_nonradial_field():
     aq = area_quadrature(disc(), 0.0, 192, 192)
 
-    def field(z):
+    def field(z, rings=None):
         return np.real(z)
 
     below = mask_quadrature(aq, field, 0.0, keep="below")
@@ -214,7 +214,7 @@ def test_mask_two_crossings_in_one_cell():
     aq = area_quadrature(disc(), 0.0, 16, 32, patch_radius=0.0)
     a, b = 0.51, 0.55
 
-    def field(z):
+    def field(z, rings=None):
         r = np.abs(z)
         return (r - a) * (r - b)
 
@@ -228,3 +228,86 @@ def test_mask_two_crossings_in_one_cell():
     radii = np.abs(outside.nodes[first_cell])
     pieces = radii[(radii > 0.5) & (radii < 0.5625)]
     assert pieces == pytest.approx([0.505, 0.55625], abs=1e-12)
+
+
+def _counting(field):
+    """The field, and the list of `rings` arguments it was called with."""
+    calls = []
+
+    def counted(z, rings=None):
+        calls.append(rings)
+        return field(z)
+
+    return counted, calls
+
+
+def _clipped_edges(masked, cut_side):
+    """The crossing radius of every clipped piece of a radial mask.
+
+    A piece spans from the edge of its cell on cut_side ("inner" or
+    "outer") to a crossing; its width is recovered from its weight, which
+    is rm * width * dtheta.
+    """
+    quad = masked.parent
+    rm = np.abs(masked.nodes[masked.pieces])
+    width = masked.weights[masked.pieces] / (rm * np.diff(quad.angle_edges)[0])
+    cell = np.argmax((quad.inner[None, :] <= rm[:, None]) & (rm[:, None] < quad.outer[None, :]), axis=1)
+    if cut_side == "inner":
+        return quad.inner[cell] + width
+    return quad.outer[cell] - width
+
+
+def _ulps(values, exact):
+    return np.max(np.abs(np.asarray(values) - exact) / np.spacing(exact))
+
+
+RADIAL_CASES = [
+    # quad, field, threshold, keep, side of the kept piece's cell edge, exact crossing radii
+    ((disc(), 0.0, 128, 128), lambda r: 2.0 * np.log(r), -1.0, "below", "inner", [np.exp(-0.5)]),
+    ((disc(), 0.0, 128, 128), lambda r: 2.0 * np.log(r), np.log(0.81), "above", "outer", [0.9]),
+    ((annulus(0.25), 0.5, 160, 128), lambda r: r, 0.7, "below", "inner", [0.7]),
+    ((disc(), 0.0, 16, 32, 0.0), lambda r: (r - 0.51) * (r - 0.55), 0.0, "above", "inner", [0.51]),
+    ((disc(), 0.0, 16, 32, 0.0), lambda r: (r - 0.51) * (r - 0.55), 0.0, "above", "outer", [0.55]),
+]
+
+
+@pytest.mark.parametrize("args,radial,threshold,keep,side,exact", RADIAL_CASES,
+                         ids=["disc-log-below", "disc-log-above", "annulus-abs", "two-roots-a", "two-roots-b"])
+def test_mask_crossings_exact_within_4_ulp(args, radial, threshold, keep, side, exact):
+    aq = area_quadrature(*args)
+    field, calls = _counting(lambda z: radial(np.abs(z)))
+    masked = mask_quadrature(aq, field, threshold, keep=keep)
+    edges = _clipped_edges(masked, side)
+    # The two-root cell's pieces touch both of its edges; keep the crossing asked for.
+    edges = edges[np.abs(edges - exact[0]) < 1e-3]
+    assert edges.size == aq.rings.n_theta
+    assert _ulps(edges, exact[0]) <= 4.0
+    # Corners and nodes, radial samples, crossing steps and piece midpoints.
+    assert len(calls) <= 30
+    # Only the corner grid and the rule's nodes arrive as ring grids.
+    grids = [r for r in calls if r is not None]
+    assert len(grids) == 2 and grids[1] is aq.rings
+    assert grids[0].n_theta == aq.rings.n_theta and grids[0].theta0 == 0.0
+
+
+def test_mask_whole_cells_do_not_depend_on_rings():
+    from kernelgauge import CProfile, PhiSpec, PsiSpec, WeightConfig
+    from kernelgauge.potential import HarmonicFunctionRep
+
+    cfg = WeightConfig(annulus(0.25), -0.3 + 0.55j, 0, PsiSpec(1.0, 0.0),
+                       PhiSpec(0.0, HarmonicFunctionRep.zero()), CProfile.constant_one())
+    ann = area_quadrature(annulus(0.25), cfg.z0, 96, 64, patch_levels=12, patch_panels=2)
+    # The disc's corner grid has a ring of radius 0; the constant term must
+    # still count there.
+    u = HarmonicFunctionRep.from_coefficients(0.0, {0: 0.3, 1: 0.1 - 0.2j})
+    dsc = area_quadrature(disc(), 0.2j, 64, 64)
+    cases = [(ann, cfg.two_psi, -0.6, "below"), (ann, cfg.two_psi, -1.8, "below"),
+             (ann, cfg.two_psi, -0.1, "above"), (dsc, u.value, 0.35, "below")]
+    for aq, field, threshold, keep in cases:
+        on_rings = mask_quadrature(aq, field, threshold, keep=keep)
+        pointwise = mask_quadrature(aq, lambda z, rings=None: field(z), threshold, keep=keep)
+        assert 0 < np.count_nonzero(on_rings.whole) < aq.nodes.size
+        assert np.array_equal(on_rings.whole, pointwise.whole)
+        # The pieces come from point calls in both, so they agree as well.
+        assert np.array_equal(on_rings.nodes, pointwise.nodes)
+        assert np.array_equal(on_rings.weights, pointwise.weights)

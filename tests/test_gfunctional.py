@@ -22,8 +22,8 @@ from kernelgauge import (
     kernel_section,
     shell_identity_check,
 )
-from kernelgauge.gfunctional import minimizer_orthogonality_residual
-from kernelgauge.kernels import BasisDescriptor
+from kernelgauge.gfunctional import _masked_gram, _masked_measure, minimizer_orthogonality_residual
+from kernelgauge.kernels import BasisDescriptor, Measure, _dense_gram, area_quadrature_for
 from kernelgauge.potential import HarmonicFunctionRep
 
 PI = math.pi
@@ -78,6 +78,34 @@ def test_g_reciprocal_of_bergman():
     g0 = g_of_t(cfg, 0.0, res)
     b = kernel_diag(cfg, "bergman", res)
     assert g0 * b.value == pytest.approx(1.0, rel=1e-6 + b.total_estimate / b.value)
+
+
+MASK_RES = Resolution(basis_schedule=(4, 8), radial_cells=48, angular_cells=40, patch_levels=12, patch_panels=2)
+MASK_CASES = [
+    (disc(), 0.0, HarmonicFunctionRep.from_coefficients(0.0, {1: 0.2 + 0.1j})),
+    (disc(), 0.45 + 0.2j, HarmonicFunctionRep.from_coefficients(0.0, {2: -0.1j})),
+    (annulus(0.25), 0.5, HarmonicFunctionRep.from_coefficients(0.3, {1: 0.1, -1: 0.05j})),
+    (annulus(0.25), -0.3 + 0.4j, HarmonicFunctionRep.log_mode(-0.5)),
+]
+
+
+@pytest.mark.parametrize("keep,t", [("below", 0.0), ("below", 0.6), ("above", 0.6)])
+@pytest.mark.parametrize("domain,z0,u", MASK_CASES, ids=["disc-center", "disc-off", "annulus", "annulus-off"])
+def test_masked_gram_rings_match_dense(domain, z0, u, keep, t):
+    # Whole cells by the ring FFT plus clipped pieces densely equals the
+    # dense Gram of the same masked rule, as in test_ring_gram_matches_dense.
+    cfg = _cfg(domain, z0, u=u, c=CProfile.exp_delta(-0.4))
+    aq = area_quadrature_for(cfg, MASK_RES)
+    masked = _masked_measure(cfg, aq, t, keep)
+    whole = np.count_nonzero(masked.whole)
+    if t == 0.0:
+        assert whole == aq.nodes.size and masked.nodes[masked.pieces].size == 0
+    else:
+        assert 0 < whole < aq.nodes.size and masked.nodes[masked.pieces].size > 0
+    basis = BasisDescriptor.create(domain, MASK_RES.n_max, z0, 0)
+    split = _masked_gram(cfg, basis, masked).entries
+    dense = _dense_gram(basis, Measure(masked.nodes, masked.weights * cfg.rho(masked.nodes))).entries
+    assert np.max(np.abs(split - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_empty_sublevel():

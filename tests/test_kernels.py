@@ -120,7 +120,7 @@ def test_masked_rule_gram_is_dense_and_exact():
     # Gram of the clipped rule reproduces the moments of the smaller disc.
     rho = 0.6
     aq = area_quadrature(disc(), 0.0, 2048, 32, patch_radius=0.0)
-    masked = mask_quadrature(aq, lambda z: np.log(np.abs(z)), math.log(rho))
+    masked = mask_quadrature(aq, lambda z, rings=None: np.log(np.abs(z)), math.log(rho))
     basis = BasisDescriptor.create(disc(), 4, 0.0, 0)
     m = gram(basis, Measure(masked.nodes, masked.weights)).entries
     exact = np.diag([math.pi * rho ** (2 * n + 2) / (n + 1) for n in range(5)])
