@@ -2,20 +2,20 @@
 
 Usage:
     python scripts/bench_pr.py PARENT_TREE CHANGE_TREE --out BENCH.json
-        [--workloads verify,sweep,sublevel] [--seeds 1-5] [--seconds 30]
+        [--workloads verify,sweep,sublevel] [--seeds 1-10]
 
 For every workload and seed this runs `python3 kgbench/run.py --workload W
 --seed S --seconds SECONDS --trace 0` once in each tree, each tree with its
-own kgbench and sources.  Pairs alternate which tree runs first (the
+own kgbench and sources.  The workloads (by default all of them), the
+run length SECONDS and the metrics come from BENCHMARK.json in
+CHANGE_TREE.  The default seeds give ten pairs per workload.  Pairs alternate which tree runs first (the
 parent at the first seed, the change at the second, and so on), so a
 drift of the host over the session does not favour one side.
 
 The output file holds every run's end-to-end metrics, failed and
 attempted operation counts, exit code and source record, and per workload
 and metric the two medians, the parent's interquartile range and the
-number of pairs in which the change was better.  The metric names and
-their better direction come from BENCHMARK.json in CHANGE_TREE.  An
-existing output file of the same two trees and run length is updated
+number of pairs in which the change was better.  An existing output file of the same two trees and run length is updated
 workload by workload, so workloads can be run with different seeds.
 Standard library only.
 """
@@ -33,7 +33,6 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
-WORKLOADS = ("verify", "sweep", "sublevel")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -94,36 +93,37 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seeds", default="1-5")
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--workloads", help="comma-separated subset of BENCHMARK.json's workloads")
+    parser.add_argument("--seeds", default="1-10")
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, tree in trees.items():
         if not (tree / "kgbench" / "run.py").is_file():
             parser.error(f"{side} tree {tree} has no kgbench/run.py")
-    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in benchmark["workloads"]]
     seeds = parse_seeds(args.seeds)
     report = {
         "trees": {side: str(tree) for side, tree in trees.items()},
-        "seconds": args.seconds,
+        "seconds": seconds,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "platform": platform.platform()},
         "workloads": {},
     }
     if args.out.exists():
         # Add to an earlier report of the same trees, e.g. another workload's seeds.
         earlier = json.loads(args.out.read_text())
-        if (earlier.get("trees"), earlier.get("seconds")) != (report["trees"], args.seconds):
+        if (earlier.get("trees"), earlier.get("seconds")) != (report["trees"], seconds):
             parser.error(f"{args.out} holds runs of other trees or another run length")
         report["workloads"] = earlier["workloads"]
-    for workload in args.workloads.split(","):
+    for workload in workloads:
         pairs = []
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                pair[side] = run_once(trees[side], workload, seed, seconds)
                 print(f"{workload} seed {seed} {side}: wall_s {pair[side].get('wall_s')} "
                       f"exit {pair[side]['exit']}", flush=True)
             pairs.append(pair)

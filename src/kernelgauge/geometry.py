@@ -27,7 +27,7 @@ ring after ring, each ring in increasing angle, so reshaping them to
 (rings, n_theta) recovers the product.  `kernels.gram` and
 `potential.LaurentSeries` sum each ring by one FFT on this layout, and
 `mask_quadrature` reads a cell's ring and angle from its flat index.  A
-masked rule keeps its parent rule and marks the cells it keeps whole, so
+masked rule marks the cells of its parent rule that it keeps whole, so
 only its clipped pieces lack the ring structure.
 """
 
@@ -267,7 +267,6 @@ class MaskedQuadrature:
 
     nodes: np.ndarray
     weights: np.ndarray
-    parent: AreaQuadrature
     whole: np.ndarray
 
     def integrate(self, values: np.ndarray) -> float:
@@ -379,7 +378,7 @@ def mask_quadrature(
         nodes.append(rm * np.exp(1j * th[piece_cell]))
         weights.append(rm * width * dt_cell[piece_cell])
 
-    return MaskedQuadrature(np.concatenate(nodes), np.concatenate(weights), quad, full)
+    return MaskedQuadrature(np.concatenate(nodes), np.concatenate(weights), full)
 
 
 def _crossings(f, lo, hi, f_lo, f_hi, theta) -> np.ndarray:

@@ -43,19 +43,20 @@ _MONODROMY_NODES = 1024
 def _masked_measure(config: WeightConfig, aq: AreaQuadrature, t: float, keep: str) -> MaskedQuadrature:
     if t == 0.0 and keep == "below":
         # psi < 0 on the open domain, so the t = 0 sublevel set is everything.
-        return MaskedQuadrature(aq.nodes, aq.weights, aq, np.ones(aq.nodes.size, dtype=bool))
+        return MaskedQuadrature(aq.nodes, aq.weights, np.ones(aq.nodes.size, dtype=bool))
     return mask_quadrature(aq, config.two_psi, -t, keep=keep)
 
 
-def _masked_gram(config: WeightConfig, basis: BasisDescriptor, masked: MaskedQuadrature) -> HermitianMatrix:
-    """Gram of the basis under rho on a masked rule.
+def _masked_gram(
+    config: WeightConfig, basis: BasisDescriptor, aq: AreaQuadrature, masked: MaskedQuadrature
+) -> HermitianMatrix:
+    """Gram of the basis under rho on a rule masked from aq.
 
-    The whole cells are the parent rule with the other weights zeroed, so
-    they take the ring-FFT assembly with rho summed ring by ring; only the
-    clipped pieces are assembled densely.  Both are private helpers of
+    The whole cells are aq with the other weights zeroed, so they take
+    the ring-FFT assembly with rho summed ring by ring; only the clipped
+    pieces are assembled densely.  Both are private helpers of
     `kernels.gram`, which kgbench counts for kernel diagonals alone.
     """
-    aq = masked.parent
     rho = config.rho(aq.nodes, aq.rings)
     whole = Measure(aq.nodes, np.where(masked.whole, aq.weights * rho, 0.0), aq.rings)
     pieces = masked.pieces
@@ -91,7 +92,7 @@ def g_of_t(
     _sublevel_range_check(config, aq, t)
     masked = _masked_measure(config, aq, t, "below")
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
-    return constrained_min(_masked_gram(config, basis, masked), basis.constraints()).value
+    return constrained_min(_masked_gram(config, basis, aq, masked), basis.constraints()).value
 
 
 @dataclass(frozen=True)

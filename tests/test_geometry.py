@@ -172,16 +172,55 @@ def test_patch_too_large():
         area_quadrature(annulus(0.25), 0.5, 64, 64, patch_radius=0.3)
 
 
+def _mask_counted(aq, field, threshold, keep):
+    """mask_quadrature, checking how it calls the level field.
+
+    Corners and nodes, radial samples, crossing steps and piece midpoints
+    take at most 30 calls.  Only the corner grid and the rule's own nodes
+    arrive as ring grids.
+    """
+    calls = []
+
+    def counted(z, rings=None):
+        calls.append(rings)
+        return field(z, rings)
+
+    masked = mask_quadrature(aq, counted, threshold, keep=keep)
+    assert len(calls) <= 30
+    grids = [r for r in calls if r is not None]
+    assert len(grids) == 2 and grids[1] is aq.rings
+    assert grids[0].n_theta == aq.rings.n_theta and grids[0].theta0 == 0.0
+    return masked
+
+
+def _assert_crossings_exact(aq, masked, side, exact):
+    """Every clipped piece ending at the crossing `exact` ends within 4 ulp of it.
+
+    A piece spans from the edge of its cell on `side` ("inner" or "outer")
+    to a crossing; its width is recovered from its weight, which is
+    rm * width * dtheta.  Pieces ending at another crossing are skipped.
+    """
+    rm = np.abs(masked.nodes[masked.pieces])
+    width = masked.weights[masked.pieces] / (rm * np.diff(aq.angle_edges)[0])
+    cell = np.argmax((aq.inner[None, :] <= rm[:, None]) & (rm[:, None] < aq.outer[None, :]), axis=1)
+    edges = aq.inner[cell] + width if side == "inner" else aq.outer[cell] - width
+    edges = edges[np.abs(edges - exact) < 1e-3]
+    assert edges.size == aq.rings.n_theta
+    assert np.max(np.abs(edges - exact)) <= 4.0 * np.spacing(exact)
+
+
 def test_mask_disc_sublevel_exact():
     aq = area_quadrature(disc(), 0.0, 128, 128)
 
     def field(z, rings=None):
         return 2.0 * np.log(np.abs(z))
 
-    below = mask_quadrature(aq, field, -1.0, keep="below")
+    below = _mask_counted(aq, field, -1.0, "below")
     assert below.total_weight == pytest.approx(np.pi * np.exp(-1.0), abs=1e-12)
-    above = mask_quadrature(aq, field, np.log(0.81), keep="above")
+    _assert_crossings_exact(aq, below, "inner", np.exp(-0.5))
+    above = _mask_counted(aq, field, np.log(0.81), "above")
     assert above.total_weight == pytest.approx(np.pi * (1.0 - 0.81), abs=1e-12)
+    _assert_crossings_exact(aq, above, "outer", 0.9)
     # The two masks partition the quadrature.
     mid = mask_quadrature(aq, field, -0.5, keep="below")
     rest = mask_quadrature(aq, field, -0.5, keep="above")
@@ -194,8 +233,9 @@ def test_mask_annulus_band():
     def field(z, rings=None):
         return np.abs(z)
 
-    below = mask_quadrature(aq, field, 0.7, keep="below")
+    below = _mask_counted(aq, field, 0.7, "below")
     assert below.total_weight == pytest.approx(np.pi * (0.49 - 0.0625), abs=1e-10)
+    _assert_crossings_exact(aq, below, "inner", 0.7)
 
 
 def test_mask_nonradial_field():
@@ -218,76 +258,18 @@ def test_mask_two_crossings_in_one_cell():
         r = np.abs(z)
         return (r - a) * (r - b)
 
-    band = mask_quadrature(aq, field, 0.0, keep="below")
+    band = _mask_counted(aq, field, 0.0, "below")
     assert band.total_weight == pytest.approx(np.pi * (b * b - a * a), abs=1e-13)
-    outside = mask_quadrature(aq, field, 0.0, keep="above")
+    outside = _mask_counted(aq, field, 0.0, "above")
     assert outside.total_weight == pytest.approx(np.pi * (1.0 - (b * b - a * a)), abs=1e-12)
+    _assert_crossings_exact(aq, outside, "inner", a)
+    _assert_crossings_exact(aq, outside, "outer", b)
     # The straddling cell at angle 0 keeps its two outer pieces, in
     # increasing radius, after the cells left whole.
     first_cell = np.abs(np.angle(outside.nodes) - np.pi / 32) < 1e-12
     radii = np.abs(outside.nodes[first_cell])
     pieces = radii[(radii > 0.5) & (radii < 0.5625)]
     assert pieces == pytest.approx([0.505, 0.55625], abs=1e-12)
-
-
-def _counting(field):
-    """The field, and the list of `rings` arguments it was called with."""
-    calls = []
-
-    def counted(z, rings=None):
-        calls.append(rings)
-        return field(z)
-
-    return counted, calls
-
-
-def _clipped_edges(masked, cut_side):
-    """The crossing radius of every clipped piece of a radial mask.
-
-    A piece spans from the edge of its cell on cut_side ("inner" or
-    "outer") to a crossing; its width is recovered from its weight, which
-    is rm * width * dtheta.
-    """
-    quad = masked.parent
-    rm = np.abs(masked.nodes[masked.pieces])
-    width = masked.weights[masked.pieces] / (rm * np.diff(quad.angle_edges)[0])
-    cell = np.argmax((quad.inner[None, :] <= rm[:, None]) & (rm[:, None] < quad.outer[None, :]), axis=1)
-    if cut_side == "inner":
-        return quad.inner[cell] + width
-    return quad.outer[cell] - width
-
-
-def _ulps(values, exact):
-    return np.max(np.abs(np.asarray(values) - exact) / np.spacing(exact))
-
-
-RADIAL_CASES = [
-    # quad, field, threshold, keep, side of the kept piece's cell edge, exact crossing radii
-    ((disc(), 0.0, 128, 128), lambda r: 2.0 * np.log(r), -1.0, "below", "inner", [np.exp(-0.5)]),
-    ((disc(), 0.0, 128, 128), lambda r: 2.0 * np.log(r), np.log(0.81), "above", "outer", [0.9]),
-    ((annulus(0.25), 0.5, 160, 128), lambda r: r, 0.7, "below", "inner", [0.7]),
-    ((disc(), 0.0, 16, 32, 0.0), lambda r: (r - 0.51) * (r - 0.55), 0.0, "above", "inner", [0.51]),
-    ((disc(), 0.0, 16, 32, 0.0), lambda r: (r - 0.51) * (r - 0.55), 0.0, "above", "outer", [0.55]),
-]
-
-
-@pytest.mark.parametrize("args,radial,threshold,keep,side,exact", RADIAL_CASES,
-                         ids=["disc-log-below", "disc-log-above", "annulus-abs", "two-roots-a", "two-roots-b"])
-def test_mask_crossings_exact_within_4_ulp(args, radial, threshold, keep, side, exact):
-    aq = area_quadrature(*args)
-    field, calls = _counting(lambda z: radial(np.abs(z)))
-    masked = mask_quadrature(aq, field, threshold, keep=keep)
-    edges = _clipped_edges(masked, side)
-    # The two-root cell's pieces touch both of its edges; keep the crossing asked for.
-    edges = edges[np.abs(edges - exact[0]) < 1e-3]
-    assert edges.size == aq.rings.n_theta
-    assert _ulps(edges, exact[0]) <= 4.0
-    # Corners and nodes, radial samples, crossing steps and piece midpoints.
-    assert len(calls) <= 30
-    # Only the corner grid and the rule's nodes arrive as ring grids.
-    grids = [r for r in calls if r is not None]
-    assert len(grids) == 2 and grids[1] is aq.rings
-    assert grids[0].n_theta == aq.rings.n_theta and grids[0].theta0 == 0.0
 
 
 def test_mask_whole_cells_do_not_depend_on_rings():

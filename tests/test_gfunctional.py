@@ -103,7 +103,7 @@ def test_masked_gram_rings_match_dense(domain, z0, u, keep, t):
     else:
         assert 0 < whole < aq.nodes.size and masked.nodes[masked.pieces].size > 0
     basis = BasisDescriptor.create(domain, MASK_RES.n_max, z0, 0)
-    split = _masked_gram(cfg, basis, masked).entries
+    split = _masked_gram(cfg, basis, aq, masked).entries
     dense = _dense_gram(basis, Measure(masked.nodes, masked.weights * cfg.rho(masked.nodes))).entries
     assert np.max(np.abs(split - dense)) <= 1e-13 * np.max(np.abs(dense))
 
