@@ -8,12 +8,15 @@ temporary directory:
 
     kernelgauge verify scenarios/{disc_baseline,annulus_strict,annulus_matched}.json
     kernelgauge sweep scenarios/annulus_strict.json --param alpha_u --range=-0.4:0.5:9
+    kernelgauge kernel-eval scenarios/<each of the three>.json --curve {boundary,radial}
 
+The three shipped scenarios are all k = 0, as kernel-eval requires.
 Both trees read the scenario files of CHANGE_TREE, so only the code
-differs.  Every report.csv, report.md and sweep.csv (and exit code) that
-differs between the trees is printed with a diff; the script exits 1 if
-any differs or is missing, and 0 if all are byte-identical.  Standard
-library only.
+differs.  That makes 46 outputs: every report.csv, report.md, sweep.csv
+and kernel_eval_*.csv and every exit code, under both thread counts.
+Each one that differs between the trees is printed with a diff; the
+script exits 1 if any differs or is missing, and 0 if all are
+byte-identical.  Standard library only.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ def commands(scenarios: Path):
         yield name, ["verify", str(scenarios / f"{name}.json")], ("report.csv", "report.md")
     sweep = ["sweep", str(scenarios / "annulus_strict.json"), "--param", "alpha_u", "--range=-0.4:0.5:9"]
     yield "sweep_alpha_u", sweep, ("sweep.csv",)
+    for name in SCENARIOS:
+        for curve in ("boundary", "radial"):
+            args = ["kernel-eval", str(scenarios / f"{name}.json"), "--curve", curve]
+            yield f"{name}_kernel_eval_{curve}", args, (f"kernel_eval_{curve}.csv",)
 
 
 def run_tree(tree: Path, scenarios: Path, threads: str, work: Path) -> dict[str, bytes | int | None]:

@@ -44,7 +44,6 @@ _SCHEMA = {
         "radial_cells",
         "angular_cells",
         "patch_levels",
-        "patch_grading",
         "patch_panels",
         "patch_radius",
         "refine_quadrature",
@@ -184,8 +183,6 @@ def build_resolution(doc: dict, domain: DomainSpec) -> Resolution:
     for key in ("boundary_nodes", "radial_cells", "angular_cells", "patch_levels", "patch_panels"):
         if key in run:
             kwargs[key] = int(_require_number(run, key, "run"))
-    if "patch_grading" in run:
-        kwargs["patch_grading"] = float(_require_number(run, "patch_grading", "run"))
     if "patch_radius" in run:
         kwargs["patch_radius"] = float(_require_number(run, "patch_radius", "run"))
     if "refine_quadrature" in run:

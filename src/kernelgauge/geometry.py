@@ -27,8 +27,9 @@ ring after ring, each ring in increasing angle, so reshaping them to
 (rings, n_theta) recovers the product.  `kernels.gram` and
 `potential.LaurentSeries` sum each ring by one FFT on this layout, and
 `mask_quadrature` reads a cell's ring and angle from its flat index.  A
-masked rule marks the cells of its parent rule that it keeps whole, so
-only its clipped pieces lack the ring structure.
+masked rule is stored against its parent rule: the parent's weights on
+the cells it keeps whole, so those keep the ring structure, and its
+clipped pieces as a rule of their own.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ import numpy as np
 from .errors import PatchTooLarge
 
 _TWO_PI = 2.0 * np.pi
+_PATCH_GRADING = 0.7  # width ratio of consecutive refinement levels toward |z0|
+_RADIAL_SAMPLES = 12  # field samples along the midline of a straddling cell
 
 
 @dataclass(frozen=True)
@@ -152,15 +155,15 @@ class AreaQuadrature:
         return float(np.real(np.sum(self.weights * values)))
 
 
-def _graded_edges(lo: float, hi: float, pivot: float, levels: int, grading: float) -> np.ndarray:
+def _graded_edges(lo: float, hi: float, pivot: float, levels: int) -> np.ndarray:
     """Edge sequence on [lo, hi] geometrically refined toward pivot."""
     pieces = [np.array([pivot])]
     if pivot - lo > 1e-15:
-        left = pivot - (pivot - lo) * grading ** np.arange(levels + 1, dtype=float)
+        left = pivot - (pivot - lo) * _PATCH_GRADING ** np.arange(levels + 1, dtype=float)
         left[0] = lo
         pieces.insert(0, left)
     if hi - pivot > 1e-15:
-        right = pivot + (hi - pivot) * grading ** np.arange(levels, -1, -1, dtype=float)
+        right = pivot + (hi - pivot) * _PATCH_GRADING ** np.arange(levels, -1, -1, dtype=float)
         right[-1] = hi
         pieces.append(right)
     return np.unique(np.concatenate(pieces))
@@ -187,7 +190,6 @@ def area_quadrature(
     radial_cells: int,
     angular_cells: int,
     patch_radius: float | None = None,
-    grading: float = 0.7,
     patch_levels: int = 48,
     patch_panels: int = 20,
 ) -> AreaQuadrature:
@@ -198,8 +200,6 @@ def area_quadrature(
     patch_radius = 0 skips the ring entirely (best for densities smooth
     on the closed domain).
     """
-    if not 0.0 < grading < 1.0:
-        raise ValueError("grading must lie in (0, 1)")
     if not domain.contains(z0, margin=1e-9):
         raise ValueError(f"z0={z0} is not interior to the domain")
     if domain.kind == "annulus":
@@ -241,7 +241,7 @@ def area_quadrature(
         pivot_r = min(max(s, ra), rb)
         spacing_r = float(np.min(np.diff(global_r[i0 : i1 + 1])))
         pr_edges = _subdivide(
-            _graded_edges(ra, rb, pivot_r, patch_levels, grading), spacing_r, patch_panels
+            _graded_edges(ra, rb, pivot_r, patch_levels), spacing_r, patch_panels
         )
         # Global rings outside the band first, then the patch rings.
         keep_r = np.concatenate([np.arange(0, i0), np.arange(i1, radial_cells)])
@@ -258,27 +258,30 @@ def area_quadrature(
 
 @dataclass(frozen=True)
 class MaskedQuadrature:
-    """Nodes and weights restricted to one side of a level set.
+    """An area rule restricted to one side of a level set, stored against its parent.
 
-    whole marks the cells of the parent rule kept whole.  Their nodes and
-    weights come first, in the parent's ring-major order, followed by the
-    clipped pieces, so `pieces` slices out the part without ring structure.
+    whole_weights has the parent rule's size: the parent's weight on each
+    cell kept whole and 0 on every other cell.  nodes and weights are the
+    clipped pieces alone.
     """
 
+    whole_weights: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    whole: np.ndarray
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.real(np.sum(self.weights * values)))
+    def integrate(self, on_parent: np.ndarray, on_pieces: np.ndarray) -> float:
+        """Integral of a density given at the parent's nodes and at the pieces.
+
+        Values at parent nodes outside the kept cells never enter the sum,
+        so they may be anything, inf and nan included.
+        """
+        kept = self.whole_weights != 0.0
+        whole = np.sum(self.whole_weights[kept] * on_parent[kept])
+        return float(np.real(whole + np.sum(self.weights * on_pieces)))
 
     @property
     def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
-    @property
-    def pieces(self) -> slice:
-        return slice(int(np.count_nonzero(self.whole)), None)
+        return float(np.sum(self.whole_weights) + np.sum(self.weights))
 
 
 def mask_quadrature(
@@ -286,7 +289,6 @@ def mask_quadrature(
     level_field: Callable[..., np.ndarray],
     threshold: float,
     keep: Literal["below", "above"] = "below",
-    radial_samples: int = 12,
 ) -> MaskedQuadrature:
     """Restrict an area quadrature to {field < threshold} or {field >= threshold}.
 
@@ -335,50 +337,47 @@ def mask_quadrature(
         empty = np.max(vals, axis=0) < 0.0
     straddle = ~(full | empty)
 
-    nodes = [quad.nodes[full]]
-    weights = [quad.weights[full]]
-
+    whole_weights = np.where(full, quad.weights, 0.0)
     idx = np.nonzero(straddle)[0]
-    if idx.size:
-        ring, angle = np.divmod(idx, n)
-        r0 = inner[ring]
-        r1 = outer[ring]
-        th = 0.5 * (angle_edges[:-1] + angle_edges[1:])[angle]
-        dt_cell = np.diff(angle_edges)[angle]
-        # Sample the radial line through each straddling cell and narrow
-        # every sign change to the crossing radius.
-        frac = np.linspace(0.0, 1.0, radial_samples + 1)
-        rgrid = r0[:, None] + (r1 - r0)[:, None] * frac[None, :]
-        fgrid = shifted(rgrid * np.exp(1j * th)[:, None])
-        change = np.sign(fgrid[:, :-1]) != np.sign(fgrid[:, 1:])
-        ci, cj = np.nonzero(change)
-        roots = _crossings(
-            shifted, rgrid[ci, cj], rgrid[ci, cj + 1], fgrid[ci, cj], fgrid[ci, cj + 1], th[ci]
-        )
-        # Edges of cell k: r0[k], its cuts in increasing order, r1[k].
-        order = np.lexsort((roots, ci))
-        cut_cell = ci[order]
-        per_cell = np.bincount(cut_cell, minlength=idx.size)
-        last = np.cumsum(per_cell + 2) - 1
-        first = last - per_cell - 1
-        edges = np.empty(last[-1] + 1)
-        edges[first] = r0
-        edges[last] = r1
-        # Ahead of sorted cut i, of cell c, lie the i earlier cuts, the two
-        # outer edges of each of the c earlier cells and r0 of cell c.
-        edges[np.arange(cut_cell.size) + 2 * cut_cell + 1] = roots[order]
-        # Pieces run between consecutive edges of one cell; classify all
-        # of them with one field call at their midpoints.
-        a, b = np.delete(edges, last), np.delete(edges, first)
-        piece_cell = np.repeat(np.arange(idx.size), per_cell + 1)
-        rm = 0.5 * (a + b)
-        f_mid = shifted(rm * np.exp(1j * th[piece_cell]))
-        use = (f_mid < 0.0 if keep == "below" else f_mid >= 0.0) & (b - a > 1e-15)
-        rm, width, piece_cell = rm[use], (b - a)[use], piece_cell[use]
-        nodes.append(rm * np.exp(1j * th[piece_cell]))
-        weights.append(rm * width * dt_cell[piece_cell])
-
-    return MaskedQuadrature(np.concatenate(nodes), np.concatenate(weights), full)
+    if not idx.size:
+        return MaskedQuadrature(whole_weights, np.empty(0, dtype=complex), np.empty(0))
+    ring, angle = np.divmod(idx, n)
+    r0 = inner[ring]
+    r1 = outer[ring]
+    th = 0.5 * (angle_edges[:-1] + angle_edges[1:])[angle]
+    dt_cell = np.diff(angle_edges)[angle]
+    # Sample the radial line through each straddling cell and narrow
+    # every sign change to the crossing radius.
+    frac = np.linspace(0.0, 1.0, _RADIAL_SAMPLES + 1)
+    rgrid = r0[:, None] + (r1 - r0)[:, None] * frac[None, :]
+    fgrid = shifted(rgrid * np.exp(1j * th)[:, None])
+    change = np.sign(fgrid[:, :-1]) != np.sign(fgrid[:, 1:])
+    ci, cj = np.nonzero(change)
+    roots = _crossings(
+        shifted, rgrid[ci, cj], rgrid[ci, cj + 1], fgrid[ci, cj], fgrid[ci, cj + 1], th[ci]
+    )
+    # Edges of cell k: r0[k], its cuts in increasing order, r1[k].
+    order = np.lexsort((roots, ci))
+    cut_cell = ci[order]
+    per_cell = np.bincount(cut_cell, minlength=idx.size)
+    last = np.cumsum(per_cell + 2) - 1
+    first = last - per_cell - 1
+    edges = np.empty(last[-1] + 1)
+    edges[first] = r0
+    edges[last] = r1
+    # Ahead of sorted cut i, of cell c, lie the i earlier cuts, the two
+    # outer edges of each of the c earlier cells and r0 of cell c.
+    edges[np.arange(cut_cell.size) + 2 * cut_cell + 1] = roots[order]
+    # Pieces run between consecutive edges of one cell; classify all
+    # of them with one field call at their midpoints.
+    a, b = np.delete(edges, last), np.delete(edges, first)
+    piece_cell = np.repeat(np.arange(idx.size), per_cell + 1)
+    rm = 0.5 * (a + b)
+    f_mid = shifted(rm * np.exp(1j * th[piece_cell]))
+    use = (f_mid < 0.0 if keep == "below" else f_mid >= 0.0) & (b - a > 1e-15)
+    rm, width, piece_cell = rm[use], (b - a)[use], piece_cell[use]
+    nodes = rm * np.exp(1j * th[piece_cell])
+    return MaskedQuadrature(whole_weights, nodes, rm * width * dt_cell[piece_cell])
 
 
 def _crossings(f, lo, hi, f_lo, f_hi, theta) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchInconsistency, EmptySublevel, NotEqualityShape
-from .geometry import AreaQuadrature, MaskedQuadrature, mask_quadrature
+from .geometry import AreaQuadrature, MaskedQuadrature, RingGrid, mask_quadrature
 from .kernels import BasisDescriptor, Measure, Resolution, area_quadrature_for, gram, side_measure
 from .kernels import _dense_gram, _ring_gram
 from .numerics import HermitianMatrix, constrained_min
@@ -38,12 +38,13 @@ from .weights import CProfile, WeightConfig
 _TWO_PI = 2.0 * np.pi
 _GAUSS_NODES = 48
 _MONODROMY_NODES = 1024
+_BRANCH_PROBES = 8  # points where the two continuation paths of F0 are compared
 
 
 def _masked_measure(config: WeightConfig, aq: AreaQuadrature, t: float, keep: str) -> MaskedQuadrature:
     if t == 0.0 and keep == "below":
         # psi < 0 on the open domain, so the t = 0 sublevel set is everything.
-        return MaskedQuadrature(aq.nodes, aq.weights, np.ones(aq.nodes.size, dtype=bool))
+        return MaskedQuadrature(aq.weights, np.empty(0, dtype=complex), np.empty(0))
     return mask_quadrature(aq, config.two_psi, -t, keep=keep)
 
 
@@ -52,15 +53,15 @@ def _masked_gram(
 ) -> HermitianMatrix:
     """Gram of the basis under rho on a rule masked from aq.
 
-    The whole cells are aq with the other weights zeroed, so they take
-    the ring-FFT assembly with rho summed ring by ring; only the clipped
-    pieces are assembled densely.  Both are private helpers of
+    The whole cells are aq under the masked rule's whole_weights, so they
+    take the ring-FFT assembly with rho summed ring by ring; only the
+    clipped pieces are assembled densely.  Both are private helpers of
     `kernels.gram`, which kgbench counts for kernel diagonals alone.
     """
     rho = config.rho(aq.nodes, aq.rings)
-    whole = Measure(aq.nodes, np.where(masked.whole, aq.weights * rho, 0.0), aq.rings)
-    pieces = masked.pieces
-    clipped = Measure(masked.nodes[pieces], masked.weights[pieces] * config.rho(masked.nodes[pieces]))
+    kept = masked.whole_weights != 0.0
+    whole = Measure(aq.nodes, np.where(kept, masked.whole_weights * rho, 0.0), aq.rings)
+    clipped = Measure(masked.nodes, masked.weights * config.rho(masked.nodes))
     return HermitianMatrix(_ring_gram(basis, whole).entries + _dense_gram(basis, clipped).entries)
 
 
@@ -167,12 +168,12 @@ class ExtremalFunction:
     log_c0: complex                       # -log A(z0); normalizer
     monodromy_defect: float
 
-    def abs2(self, z) -> np.ndarray:
+    def abs2(self, z, rings: RingGrid | None = None) -> np.ndarray:
         """|F0|^2, computed without path integration."""
         z = np.asarray(z, dtype=complex)
         k = self.config.k
-        pf = self.pole_derivative.pole_factor(z)
-        v = self.exponent_rep.value(z)
+        pf = self.pole_derivative.pole_factor(z, rings)
+        v = self.exponent_rep.value(z, rings)
         mod2 = np.abs(z - self.config.z0) ** (2 * k) * np.abs(pf) ** 2 * np.exp(2.0 * v)
         return mod2 * np.exp(2.0 * np.real(self.log_c0))
 
@@ -209,7 +210,7 @@ class ExtremalFunction:
         )
 
 
-def f0_construct(config: WeightConfig, branch_probes: int = 8) -> ExtremalFunction:
+def f0_construct(config: WeightConfig) -> ExtremalFunction:
     """Assemble the extremal section and measure its loop multiplier.
 
     Requires the equality shape phi + 2 psi = 2(k+1) G + 2u with
@@ -252,7 +253,7 @@ def f0_construct(config: WeightConfig, branch_probes: int = 8) -> ExtremalFuncti
     a_z0 = complex(partial._exp_primitive(np.array([config.z0]))[0])
     f0 = replace(partial, log_c0=-np.log(a_z0))
     if defect < 1e-8 and config.domain.kind == "annulus":
-        rng_t = np.linspace(0.3, 5.9, branch_probes)
+        rng_t = np.linspace(0.3, 5.9, _BRANCH_PROBES)
         radius = 0.5 * (math.sqrt(config.domain.q) + 1.0)
         probes = radius * np.exp(1j * rng_t)
         v1 = f0.value(probes, order="radial_first")
@@ -290,14 +291,18 @@ def shell_identity_check(
         f0 = f0_construct(config)
     aq = area_quadrature_for(config, res)
 
+    def density(z, rings=None):
+        return (
+            f0.abs2(z, rings)
+            * np.exp(-config.phi_value(z, rings))
+            * a_profile.c(-config.two_psi(z, rings))
+        )
+
+    on_parent = density(aq.nodes, aq.rings)
+
     def band_integral(threshold_t: float) -> float:
         masked = _masked_measure(config, aq, threshold_t, "below")
-        dens = (
-            f0.abs2(masked.nodes)
-            * np.exp(-config.phi_value(masked.nodes))
-            * a_profile.c(-config.two_psi(masked.nodes))
-        )
-        return masked.integrate(dens)
+        return masked.integrate(on_parent, density(masked.nodes))
 
     lhs = band_integral(t2)
     if math.isfinite(t1):
@@ -322,7 +327,7 @@ class BoundaryLimit:
 
 def boundary_limit_check(
     config: WeightConfig,
-    f_abs2: Callable[[np.ndarray], np.ndarray],
+    f_abs2: Callable[..., np.ndarray],
     r_values=(0.9, 0.95, 0.975, 0.99),
     res: Resolution | None = None,
 ) -> BoundaryLimit:
@@ -331,21 +336,23 @@ def boundary_limit_check(
     ratio(r) = integral over {2 psi >= log r} of |F|^2 rho, divided by
     the integral of c(t) e^-t over [0, -log r]; as r -> 1 this tends to
     (1/2) * contour integral of |F|^2 exp(-phi) / (dpsi/dnu).  The gap is
-    measured after linear extrapolation in (1 - r).
+    measured after linear extrapolation in (1 - r).  f_abs2 is called as
+    f_abs2(z, rings) with the level-field protocol of `mask_quadrature`.
     """
     if res is None:
         res = Resolution.for_domain(config.domain)
     aq = area_quadrature_for(config, res)
+    on_parent = f_abs2(aq.nodes, aq.rings) * config.rho(aq.nodes, aq.rings)
     r_values = np.asarray(list(r_values), dtype=float)
     ratios = []
     for r in r_values:
         masked = _masked_measure(config, aq, -math.log(r), "above")
-        num = masked.integrate(f_abs2(masked.nodes) * config.rho(masked.nodes))
+        num = masked.integrate(on_parent, f_abs2(masked.nodes) * config.rho(masked.nodes))
         den = config.c.total - float(config.c.h(-math.log(r)))
         ratios.append(num / den)
     ratios = np.array(ratios)
     boundary = side_measure(config, "szego", res)
-    boundary_value = 0.5 * float(np.sum(boundary.wdensity * f_abs2(boundary.points)))
+    boundary_value = 0.5 * float(np.sum(boundary.wdensity * f_abs2(boundary.points, boundary.rings)))
     if len(ratios) >= 2:
         x = 1.0 - r_values
         slope = (ratios[-1] - ratios[-2]) / (x[-1] - x[-2])

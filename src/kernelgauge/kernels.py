@@ -56,7 +56,6 @@ class Resolution:
     radial_cells: int = 256
     angular_cells: int = 256
     patch_levels: int = 48
-    patch_grading: float = 0.7
     patch_panels: int = 16
     patch_radius: float | None = None
     refine_quadrature: bool = True
@@ -193,7 +192,6 @@ def area_quadrature_for(config: WeightConfig, res: Resolution) -> AreaQuadrature
         res.radial_cells,
         res.angular_cells,
         patch_radius=res.patch_radius,
-        grading=res.patch_grading,
         patch_levels=res.patch_levels,
         patch_panels=res.patch_panels,
     )

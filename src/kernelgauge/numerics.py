@@ -52,10 +52,6 @@ class HermitianMatrix:
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
     def principal(self, m: int) -> "HermitianMatrix":
         """Leading m-by-m principal submatrix (nested-basis restriction)."""
         return HermitianMatrix(self.entries[:m, :m])
@@ -89,10 +85,6 @@ class ConstraintSystem:
         target.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "target", target)
-
-    @property
-    def count(self) -> int:
-        return self.rows.shape[0]
 
     def restricted(self, m: int) -> "ConstraintSystem":
         """Constraints acting on the leading m basis coefficients."""

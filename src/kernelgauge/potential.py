@@ -170,12 +170,6 @@ class HarmonicFunctionRep:
             out = out + self.alpha_log * np.log(np.abs(z))
         return out
 
-    def radial_derivative(self, z):
-        """d/dr along rays through the origin; equals Re[(z/|z|) w'(z)]."""
-        z = np.asarray(z, dtype=complex)
-        w = self.analytic_derivative()
-        return np.real(z / np.abs(z) * w.series(z))
-
     def analytic_derivative(self) -> "AnalyticDerivative":
         """Single-valued derivative w'(z) = 2 du/dz of the completion u + i*conj."""
         s = self.series
@@ -228,10 +222,10 @@ class PoleDerivative:
         z = np.asarray(z, dtype=complex)
         return 1.0 / (z - self.pole) + self.regular(z, rings)
 
-    def pole_factor(self, z):
+    def pole_factor(self, z, rings: RingGrid | None = None):
         """(z - pole) * h'(z), analytic and equal to 1 at the pole."""
         z = np.asarray(z, dtype=complex)
-        return 1.0 + (z - self.pole) * self.regular(z)
+        return 1.0 + (z - self.pole) * self.regular(z, rings)
 
 
 @dataclass(frozen=True)

@@ -377,7 +377,7 @@ def check_shell_identity() -> tuple[bool, str]:
 def check_boundary_limit() -> tuple[bool, str]:
     cfg = WeightConfig(disc(), 0.0, 0, PsiSpec(1.0), PhiSpec(), CProfile.constant_one())
     res = Resolution(basis_schedule=(8, 16), radial_cells=192, angular_cells=128)
-    bl = boundary_limit_check(cfg, lambda z: np.abs(z) ** 2, res=res)
+    bl = boundary_limit_check(cfg, lambda z, rings=None: np.abs(z) ** 2, res=res)
     return bl.extrapolated_gap < 1e-3, f"gap={bl.extrapolated_gap:.2e}"
 
 
@@ -438,8 +438,8 @@ def check_hardy_diagnostic() -> tuple[bool, str]:
 
     cfg = WeightConfig(disc(), 0.0, 0, PsiSpec(1.0), PhiSpec(), CProfile.constant_one())
     res = Resolution(basis_schedule=(8, 16), radial_cells=256, angular_cells=128)
-    bounded = hardy_diagnostic(lambda z: np.ones(len(z)), cfg, res=res)
-    growing = hardy_diagnostic(lambda z: 1.0 / np.abs(1.0 - z) ** 2, cfg, res=res)
+    bounded = hardy_diagnostic(lambda z, rings=None: np.ones(len(z)), cfg, res=res)
+    growing = hardy_diagnostic(lambda z, rings=None: 1.0 / np.abs(1.0 - z) ** 2, cfg, res=res)
     ok = bounded.trend == "bounded" and growing.trend == "increasing"
     return ok, f"constant: {bounded.trend}, singular: {growing.trend}"
 

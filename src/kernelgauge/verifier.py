@@ -287,7 +287,7 @@ class HardyDiagnostic:
 
 
 def hardy_diagnostic(
-    f_abs2: Callable[[np.ndarray], np.ndarray],
+    f_abs2: Callable[..., np.ndarray],
     config: WeightConfig,
     r_values=(0.9, 0.95, 0.975, 0.99),
     res: Resolution | None = None,
@@ -297,16 +297,18 @@ def hardy_diagnostic(
     Samples r -> integral of |F|^2 over {psi >= log r} divided by (1-r).
     A bounded trend indicates square-integrable boundary behavior; the
     classification doubles as the verdict (growth by more than 2x across
-    the sample set reports `increasing`).
+    the sample set reports `increasing`).  f_abs2 is called as
+    f_abs2(z, rings) with the level-field protocol of `mask_quadrature`.
     """
     if res is None:
         res = Resolution.for_domain(config.domain)
     aq = area_quadrature_for(config, res)
+    on_parent = f_abs2(aq.nodes, aq.rings)
     r_values = np.asarray(list(r_values), dtype=float)
     ratios = []
     for r in r_values:
         masked = mask_quadrature(aq, config.psi_value, math.log(r), keep="above")
-        ratios.append(masked.integrate(f_abs2(masked.nodes)) / (1.0 - r))
+        ratios.append(masked.integrate(on_parent, f_abs2(masked.nodes)) / (1.0 - r))
     ratios = np.array(ratios)
     trend = "increasing" if ratios[-1] > 2.0 * ratios[0] else "bounded"
     return HardyDiagnostic(r_values, ratios, trend)

@@ -281,13 +281,6 @@ class WeightConfig:
             self.c,
         )
 
-    def with_updates(self, **kwargs) -> "WeightConfig":
-        data = dict(
-            domain=self.domain, z0=self.z0, k=self.k, psi=self.psi, phi=self.phi, c=self.c
-        )
-        data.update(kwargs)
-        return WeightConfig(**data)
-
 
 def rho_lambda_eval(config: WeightConfig, z: complex) -> float:
     """Density at a single point: rho inside, lambda on the boundary.

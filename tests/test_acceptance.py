@@ -200,7 +200,7 @@ def test_ac07_shell_identity():
 def test_ac08_coarea_boundary_limit():
     res = Resolution(basis_schedule=(8, 16), radial_cells=192, angular_cells=128)
     cfg = _cfg(disc(), 0.0)
-    bl = boundary_limit_check(cfg, lambda z: np.ones(len(z)), res=res)
+    bl = boundary_limit_check(cfg, lambda z, rings=None: np.ones(len(z)), res=res)
     ratio_gap = float(np.max(np.abs(bl.shell_ratios - PI)))
     bq = boundary_quadrature(disc(), res.boundary_nodes)
     half_flux = 0.5 * float(

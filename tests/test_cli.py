@@ -62,14 +62,16 @@ def test_verify_malformed_json(tmp_path, capsys):
 
 
 def test_verify_unknown_key(tmp_path, capsys):
-    doc = {
-        "domain": {"kind": "disc"},
-        "point": {"z0": 0.0},
-        "weight": {"p0": 1.0, "c": {"kind": "constant_one"}, "typo_key": 1},
-    }
-    code = main(["verify", _write(tmp_path, doc)])
-    assert code == 2
-    assert "typo_key" in capsys.readouterr().err
+    weight = {"p0": 1.0, "c": {"kind": "constant_one"}}
+    for extra, key in (
+        ({"weight": {**weight, "typo_key": 1}}, "typo_key"),
+        # The refinement grading is a fixed constant, no longer a run key.
+        ({"weight": weight, "run": {"patch_grading": 0.7}}, "patch_grading"),
+    ):
+        doc = {"domain": {"kind": "disc"}, "point": {"z0": 0.0}, **extra}
+        code = main(["verify", _write(tmp_path, doc)])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
 
 def test_verify_nonintegrable_profile(tmp_path, capsys):

@@ -200,8 +200,8 @@ def _assert_crossings_exact(aq, masked, side, exact):
     to a crossing; its width is recovered from its weight, which is
     rm * width * dtheta.  Pieces ending at another crossing are skipped.
     """
-    rm = np.abs(masked.nodes[masked.pieces])
-    width = masked.weights[masked.pieces] / (rm * np.diff(aq.angle_edges)[0])
+    rm = np.abs(masked.nodes)
+    width = masked.weights / (rm * np.diff(aq.angle_edges)[0])
     cell = np.argmax((aq.inner[None, :] <= rm[:, None]) & (rm[:, None] < aq.outer[None, :]), axis=1)
     edges = aq.inner[cell] + width if side == "inner" else aq.outer[cell] - width
     edges = edges[np.abs(edges - exact) < 1e-3]
@@ -265,11 +265,9 @@ def test_mask_two_crossings_in_one_cell():
     _assert_crossings_exact(aq, outside, "inner", a)
     _assert_crossings_exact(aq, outside, "outer", b)
     # The straddling cell at angle 0 keeps its two outer pieces, in
-    # increasing radius, after the cells left whole.
+    # increasing radius.
     first_cell = np.abs(np.angle(outside.nodes) - np.pi / 32) < 1e-12
-    radii = np.abs(outside.nodes[first_cell])
-    pieces = radii[(radii > 0.5) & (radii < 0.5625)]
-    assert pieces == pytest.approx([0.505, 0.55625], abs=1e-12)
+    assert np.abs(outside.nodes[first_cell]) == pytest.approx([0.505, 0.55625], abs=1e-12)
 
 
 def test_mask_whole_cells_do_not_depend_on_rings():
@@ -288,8 +286,8 @@ def test_mask_whole_cells_do_not_depend_on_rings():
     for aq, field, threshold, keep in cases:
         on_rings = mask_quadrature(aq, field, threshold, keep=keep)
         pointwise = mask_quadrature(aq, lambda z, rings=None: field(z), threshold, keep=keep)
-        assert 0 < np.count_nonzero(on_rings.whole) < aq.nodes.size
-        assert np.array_equal(on_rings.whole, pointwise.whole)
+        assert 0 < np.count_nonzero(on_rings.whole_weights) < aq.nodes.size
+        assert np.array_equal(on_rings.whole_weights, pointwise.whole_weights)
         # The pieces come from point calls in both, so they agree as well.
         assert np.array_equal(on_rings.nodes, pointwise.nodes)
         assert np.array_equal(on_rings.weights, pointwise.weights)

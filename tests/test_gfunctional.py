@@ -97,15 +97,26 @@ def test_masked_gram_rings_match_dense(domain, z0, u, keep, t):
     cfg = _cfg(domain, z0, u=u, c=CProfile.exp_delta(-0.4))
     aq = area_quadrature_for(cfg, MASK_RES)
     masked = _masked_measure(cfg, aq, t, keep)
-    whole = np.count_nonzero(masked.whole)
+    kept = masked.whole_weights != 0.0
+    whole = np.count_nonzero(kept)
     if t == 0.0:
-        assert whole == aq.nodes.size and masked.nodes[masked.pieces].size == 0
+        assert whole == aq.nodes.size and masked.nodes.size == 0
     else:
-        assert 0 < whole < aq.nodes.size and masked.nodes[masked.pieces].size > 0
+        assert 0 < whole < aq.nodes.size and masked.nodes.size > 0
+    assert np.array_equal(masked.whole_weights[kept], aq.weights[kept])
+    # The same rule written out flat: the kept parent cells, then the pieces.
+    nodes = np.concatenate([aq.nodes[kept], masked.nodes])
+    weights = np.concatenate([aq.weights[kept], masked.weights])
     basis = BasisDescriptor.create(domain, MASK_RES.n_max, z0, 0)
     split = _masked_gram(cfg, basis, aq, masked).entries
-    dense = _dense_gram(basis, Measure(masked.nodes, masked.weights * cfg.rho(masked.nodes))).entries
+    dense = _dense_gram(basis, Measure(nodes, weights * cfg.rho(nodes))).entries
     assert np.max(np.abs(split - dense)) <= 1e-13 * np.max(np.abs(dense))
+    # Densities on the parent's rings plus the pieces by Horner equal the
+    # flat Horner sum.  Every case has the equality shape, so f0 exists.
+    for density in (cfg.rho, f0_construct(cfg).abs2):
+        flat = np.sum(weights * density(nodes))
+        on_rings = masked.integrate(density(aq.nodes, aq.rings), density(masked.nodes))
+        assert on_rings == pytest.approx(flat, rel=1e-13, abs=0.0)
 
 
 def test_empty_sublevel():
@@ -233,14 +244,14 @@ def test_shell_identity_annulus_weighted_band():
 
 
 def test_boundary_limit_constant():
-    bl = boundary_limit_check(_cfg(disc(), 0.0), lambda z: np.ones(len(z)), res=DISC_RES)
+    bl = boundary_limit_check(_cfg(disc(), 0.0), lambda z, rings=None: np.ones(len(z)), res=DISC_RES)
     assert np.max(np.abs(bl.shell_ratios - PI)) < 1e-10
     assert bl.boundary_value == pytest.approx(PI, abs=1e-12)
     assert bl.extrapolated_gap < 1e-10
 
 
 def test_boundary_limit_linear_mode():
-    bl = boundary_limit_check(_cfg(disc(), 0.0), lambda z: np.abs(z) ** 2, res=DISC_RES)
+    bl = boundary_limit_check(_cfg(disc(), 0.0), lambda z, rings=None: np.abs(z) ** 2, res=DISC_RES)
     assert bl.boundary_value == pytest.approx(PI, abs=1e-12)
     assert bl.extrapolated_gap < 1e-3
 
@@ -250,3 +261,6 @@ def test_boundary_limit_annulus_extremal():
     f0 = f0_construct(cfg)
     bl = boundary_limit_check(cfg, f0.abs2, res=ANN_RES)
     assert bl.extrapolated_gap < 5e-3 * bl.boundary_value
+    # abs2 on rings and abs2 point by point give the same ratios.
+    pointwise = boundary_limit_check(cfg, lambda z, rings=None: f0.abs2(z), res=ANN_RES)
+    np.testing.assert_allclose(bl.shell_ratios, pointwise.shell_ratios, rtol=1e-13, atol=0.0)

@@ -206,12 +206,12 @@ def test_suita_annulus_strict_margins():
 def test_hardy_diagnostic_trends():
     cfg = _cfg(disc(), 0.0)
     res = Resolution(basis_schedule=(8, 16), radial_cells=256, angular_cells=128)
-    bounded = hardy_diagnostic(lambda z: np.ones(len(z)), cfg, res=res)
+    bounded = hardy_diagnostic(lambda z, rings=None: np.ones(len(z)), cfg, res=res)
     assert bounded.trend == "bounded"
     # ratios pi (1 - r^2)/(1 - r) approach 2 pi from below
     expected = np.pi * (1 + bounded.r_values)
     assert np.max(np.abs(bounded.ratios - expected)) < 1e-8
-    growing = hardy_diagnostic(lambda z: 1.0 / np.abs(1 - z) ** 2, cfg, res=res)
+    growing = hardy_diagnostic(lambda z, rings=None: 1.0 / np.abs(1 - z) ** 2, cfg, res=res)
     assert growing.trend == "increasing"
 
 
