@@ -9,11 +9,14 @@ temporary directory:
     kernelgauge verify scenarios/{disc_baseline,annulus_strict,annulus_matched}.json
     kernelgauge sweep scenarios/annulus_strict.json --param alpha_u --range=-0.4:0.5:9
     kernelgauge kernel-eval scenarios/<each of the three>.json --curve {boundary,radial}
+    kernelgauge selftest
 
 The three shipped scenarios are all k = 0, as kernel-eval requires.
 Both trees read the scenario files of CHANGE_TREE, so only the code
-differs.  That makes 46 outputs: every report.csv, report.md, sweep.csv
-and kernel_eval_*.csv and every exit code, under both thread counts.
+differs.  That makes 50 outputs: every report.csv, report.md, sweep.csv
+and kernel_eval_*.csv, the selftest's stdout, which prints the sublevel
+checks (g_curve, shell identity, boundary limit, Hardy diagnostic), and
+every exit code, under both thread counts.
 Each one that differs between the trees is printed with a diff; the
 script exits 1 if any differs or is missing, and 0 if all are
 byte-identical.  Standard library only.
@@ -34,7 +37,7 @@ THREADS = ("1", "2")
 
 
 def commands(scenarios: Path):
-    """(name, CLI arguments, output files) of every compared command."""
+    """(name, CLI arguments, output files) of every compared command; no files: compare stdout."""
     for name in SCENARIOS:
         yield name, ["verify", str(scenarios / f"{name}.json")], ("report.csv", "report.md")
     sweep = ["sweep", str(scenarios / "annulus_strict.json"), "--param", "alpha_u", "--range=-0.4:0.5:9"]
@@ -43,6 +46,7 @@ def commands(scenarios: Path):
         for curve in ("boundary", "radial"):
             args = ["kernel-eval", str(scenarios / f"{name}.json"), "--curve", curve]
             yield f"{name}_kernel_eval_{curve}", args, (f"kernel_eval_{curve}.csv",)
+    yield "selftest", ["selftest"], ()
 
 
 def run_tree(tree: Path, scenarios: Path, threads: str, work: Path) -> dict[str, bytes | int | None]:
@@ -51,9 +55,13 @@ def run_tree(tree: Path, scenarios: Path, threads: str, work: Path) -> dict[str,
     outputs: dict[str, bytes | int | None] = {}
     for name, args, files in commands(scenarios):
         out = work / name
-        proc = subprocess.run([sys.executable, "-m", "kernelgauge.cli", *args, "--out", str(out)],
+        if files:
+            args = [*args, "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "kernelgauge.cli", *args],
                               cwd=work, env=env, capture_output=True)
         outputs[f"{name} exit code"] = proc.returncode
+        if not files:
+            outputs[f"{name} stdout"] = proc.stdout
         for file in files:
             path = out / file
             outputs[f"{name}/{file}"] = path.read_bytes() if path.exists() else None

@@ -287,16 +287,17 @@ class MaskedQuadrature:
 def mask_quadrature(
     quad: AreaQuadrature,
     level_field: Callable[..., np.ndarray],
-    threshold: float,
+    thresholds,
     keep: Literal["below", "above"] = "below",
-) -> MaskedQuadrature:
-    """Restrict an area quadrature to {field < threshold} or {field >= threshold}.
+) -> list[MaskedQuadrature]:
+    """Restrict an area quadrature to {field < t} or {field >= t}, one rule per threshold t.
 
     The field is called as level_field(z, rings): rings is the RingGrid of
     z when z are the ring-major nodes of a ring grid (the rule's nodes, or
     the cell corners as the grid RingGrid(edge radii, n_theta, 0)), and
     None for scattered points.  It only tells the field that the points
-    have that structure, so a field may ignore it.
+    have that structure, so a field may ignore it.  The two ring-grid
+    calls are made once for all thresholds.
 
     Cells crossed by the level curve are split radially at the crossing
     points along the cell's angular midline, and each piece is kept or
@@ -304,41 +305,43 @@ def mask_quadrature(
     the clipped areas are exact because the midpoint rule integrates the
     Jacobian r exactly.
     """
-    def shifted(z, rings=None):
-        # Level fields carry log poles; -inf corner values classify fine.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(level_field(z, rings)) - threshold
+    top, bottom = _cell_extremes(quad, level_field)
+    return [_clip(quad, level_field, threshold, keep, top, bottom) for threshold in thresholds]
 
+
+def _cell_extremes(quad: AreaQuadrature, level_field) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest field value over each cell's four corners and its node."""
     # Neighbouring cells share corners: evaluate the field once on the
     # distinct edge radii x angle edges, a ring grid whose angle edge
     # n_theta is edge 0 again, and gather.
     n = quad.rings.n_theta
-    inner, outer, angle_edges = quad.inner, quad.outer, quad.angle_edges
-    edge_r = np.unique(np.concatenate([inner, outer]))
-    corners = np.outer(edge_r, np.exp(1j * angle_edges[:-1])).ravel()
-    grid = shifted(corners, RingGrid(edge_r, n, 0.0)).reshape(edge_r.size, n)
+    edge_r = np.unique(np.concatenate([quad.inner, quad.outer]))
+    corners = np.outer(edge_r, np.exp(1j * quad.angle_edges[:-1])).ravel()
+    # Level fields carry log poles; -inf corner values classify fine.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grid = np.asarray(level_field(corners, RingGrid(edge_r, n, 0.0))).reshape(edge_r.size, n)
+        on_nodes = np.asarray(level_field(quad.nodes, quad.rings))
     grid = np.concatenate([grid, grid[:, :1]], axis=1)
-    lo_r = grid[np.searchsorted(edge_r, inner)]
-    hi_r = grid[np.searchsorted(edge_r, outer)]
+    lo_r = grid[np.searchsorted(edge_r, quad.inner)]
+    hi_r = grid[np.searchsorted(edge_r, quad.outer)]
     vals = np.stack(
-        [
-            lo_r[:, :-1].ravel(),
-            lo_r[:, 1:].ravel(),
-            hi_r[:, :-1].ravel(),
-            hi_r[:, 1:].ravel(),
-            shifted(quad.nodes, quad.rings),
-        ]
+        [lo_r[:, :-1].ravel(), lo_r[:, 1:].ravel(), hi_r[:, :-1].ravel(), hi_r[:, 1:].ravel(), on_nodes]
     )
-    if keep == "below":
-        full = np.max(vals, axis=0) < 0.0
-        empty = np.min(vals, axis=0) >= 0.0
-    else:
-        full = np.min(vals, axis=0) >= 0.0
-        empty = np.max(vals, axis=0) < 0.0
-    straddle = ~(full | empty)
+    return np.max(vals, axis=0), np.min(vals, axis=0)
 
-    whole_weights = np.where(full, quad.weights, 0.0)
-    idx = np.nonzero(straddle)[0]
+
+def _clip(quad, level_field, threshold, keep, top, bottom) -> MaskedQuadrature:
+    """quad masked at one threshold, given each cell's largest and smallest field value."""
+    def shifted(z):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.asarray(level_field(z, None)) - threshold
+
+    # Rounding is monotone and v - t is 0 only at v = t, so comparing a
+    # cell's extremes with t classifies it as its shifted values would.
+    all_below, all_above = top < threshold, bottom >= threshold
+    whole_weights = np.where(all_below if keep == "below" else all_above, quad.weights, 0.0)
+    idx = np.nonzero(~(all_below | all_above))[0]
+    n, inner, outer, angle_edges = quad.rings.n_theta, quad.inner, quad.outer, quad.angle_edges
     if not idx.size:
         return MaskedQuadrature(whole_weights, np.empty(0, dtype=complex), np.empty(0))
     ring, angle = np.divmod(idx, n)

@@ -41,37 +41,51 @@ _MONODROMY_NODES = 1024
 _BRANCH_PROBES = 8  # points where the two continuation paths of F0 are compared
 
 
-def _masked_measure(config: WeightConfig, aq: AreaQuadrature, t: float, keep: str) -> MaskedQuadrature:
-    if t == 0.0 and keep == "below":
-        # psi < 0 on the open domain, so the t = 0 sublevel set is everything.
-        return MaskedQuadrature(aq.weights, np.empty(0, dtype=complex), np.empty(0))
-    return mask_quadrature(aq, config.two_psi, -t, keep=keep)
+def _sublevel_masks(config: WeightConfig, aq: AreaQuadrature, ts, keep: str) -> list[MaskedQuadrature]:
+    """aq masked to {2 psi < -t} (keep "above": {2 psi >= -t}), one rule per t, by one mask call.
+
+    Below, every t must be nonnegative and the largest below max(-2 psi)
+    on the nodes; the t = 0 rule is the whole of aq, with no mask.
+    """
+    if keep == "below" and min(ts) < 0.0:
+        raise ValueError("t must be nonnegative")
+    if keep == "below" and max(ts) > 0.0:
+        top = float(np.max(-config.two_psi(aq.nodes, aq.rings)))
+        if max(ts) >= top:
+            raise EmptySublevel(f"t={max(ts)} exceeds max(-2 psi)={top:.6g} on the grid")
+    cut = [t for t in ts if t != 0.0 or keep != "below"]
+    masked = dict(zip(cut, mask_quadrature(aq, config.two_psi, [-t for t in cut], keep))) if cut else {}
+    # psi < 0 on the open domain, so the t = 0 sublevel set is everything.
+    whole = MaskedQuadrature(aq.weights, np.empty(0, dtype=complex), np.empty(0))
+    return [masked.get(t, whole) for t in ts]
 
 
 def _masked_gram(
-    config: WeightConfig, basis: BasisDescriptor, aq: AreaQuadrature, masked: MaskedQuadrature
+    config: WeightConfig, basis: BasisDescriptor, aq: AreaQuadrature, rho, masked: MaskedQuadrature
 ) -> HermitianMatrix:
-    """Gram of the basis under rho on a rule masked from aq.
+    """Gram of the basis under rho on a rule masked from aq; rho is given on aq's nodes.
 
     The whole cells are aq under the masked rule's whole_weights, so they
     take the ring-FFT assembly with rho summed ring by ring; only the
     clipped pieces are assembled densely.  Both are private helpers of
     `kernels.gram`, which kgbench counts for kernel diagonals alone.
     """
-    rho = config.rho(aq.nodes, aq.rings)
     kept = masked.whole_weights != 0.0
     whole = Measure(aq.nodes, np.where(kept, masked.whole_weights * rho, 0.0), aq.rings)
     clipped = Measure(masked.nodes, masked.weights * config.rho(masked.nodes))
     return HermitianMatrix(_ring_gram(basis, whole).entries + _dense_gram(basis, clipped).entries)
 
 
-def _sublevel_range_check(config: WeightConfig, aq: AreaQuadrature, t: float) -> None:
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if t > 0.0:
-        top = float(np.max(-config.two_psi(aq.nodes, aq.rings)))
-        if t >= top:
-            raise EmptySublevel(f"t={t} exceeds max(-2 psi)={top:.6g} on the grid")
+def _sublevel_minima(config: WeightConfig, ts, res: Resolution, aq: AreaQuadrature) -> list[float]:
+    """G_up at every t of ts: the basis and rho on aq are built once for all of them."""
+    masks = _sublevel_masks(config, aq, ts, "below")
+    basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
+    rho = config.rho(aq.nodes, aq.rings)
+    values = []
+    while masks:  # each rule is dropped once its Gram is formed
+        gram_t = _masked_gram(config, basis, aq, rho, masks.pop(0))
+        values.append(constrained_min(gram_t, basis.constraints()).value)
+    return values
 
 
 def g_of_t(
@@ -90,10 +104,7 @@ def g_of_t(
         res = Resolution.for_domain(config.domain)
     if aq is None:
         aq = area_quadrature_for(config, res)
-    _sublevel_range_check(config, aq, t)
-    masked = _masked_measure(config, aq, t, "below")
-    basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
-    return constrained_min(_masked_gram(config, basis, aq, masked), basis.constraints()).value
+    return _sublevel_minima(config, [t], res, aq)[0]
 
 
 @dataclass(frozen=True)
@@ -125,7 +136,7 @@ def g_curve(config: WeightConfig, t_grid, res: Resolution | None = None) -> GCur
     if res is None:
         res = Resolution.for_domain(config.domain)
     aq = area_quadrature_for(config, res)
-    values = np.array([g_of_t(config, float(t), res, aq) for t in t_grid])
+    values = np.array(_sublevel_minima(config, t_grid, res, aq))
     r = np.asarray(config.c.h(t_grid), dtype=float)
     g0 = values[0]
     predicted = g0 * r / r[0]
@@ -299,18 +310,10 @@ def shell_identity_check(
         )
 
     on_parent = density(aq.nodes, aq.rings)
-
-    def band_integral(threshold_t: float) -> float:
-        masked = _masked_measure(config, aq, threshold_t, "below")
-        return masked.integrate(on_parent, density(masked.nodes))
-
-    lhs = band_integral(t2)
-    if math.isfinite(t1):
-        _sublevel_range_check(config, aq, t1)
-        lhs -= band_integral(t1)
-        tail_hi = float(a_profile.h(t1))
-    else:
-        tail_hi = 0.0
+    bands = _sublevel_masks(config, aq, [t2, t1] if math.isfinite(t1) else [t2], "below")
+    integrals = [masked.integrate(on_parent, density(masked.nodes)) for masked in bands]
+    lhs = integrals[0] - sum(integrals[1:])
+    tail_hi = float(a_profile.h(t1)) if math.isfinite(t1) else 0.0
     g0 = g_of_t(config, 0.0, res, aq)
     rhs = g0 / config.c.total * (float(a_profile.h(t2)) - tail_hi)
     gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
@@ -344,13 +347,12 @@ def boundary_limit_check(
     aq = area_quadrature_for(config, res)
     on_parent = f_abs2(aq.nodes, aq.rings) * config.rho(aq.nodes, aq.rings)
     r_values = np.asarray(list(r_values), dtype=float)
-    ratios = []
-    for r in r_values:
-        masked = _masked_measure(config, aq, -math.log(r), "above")
-        num = masked.integrate(on_parent, f_abs2(masked.nodes) * config.rho(masked.nodes))
-        den = config.c.total - float(config.c.h(-math.log(r)))
-        ratios.append(num / den)
-    ratios = np.array(ratios)
+    ts = [-math.log(r) for r in r_values]
+    ratios = np.array([
+        masked.integrate(on_parent, f_abs2(masked.nodes) * config.rho(masked.nodes))
+        / (config.c.total - float(config.c.h(t)))
+        for masked, t in zip(_sublevel_masks(config, aq, ts, "above"), ts)
+    ])
     boundary = side_measure(config, "szego", res)
     boundary_value = 0.5 * float(np.sum(boundary.wdensity * f_abs2(boundary.points, boundary.rings)))
     if len(ratios) >= 2:

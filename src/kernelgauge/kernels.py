@@ -358,23 +358,21 @@ def _section_on(config: WeightConfig, side: Side, res: Resolution, measure: Meas
 def reproducing_residual(
     config: WeightConfig,
     side: Side,
-    test_exponent: int,
+    test_exponents,
     res: Resolution | None = None,
-    section: KernelSection | None = None,
-) -> float:
-    """|<z^n, K(., conj(z0))> - z0^n| under the side's inner product."""
+) -> list[float]:
+    """|<z^n, K(., conj(z0))> - z0^n| under the side's inner product, for each n in test_exponents."""
+    _require_order_zero(config)
     if res is None:
         res = Resolution.for_domain(config.domain)
-    if abs(test_exponent) > res.n_max:
+    test_exponents = list(test_exponents)
+    if any(abs(n) > res.n_max for n in test_exponents):
         raise ValueError("test exponent outside the basis range")
-    if config.domain.kind == "disc" and test_exponent < 0:
+    if config.domain.kind == "disc" and min(test_exponents, default=0) < 0:
         raise ValueError("negative exponents are not disc basis elements")
-    if section is None:
-        _require_order_zero(config)
     measure = side_measure(config, side, res)
-    if section is None:
-        section = _section_on(config, side, res, measure)
-    kvals = section.two_point(measure.points)
+    # One measure and one section serve every exponent.
+    conj_k = np.conj(_section_on(config, side, res, measure).two_point(measure.points))
     scale = 1.0 / _SIDE_NORMALIZER[side]
-    integral = scale * np.sum(measure.wdensity * measure.points ** test_exponent * np.conj(kvals))
-    return float(np.abs(integral - config.z0 ** test_exponent))
+    integrals = [scale * np.sum(measure.wdensity * measure.points ** n * conj_k) for n in test_exponents]
+    return [float(np.abs(integral - config.z0 ** n)) for integral, n in zip(integrals, test_exponents)]

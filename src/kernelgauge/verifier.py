@@ -305,11 +305,10 @@ def hardy_diagnostic(
     aq = area_quadrature_for(config, res)
     on_parent = f_abs2(aq.nodes, aq.rings)
     r_values = np.asarray(list(r_values), dtype=float)
-    ratios = []
-    for r in r_values:
-        masked = mask_quadrature(aq, config.psi_value, math.log(r), keep="above")
-        ratios.append(masked.integrate(on_parent, f_abs2(masked.nodes)) / (1.0 - r))
-    ratios = np.array(ratios)
+    shells = mask_quadrature(aq, config.psi_value, [math.log(r) for r in r_values], "above")
+    ratios = np.array([
+        masked.integrate(on_parent, f_abs2(masked.nodes)) / (1.0 - r) for masked, r in zip(shells, r_values)
+    ])
     trend = "increasing" if ratios[-1] > 2.0 * ratios[0] else "bounded"
     return HardyDiagnostic(r_values, ratios, trend)
 
@@ -334,8 +333,8 @@ def superlevel_constant(
     if res is None:
         res = Resolution.for_domain(config.domain)
     aq = area_quadrature_for(config, res)
-    gvals = config.green_rep.value(aq.nodes)
-    pvals = config.psi_value(aq.nodes)
+    gvals = config.green_rep.value(aq.nodes, aq.rings)
+    pvals = config.psi_value(aq.nodes, aq.rings)
     best = 0.0
     for t in np.linspace(t0 / grid_points, t0, grid_points):
         sel = gvals >= -t

@@ -31,7 +31,6 @@ from kernelgauge import (
     gram,
     green,
     kernel_diag,
-    kernel_section,
     reproducing_residual,
     shell_identity_check,
     verify_higher,
@@ -229,10 +228,7 @@ def test_ac09_reproducing_suite():
     ):
         cfg = _cfg(domain, z0)
         for side in ("szego", "bergman"):
-            section = kernel_section(cfg, side, res)
-            local = max(
-                reproducing_residual(cfg, side, n, res, section=section) for n in exponents
-            )
+            local = max(reproducing_residual(cfg, side, exponents, res))
             worst = max(worst, local)
             detail.append(f"{domain.kind}/{side}: {local:.2e}")
     ok = worst < 1e-6

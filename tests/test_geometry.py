@@ -172,12 +172,12 @@ def test_patch_too_large():
         area_quadrature(annulus(0.25), 0.5, 64, 64, patch_radius=0.3)
 
 
-def _mask_counted(aq, field, threshold, keep):
+def _mask_counted(aq, field, thresholds, keep):
     """mask_quadrature, checking how it calls the level field.
 
-    Corners and nodes, radial samples, crossing steps and piece midpoints
-    take at most 30 calls.  Only the corner grid and the rule's own nodes
-    arrive as ring grids.
+    Corners and nodes take two calls for all thresholds; radial samples,
+    crossing steps and piece midpoints take at most 28 per threshold.
+    Only the corner grid and the rule's own nodes arrive as ring grids.
     """
     calls = []
 
@@ -185,12 +185,13 @@ def _mask_counted(aq, field, threshold, keep):
         calls.append(rings)
         return field(z, rings)
 
-    masked = mask_quadrature(aq, counted, threshold, keep=keep)
-    assert len(calls) <= 30
+    masks = mask_quadrature(aq, counted, thresholds, keep=keep)
+    assert len(masks) == len(thresholds)
+    assert len(calls) <= 2 + 28 * len(thresholds)
     grids = [r for r in calls if r is not None]
     assert len(grids) == 2 and grids[1] is aq.rings
     assert grids[0].n_theta == aq.rings.n_theta and grids[0].theta0 == 0.0
-    return masked
+    return masks
 
 
 def _assert_crossings_exact(aq, masked, side, exact):
@@ -215,16 +216,20 @@ def test_mask_disc_sublevel_exact():
     def field(z, rings=None):
         return 2.0 * np.log(np.abs(z))
 
-    below = _mask_counted(aq, field, -1.0, "below")
+    below, mid = _mask_counted(aq, field, [-1.0, -0.5], "below")
     assert below.total_weight == pytest.approx(np.pi * np.exp(-1.0), abs=1e-12)
     _assert_crossings_exact(aq, below, "inner", np.exp(-0.5))
-    above = _mask_counted(aq, field, np.log(0.81), "above")
+    (above,) = _mask_counted(aq, field, [np.log(0.81)], "above")
     assert above.total_weight == pytest.approx(np.pi * (1.0 - 0.81), abs=1e-12)
     _assert_crossings_exact(aq, above, "outer", 0.9)
     # The two masks partition the quadrature.
-    mid = mask_quadrature(aq, field, -0.5, keep="below")
-    rest = mask_quadrature(aq, field, -0.5, keep="above")
+    (rest,) = mask_quadrature(aq, field, [-0.5], keep="above")
     assert mid.total_weight + rest.total_weight == pytest.approx(np.pi, abs=1e-12)
+    # One call on both thresholds gives the one-threshold rules bit for bit.
+    for together, threshold in zip((below, mid), (-1.0, -0.5)):
+        (alone,) = _mask_counted(aq, field, [threshold], "below")
+        for name in ("whole_weights", "nodes", "weights"):
+            assert np.array_equal(getattr(together, name), getattr(alone, name))
 
 
 def test_mask_annulus_band():
@@ -233,7 +238,7 @@ def test_mask_annulus_band():
     def field(z, rings=None):
         return np.abs(z)
 
-    below = _mask_counted(aq, field, 0.7, "below")
+    (below,) = _mask_counted(aq, field, [0.7], "below")
     assert below.total_weight == pytest.approx(np.pi * (0.49 - 0.0625), abs=1e-10)
     _assert_crossings_exact(aq, below, "inner", 0.7)
 
@@ -244,7 +249,7 @@ def test_mask_nonradial_field():
     def field(z, rings=None):
         return np.real(z)
 
-    below = mask_quadrature(aq, field, 0.0, keep="below")
+    (below,) = mask_quadrature(aq, field, [0.0], keep="below")
     assert below.total_weight == pytest.approx(np.pi / 2.0, rel=1e-4)
 
 
@@ -258,9 +263,9 @@ def test_mask_two_crossings_in_one_cell():
         r = np.abs(z)
         return (r - a) * (r - b)
 
-    band = _mask_counted(aq, field, 0.0, "below")
+    (band,) = _mask_counted(aq, field, [0.0], "below")
     assert band.total_weight == pytest.approx(np.pi * (b * b - a * a), abs=1e-13)
-    outside = _mask_counted(aq, field, 0.0, "above")
+    (outside,) = _mask_counted(aq, field, [0.0], "above")
     assert outside.total_weight == pytest.approx(np.pi * (1.0 - (b * b - a * a)), abs=1e-12)
     _assert_crossings_exact(aq, outside, "inner", a)
     _assert_crossings_exact(aq, outside, "outer", b)
@@ -284,8 +289,8 @@ def test_mask_whole_cells_do_not_depend_on_rings():
     cases = [(ann, cfg.two_psi, -0.6, "below"), (ann, cfg.two_psi, -1.8, "below"),
              (ann, cfg.two_psi, -0.1, "above"), (dsc, u.value, 0.35, "below")]
     for aq, field, threshold, keep in cases:
-        on_rings = mask_quadrature(aq, field, threshold, keep=keep)
-        pointwise = mask_quadrature(aq, lambda z, rings=None: field(z), threshold, keep=keep)
+        (on_rings,) = mask_quadrature(aq, field, [threshold], keep=keep)
+        (pointwise,) = mask_quadrature(aq, lambda z, rings=None: field(z), [threshold], keep=keep)
         assert 0 < np.count_nonzero(on_rings.whole_weights) < aq.nodes.size
         assert np.array_equal(on_rings.whole_weights, pointwise.whole_weights)
         # The pieces come from point calls in both, so they agree as well.

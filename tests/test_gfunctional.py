@@ -22,7 +22,7 @@ from kernelgauge import (
     kernel_section,
     shell_identity_check,
 )
-from kernelgauge.gfunctional import _masked_gram, _masked_measure, minimizer_orthogonality_residual
+from kernelgauge.gfunctional import _masked_gram, _sublevel_masks, minimizer_orthogonality_residual
 from kernelgauge.kernels import BasisDescriptor, Measure, _dense_gram, area_quadrature_for
 from kernelgauge.potential import HarmonicFunctionRep
 
@@ -96,7 +96,7 @@ def test_masked_gram_rings_match_dense(domain, z0, u, keep, t):
     # dense Gram of the same masked rule, as in test_ring_gram_matches_dense.
     cfg = _cfg(domain, z0, u=u, c=CProfile.exp_delta(-0.4))
     aq = area_quadrature_for(cfg, MASK_RES)
-    masked = _masked_measure(cfg, aq, t, keep)
+    (masked,) = _sublevel_masks(cfg, aq, [t], keep)
     kept = masked.whole_weights != 0.0
     whole = np.count_nonzero(kept)
     if t == 0.0:
@@ -108,7 +108,7 @@ def test_masked_gram_rings_match_dense(domain, z0, u, keep, t):
     nodes = np.concatenate([aq.nodes[kept], masked.nodes])
     weights = np.concatenate([aq.weights[kept], masked.weights])
     basis = BasisDescriptor.create(domain, MASK_RES.n_max, z0, 0)
-    split = _masked_gram(cfg, basis, aq, masked).entries
+    split = _masked_gram(cfg, basis, aq, cfg.rho(aq.nodes, aq.rings), masked).entries
     dense = _dense_gram(basis, Measure(nodes, weights * cfg.rho(nodes))).entries
     assert np.max(np.abs(split - dense)) <= 1e-13 * np.max(np.abs(dense))
     # Densities on the parent's rings plus the pieces by Horner equal the
@@ -119,9 +119,20 @@ def test_masked_gram_rings_match_dense(domain, z0, u, keep, t):
         assert on_rings == pytest.approx(flat, rel=1e-13, abs=0.0)
 
 
-def test_empty_sublevel():
+def test_empty_sublevel(monkeypatch):
+    import kernelgauge.gfunctional as gfunctional_module
+
+    masks = []
+    monkeypatch.setattr(gfunctional_module, "mask_quadrature", lambda *args, **kwargs: masks.append(args))
+    cfg = _cfg(annulus(0.25), 0.5)
     with pytest.raises(EmptySublevel):
-        g_of_t(_cfg(annulus(0.25), 0.5), 50.0, ANN_RES)
+        g_of_t(cfg, 50.0, ANN_RES)
+    # Only the largest t is out of range; the check comes before any mask.
+    with pytest.raises(EmptySublevel):
+        g_curve(cfg, [0.0, 0.3, 50.0], ANN_RES)
+    with pytest.raises(EmptySublevel):
+        shell_identity_check(cfg, CProfile.constant_one(), 50.0, 0.3, res=ANN_RES)
+    assert not masks
 
 
 def test_g_curve_disc_linearity():
@@ -133,8 +144,12 @@ def test_g_curve_disc_linearity():
 
 def test_g_curve_annulus_matched_and_mismatched():
     grid = [0.0, 0.3, 0.6, 0.9, 1.2]
-    matched = g_curve(_cfg(annulus(0.25), 0.5, u=MATCHED_U), grid, ANN_RES)
+    matched_cfg = _cfg(annulus(0.25), 0.5, u=MATCHED_U)
+    matched = g_curve(matched_cfg, grid, ANN_RES)
     assert matched.linear_residual < 1e-3 * matched.g0
+    # One curve sample is the one-t minimum exactly.
+    for t, g in zip(grid, matched.g_upper):
+        assert g == g_of_t(matched_cfg, t, ANN_RES)
     # Character mismatch alone bends the curve by at most the weighted
     # capacity gap pi rho(z0) B / c_beta^2 - 1, which is ~1e-5 for this
     # domain: far below the 1e-3 linearity tolerance.  The samples must
