@@ -27,9 +27,10 @@ ring after ring, each ring in increasing angle, so reshaping them to
 (rings, n_theta) recovers the product.  `kernels.gram` and
 `potential.LaurentSeries` sum each ring by one FFT on this layout, and
 `mask_quadrature` reads a cell's ring and angle from its flat index.  A
-masked rule is stored against its parent rule: the parent's weights on
-the cells it keeps whole, so those keep the ring structure, and its
-clipped pieces as a rule of their own.
+masked rule is stored against its parent rule: a mask of the cells it
+keeps whole, which keep the parent's weights and ring structure, and its
+clipped pieces as a rule of their own, each piece on the angular midline
+of a parent cell whose angle index it records.
 """
 
 from __future__ import annotations
@@ -260,14 +261,18 @@ def area_quadrature(
 class MaskedQuadrature:
     """An area rule restricted to one side of a level set, stored against its parent.
 
-    whole_weights has the parent rule's size: the parent's weight on each
-    cell kept whole and 0 on every other cell.  nodes and weights are the
-    clipped pieces alone.
+    kept marks the parent's cells kept whole, which keep the parent's
+    weights.  nodes and weights are the clipped pieces alone, and angle is
+    each piece's angle cell of the parent: piece p lies on that cell's
+    angular midline, at |nodes[p]| * exp(i (theta0 + 2 pi angle[p] / n_theta))
+    with the parent's RingGrid.
     """
 
-    whole_weights: np.ndarray
+    parent: AreaQuadrature
+    kept: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
+    angle: np.ndarray
 
     def integrate(self, on_parent: np.ndarray, on_pieces: np.ndarray) -> float:
         """Integral of a density given at the parent's nodes and at the pieces.
@@ -275,13 +280,12 @@ class MaskedQuadrature:
         Values at parent nodes outside the kept cells never enter the sum,
         so they may be anything, inf and nan included.
         """
-        kept = self.whole_weights != 0.0
-        whole = np.sum(self.whole_weights[kept] * on_parent[kept])
+        whole = np.sum(self.parent.weights[self.kept] * on_parent[self.kept])
         return float(np.real(whole + np.sum(self.weights * on_pieces)))
 
     @property
     def total_weight(self) -> float:
-        return float(np.sum(self.whole_weights) + np.sum(self.weights))
+        return float(np.sum(self.parent.weights[self.kept]) + np.sum(self.weights))
 
 
 def mask_quadrature(
@@ -296,8 +300,9 @@ def mask_quadrature(
     z when z are the ring-major nodes of a ring grid (the rule's nodes, or
     the cell corners as the grid RingGrid(edge radii, n_theta, 0)), and
     None for scattered points.  It only tells the field that the points
-    have that structure, so a field may ignore it.  The two ring-grid
-    calls are made once for all thresholds.
+    have that structure, so a field may ignore it.  Every call serves all
+    thresholds: the two ring-grid calls, and the point calls that clip the
+    straddling cells of every threshold together.
 
     Cells crossed by the level curve are split radially at the crossing
     points along the cell's angular midline, and each piece is kept or
@@ -305,8 +310,27 @@ def mask_quadrature(
     the clipped areas are exact because the midpoint rule integrates the
     Jacobian r exactly.
     """
+    thresholds = np.asarray(list(thresholds), dtype=float)
     top, bottom = _cell_extremes(quad, level_field)
-    return [_clip(quad, level_field, threshold, keep, top, bottom) for threshold in thresholds]
+    # Rounding is monotone and v - t is 0 only at v = t, so comparing a
+    # cell's extremes with t classifies it as its shifted values would.
+    all_below = top[None, :] < thresholds[:, None]
+    all_above = bottom[None, :] >= thresholds[:, None]
+    kept = all_below if keep == "below" else all_above
+    # Straddling cells in threshold-major order, each with its threshold.
+    which, cell = np.nonzero(~(all_below | all_above))
+    radii, angle, weights, owner = _clip(quad, level_field, cell, thresholds[which], keep)
+    nodes = radii * np.exp(1j * _angle_midlines(quad)[angle])
+    bounds = np.searchsorted(which[owner], np.arange(thresholds.size + 1))
+    return [
+        MaskedQuadrature(quad, kept[k], nodes[a:b], weights[a:b], angle[a:b])
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+
+
+def _angle_midlines(quad: AreaQuadrature) -> np.ndarray:
+    """Angle of each angle cell's midline, the angle of its nodes."""
+    return 0.5 * (quad.angle_edges[:-1] + quad.angle_edges[1:])
 
 
 def _cell_extremes(quad: AreaQuadrature, level_field) -> tuple[np.ndarray, np.ndarray]:
@@ -330,34 +354,34 @@ def _cell_extremes(quad: AreaQuadrature, level_field) -> tuple[np.ndarray, np.nd
     return np.max(vals, axis=0), np.min(vals, axis=0)
 
 
-def _clip(quad, level_field, threshold, keep, top, bottom) -> MaskedQuadrature:
-    """quad masked at one threshold, given each cell's largest and smallest field value."""
-    def shifted(z):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(level_field(z, None)) - threshold
+def _clip(quad, level_field, idx, threshold, keep):
+    """The kept pieces of the cells idx, cell k straddling threshold[k].
 
-    # Rounding is monotone and v - t is 0 only at v = t, so comparing a
-    # cell's extremes with t classifies it as its shifted values would.
-    all_below, all_above = top < threshold, bottom >= threshold
-    whole_weights = np.where(all_below if keep == "below" else all_above, quad.weights, 0.0)
-    idx = np.nonzero(~(all_below | all_above))[0]
+    Returns each piece's midpoint radius, angle cell, weight and the
+    position in idx of its cell; pieces follow their cells in order, and
+    within a cell run in increasing radius.
+    """
+    def shifted(z, k):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.asarray(level_field(z, None)) - threshold[k]
+
     n, inner, outer, angle_edges = quad.rings.n_theta, quad.inner, quad.outer, quad.angle_edges
     if not idx.size:
-        return MaskedQuadrature(whole_weights, np.empty(0, dtype=complex), np.empty(0))
+        return np.empty(0), np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int)
     ring, angle = np.divmod(idx, n)
     r0 = inner[ring]
     r1 = outer[ring]
-    th = 0.5 * (angle_edges[:-1] + angle_edges[1:])[angle]
+    th = _angle_midlines(quad)[angle]
     dt_cell = np.diff(angle_edges)[angle]
     # Sample the radial line through each straddling cell and narrow
     # every sign change to the crossing radius.
     frac = np.linspace(0.0, 1.0, _RADIAL_SAMPLES + 1)
     rgrid = r0[:, None] + (r1 - r0)[:, None] * frac[None, :]
-    fgrid = shifted(rgrid * np.exp(1j * th)[:, None])
+    fgrid = shifted(rgrid * np.exp(1j * th)[:, None], np.arange(idx.size)[:, None])
     change = np.sign(fgrid[:, :-1]) != np.sign(fgrid[:, 1:])
     ci, cj = np.nonzero(change)
     roots = _crossings(
-        shifted, rgrid[ci, cj], rgrid[ci, cj + 1], fgrid[ci, cj], fgrid[ci, cj + 1], th[ci]
+        lambda z, k: shifted(z, ci[k]), rgrid[ci, cj], rgrid[ci, cj + 1], fgrid[ci, cj], fgrid[ci, cj + 1], th[ci]
     )
     # Edges of cell k: r0[k], its cuts in increasing order, r1[k].
     order = np.lexsort((roots, ci))
@@ -376,15 +400,17 @@ def _clip(quad, level_field, threshold, keep, top, bottom) -> MaskedQuadrature:
     a, b = np.delete(edges, last), np.delete(edges, first)
     piece_cell = np.repeat(np.arange(idx.size), per_cell + 1)
     rm = 0.5 * (a + b)
-    f_mid = shifted(rm * np.exp(1j * th[piece_cell]))
+    f_mid = shifted(rm * np.exp(1j * th[piece_cell]), piece_cell)
     use = (f_mid < 0.0 if keep == "below" else f_mid >= 0.0) & (b - a > 1e-15)
     rm, width, piece_cell = rm[use], (b - a)[use], piece_cell[use]
-    nodes = rm * np.exp(1j * th[piece_cell])
-    return MaskedQuadrature(whole_weights, nodes, rm * width * dt_cell[piece_cell])
+    return rm, angle[piece_cell], rm * width * dt_cell[piece_cell], piece_cell
 
 
 def _crossings(f, lo, hi, f_lo, f_hi, theta) -> np.ndarray:
     """Radii in [lo, hi] where f(r exp(i theta)) changes sign, one per bracket.
+
+    f is called as f(z, k) with z on the brackets k, so each bracket may
+    carry a field of its own.
 
     Illinois steps: regula falsi, halving the value kept at an endpoint
     that survives two steps in a row, which converges superlinearly
@@ -412,7 +438,7 @@ def _crossings(f, lo, hi, f_lo, f_hi, theta) -> np.ndarray:
         finite = np.isfinite(fa) & np.isfinite(fb) & np.isfinite(x)
         bisect = ~finite | (width[act] > 0.5 * before[0][act])
         x = np.where(bisect, 0.5 * (a + b), x)
-        fx = f(x * unit[act])
+        fx = f(x * unit[act], act)
         left = np.sign(fx) == np.sign(fa)  # x replaces lo
         hit = fx == 0.0
         fb = np.where(left & (moved[act] == -1), 0.5 * fb, fb)

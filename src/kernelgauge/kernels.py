@@ -167,8 +167,7 @@ class Measure:
     """Quadrature points with weight-times-density factors.
 
     rings is the rule's ring x angle structure when the points follow it
-    (see `geometry`), and None for rules without one, such as the clipped
-    pieces of masked ones.
+    (see `geometry`), and None for rules without one.
     """
 
     points: np.ndarray
@@ -208,46 +207,103 @@ def side_measure(config: WeightConfig, side: Side, res: Resolution) -> Measure:
     return area_measure(config, area_quadrature_for(config, res))
 
 
-_RING_CHUNK_BYTES = 8 << 20  # bound on one ring chunk's (rings, nb, nb) intermediate
+# Bound on one ring chunk's spectra: (rings, n_theta // 2 + 1) complex values.
+_SPECTRA_CHUNK_BYTES = 8 << 20
 _DENSE_CHUNK_NODES = 1 << 16  # nodes per block of the dense assembly
 
 
 def gram(basis: BasisDescriptor, measure: Measure) -> HermitianMatrix:
     """Hermitian Gram matrix of the basis under the measure.
 
-    On a ring measure each ring's angular sum is a DFT of its weights:
+    On a ring measure, entry (i, j) depends on the exponents only through
+    sigma = e_i + e_j and delta = e_j - e_i:
 
-        Gram[i,j] = sum_r R[r,i] R[r,j] F_r[e_j - e_i] exp(i (e_j - e_i) theta0),
+        Gram[i,j] = c_ij * mu[sigma, delta] * exp(i delta theta0),
+        mu[sigma, delta] = sum_r P[r, sigma] F_r[delta],
 
-    with R[r,i] = radii[r]^e_i / s_i and F_r = n_theta * ifft(w[r]) read
-    modulo n_theta -- the same discrete sum as the dense path, aliasing
-    included.  Rings are processed in chunks that keep the gathered
-    (rings, nb, nb) array near _RING_CHUNK_BYTES.
+    where P[r, sigma] is the doubled-order basis at radii[r] (r^sigma, or
+    (q/r)^|sigma| for sigma < 0), c_ij = s_sigma / (s_i s_j) <= 1 with s
+    the basis scales, and F_r the DFT of ring r's weights read modulo
+    n_theta -- the same discrete sum as the dense path, aliasing included.
+    mu is built once by one contraction of the power table with the
+    rings' spectra, and all nb^2 entries are read out of it.
 
     Other measures are assembled densely in blocks of _DENSE_CHUNK_NODES
     nodes, so large quadratures never materialize the full basis matrix.
     """
     if measure.rings is None:
         return _dense_gram(basis, measure)
-    return _ring_gram(basis, measure)
-
-
-def _ring_gram(basis: BasisDescriptor, measure: Measure) -> HermitianMatrix:
     rings = measure.rings
+    return _moment_gram(basis, rings, measure.wdensity.reshape(len(rings.radii), rings.n_theta))
+
+
+def _moment_gram(basis: BasisDescriptor, rings: RingGrid, ring_weights: np.ndarray, pieces=None) -> HermitianMatrix:
+    """The Gram of `gram` from real weights (rings, n_theta) on a ring grid.
+
+    pieces, if given, is (radii, angle, weights) of further nodes, node p
+    at radii[p] * exp(i (theta0 + 2 pi angle[p] / n_theta)) on the grid's
+    angle lines.  They are binned by angle into an (n_theta, n_sigma)
+    table of weighted powers, whose DFT adds into the same mu.
+    """
     n = rings.n_theta
     exps = basis.exponents
-    shift = exps[None, :] - exps[:, None]
-    index = shift % n
-    radial = basis.matrix(rings.radii).real
-    w = measure.wdensity.reshape(len(rings.radii), n)
-    nb = len(exps)
-    step = max(1, _RING_CHUNK_BYTES // (16 * nb * nb))
-    m = np.zeros((nb, nb), dtype=complex)
+    with np.errstate(over="ignore"):  # only its powers are read; its scales q^-n may overflow
+        doubled = BasisDescriptor.create(basis.domain, 2 * basis.n_max, basis.z0, basis.k)
+    # F[delta] for delta = 0..span sits in rfft column min(m, n - m), m = delta
+    # mod n, conjugated when m <= n / 2 (real weights: F[-d] = conj(F[d])).
+    shift = np.arange(int(exps.max() - exps.min()) + 1) % n
+    fold = np.minimum(shift, n - shift)
+    sign = np.where(shift <= n // 2, -1.0, 1.0)
+    d = fold.size
+    moments = np.zeros((doubled.exponents.size, 2 * d))
+    step = max(1, _SPECTRA_CHUNK_BYTES // (16 * (n // 2 + 1)))
     for start in range(0, len(rings.radii), step):
         sl = slice(start, start + step)
-        f = n * np.fft.ifft(w[sl], axis=1)
-        m += np.einsum("ri,rj,rij->ij", radial[sl], radial[sl], f[:, index])
-    return HermitianMatrix(m * np.exp(1j * rings.theta0 * shift))
+        spectra = np.fft.rfft(ring_weights[sl], axis=1)[:, fold]
+        # einsum on C-contiguous real arrays: on the annulus_matched 2x rule
+        # (803 rings x 512 angles, nb 65) this (129 x 803) . (803 x 130)
+        # product took 5.8 ms, against 32 ms through @ on OpenBLAS's two
+        # threads and 19 ms by einsum on the strided .real/.imag views.
+        stacked = np.concatenate([spectra.real, spectra.imag], axis=1)
+        moments += np.einsum("rs,rd->sd", _powers(doubled, rings.radii[sl]), stacked)
+    if pieces is not None:
+        radii, angle, weights = pieces
+        ns = doubled.exponents.size
+        slots = (angle[:, None] * ns + np.arange(ns)).ravel()
+        binned = weights[:, None] * _powers(doubled, radii)
+        table = np.bincount(slots, weights=binned.ravel(), minlength=n * ns).reshape(n, ns)
+        spectra = np.fft.rfft(table, axis=0)[fold]
+        moments[:, :d] += spectra.real.T
+        moments[:, d:] += spectra.imag.T
+    mu = moments[:, :d] + 1j * (sign * moments[:, d:])
+    # Column of each sum sigma in the doubled basis.
+    low = int(doubled.exponents.min())
+    column = np.empty(int(doubled.exponents.max()) - low + 1, dtype=int)
+    column[doubled.exponents - low] = np.arange(doubled.exponents.size)
+    sigma = exps[:, None] + exps[None, :]
+    delta = exps[None, :] - exps[:, None]
+    upper = mu[column[sigma - low], np.abs(delta)] * np.exp(1j * rings.theta0 * np.abs(delta))
+    upper = upper * _coupling(basis, sigma)
+    return HermitianMatrix(np.where(delta < 0, upper.conj(), upper))
+
+
+def _powers(doubled: BasisDescriptor, radii: np.ndarray) -> np.ndarray:
+    """The doubled basis at real radii, each entry in [0, 1], subnormals set to 0.
+
+    Disc patch radii reach 1e-9, whose high powers are subnormal; they
+    add nothing at double precision but slow every product they enter.
+    """
+    p = np.ascontiguousarray(doubled.matrix(radii).real)
+    p[p < np.finfo(float).tiny] = 0.0
+    return p
+
+
+def _coupling(basis: BasisDescriptor, sigma: np.ndarray):
+    """c_ij = s_sigma / (s_i s_j), a power of q, formed without the scales (q^-n overflows)."""
+    if basis.domain.kind == "disc":
+        return 1.0
+    depth = np.maximum(-basis.exponents, 0)
+    return basis.domain.q ** (depth[:, None] + depth[None, :] - np.maximum(-sigma, 0)).astype(float)
 
 
 def _dense_gram(basis: BasisDescriptor, measure: Measure) -> HermitianMatrix:

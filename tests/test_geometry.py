@@ -176,8 +176,10 @@ def _mask_counted(aq, field, thresholds, keep):
     """mask_quadrature, checking how it calls the level field.
 
     Corners and nodes take two calls for all thresholds; radial samples,
-    crossing steps and piece midpoints take at most 28 per threshold.
-    Only the corner grid and the rule's own nodes arrive as ring grids.
+    crossing steps and piece midpoints take at most 28 per mask call,
+    whatever the number of thresholds.  Only the corner grid and the
+    rule's own nodes arrive as ring grids.  Every piece's angle index
+    gives its node.
     """
     calls = []
 
@@ -187,11 +189,30 @@ def _mask_counted(aq, field, thresholds, keep):
 
     masks = mask_quadrature(aq, counted, thresholds, keep=keep)
     assert len(masks) == len(thresholds)
-    assert len(calls) <= 2 + 28 * len(thresholds)
     grids = [r for r in calls if r is not None]
+    assert len(calls) - len(grids) <= 28
     assert len(grids) == 2 and grids[1] is aq.rings
     assert grids[0].n_theta == aq.rings.n_theta and grids[0].theta0 == 0.0
+    for masked in masks:
+        _assert_angles_give_nodes(aq, masked)
     return masks
+
+
+def _assert_angles_give_nodes(aq, masked):
+    """Piece p lies on the parent angle line theta0 + 2 pi angle[p] / n_theta.
+
+    That line is the midline of angle cell angle[p] to within 1 ulp of
+    2 pi, and the node is its modulus times exp(i midline) up to the few
+    roundings of forming the node and of this check.
+    """
+    rings = aq.rings
+    assert masked.angle.dtype.kind == "i" and masked.angle.shape == masked.nodes.shape
+    assert np.all((0 <= masked.angle) & (masked.angle < rings.n_theta))
+    line = rings.theta0 + 2.0 * np.pi * masked.angle / rings.n_theta
+    midline = 0.5 * (aq.angle_edges[:-1] + aq.angle_edges[1:])[masked.angle]
+    assert np.all(np.abs(midline - line) <= np.spacing(2.0 * np.pi))
+    r = np.abs(masked.nodes)
+    assert np.all(np.abs(r * np.exp(1j * midline) - masked.nodes) <= 4.0 * np.finfo(float).eps * r)
 
 
 def _assert_crossings_exact(aq, masked, side, exact):
@@ -228,7 +249,7 @@ def test_mask_disc_sublevel_exact():
     # One call on both thresholds gives the one-threshold rules bit for bit.
     for together, threshold in zip((below, mid), (-1.0, -0.5)):
         (alone,) = _mask_counted(aq, field, [threshold], "below")
-        for name in ("whole_weights", "nodes", "weights"):
+        for name in ("kept", "nodes", "weights", "angle"):
             assert np.array_equal(getattr(together, name), getattr(alone, name))
 
 
@@ -291,8 +312,8 @@ def test_mask_whole_cells_do_not_depend_on_rings():
     for aq, field, threshold, keep in cases:
         (on_rings,) = mask_quadrature(aq, field, [threshold], keep=keep)
         (pointwise,) = mask_quadrature(aq, lambda z, rings=None: field(z), [threshold], keep=keep)
-        assert 0 < np.count_nonzero(on_rings.whole_weights) < aq.nodes.size
-        assert np.array_equal(on_rings.whole_weights, pointwise.whole_weights)
+        assert 0 < np.count_nonzero(on_rings.kept) < aq.nodes.size
+        assert np.array_equal(on_rings.kept, pointwise.kept)
         # The pieces come from point calls in both, so they agree as well.
         assert np.array_equal(on_rings.nodes, pointwise.nodes)
         assert np.array_equal(on_rings.weights, pointwise.weights)

@@ -92,18 +92,17 @@ MASK_CASES = [
 @pytest.mark.parametrize("keep,t", [("below", 0.0), ("below", 0.6), ("above", 0.6)])
 @pytest.mark.parametrize("domain,z0,u", MASK_CASES, ids=["disc-center", "disc-off", "annulus", "annulus-off"])
 def test_masked_gram_rings_match_dense(domain, z0, u, keep, t):
-    # Whole cells by the ring FFT plus clipped pieces densely equals the
-    # dense Gram of the same masked rule, as in test_ring_gram_matches_dense.
+    # Whole cells and clipped pieces in one table of radial moments equal
+    # the dense Gram of the same masked rule, as in test_ring_gram_matches_dense.
     cfg = _cfg(domain, z0, u=u, c=CProfile.exp_delta(-0.4))
     aq = area_quadrature_for(cfg, MASK_RES)
-    (masked,) = _sublevel_masks(cfg, aq, [t], keep)
-    kept = masked.whole_weights != 0.0
+    (masked,) = _sublevel_masks(cfg, aq, cfg.two_psi(aq.nodes, aq.rings), [t], keep)
+    kept = masked.kept
     whole = np.count_nonzero(kept)
     if t == 0.0:
         assert whole == aq.nodes.size and masked.nodes.size == 0
     else:
         assert 0 < whole < aq.nodes.size and masked.nodes.size > 0
-    assert np.array_equal(masked.whole_weights[kept], aq.weights[kept])
     # The same rule written out flat: the kept parent cells, then the pieces.
     nodes = np.concatenate([aq.nodes[kept], masked.nodes])
     weights = np.concatenate([aq.weights[kept], masked.weights])
@@ -117,6 +116,36 @@ def test_masked_gram_rings_match_dense(domain, z0, u, keep, t):
         flat = np.sum(weights * density(nodes))
         on_rings = masked.integrate(density(aq.nodes, aq.rings), density(masked.nodes))
         assert on_rings == pytest.approx(flat, rel=1e-13, abs=0.0)
+
+
+def test_green_evaluated_once_per_check(monkeypatch):
+    # 2 psi, phi and rho on the parent area rule come from one evaluation
+    # of G per check, which the mask's node call reuses.  The shell adds
+    # the one in its g_of_t(config, 0) call.  phi carries a_g G here.
+    from kernelgauge.potential import GreenFunctionRep
+
+    calls = []
+    value = GreenFunctionRep.value
+
+    def counted(self, z, rings=None):
+        # Area rules have theta0 = pi / n_theta; corner grids and boundary rules 0.
+        if rings is not None and rings.theta0 != 0.0:
+            calls.append(rings.radii.size * rings.n_theta)
+        return value(self, z, rings)
+
+    monkeypatch.setattr(GreenFunctionRep, "value", counted)
+    cfg = _cfg(annulus(0.25), 0.5, p0=0.75, a_g=0.5, u=MATCHED_U)
+    res = Resolution(basis_schedule=(4, 8), boundary_nodes=64, radial_cells=48, angular_cells=40,
+                     patch_levels=12, patch_panels=2)
+    nodes = area_quadrature_for(cfg, res).nodes.size
+    g_curve(cfg, [0.0, 0.3, 0.6], res)
+    assert calls == [nodes]
+    calls.clear()
+    boundary_limit_check(cfg, lambda z, rings=None: np.ones(np.shape(z)), res=res)
+    assert calls == [nodes]
+    calls.clear()
+    shell_identity_check(cfg, CProfile.constant_one(), 0.6, 0.3, res=res)
+    assert calls == [nodes, nodes]
 
 
 def test_empty_sublevel(monkeypatch):

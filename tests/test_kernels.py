@@ -86,6 +86,13 @@ def test_gram_positive_definite_and_hermitian():
     assert eigs[0] > 0.0
 
 
+def _assert_moment_gram_matches_dense(basis, measure):
+    moments = gram(basis, measure).entries
+    dense = gram(basis, dataclasses.replace(measure, rings=None)).entries
+    assert np.all(np.isfinite(moments))
+    assert np.max(np.abs(moments - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
 RING_RES = Resolution(basis_schedule=(4, 8), boundary_nodes=40, radial_cells=48, angular_cells=40,
                       patch_levels=12, patch_panels=2)
 RING_CASES = [
@@ -110,9 +117,44 @@ def test_ring_gram_matches_dense(domain, z0, u, side, factor, k):
     else:
         # The graded patch ring adds rings to the global radial grid.
         assert len(measure.rings.radii) > res.radial_cells
-    ring = gram(basis, measure).entries
-    dense = gram(basis, dataclasses.replace(measure, rings=None)).entries
-    assert np.max(np.abs(ring - dense)) <= 1e-13 * np.max(np.abs(dense))
+    _assert_moment_gram_matches_dense(basis, measure)
+
+
+def test_moment_gram_deep_annulus_stays_finite():
+    # (r / sqrt(q))^sigma would overflow here (n_max ln(1/q) = 737); the
+    # scaled power table and couplings c_ij <= 1 stay finite, although the
+    # basis scales q^-n themselves overflow.
+    domain = annulus(0.01)
+    cfg = _cfg(domain, 0.3, u=HarmonicFunctionRep.log_mode(-0.5))
+    with np.errstate(over="ignore"):
+        basis = BasisDescriptor.create(domain, 160, 0.3, 0)
+    aq = area_quadrature(domain, 0.3, 48, 64, patch_radius=0.0)
+    _assert_moment_gram_matches_dense(basis, area_measure(cfg, aq))
+    _assert_moment_gram_matches_dense(basis, boundary_measure(cfg, boundary_quadrature(domain, 384)))
+
+
+def test_moment_gram_subnormal_powers():
+    # The patch ring at the disc center reaches 5e-10, so the power table
+    # r^sigma passes through the subnormal range there.
+    cfg = _cfg(disc(), 0.0, c=CProfile.exp_delta(-0.4))
+    aq = area_quadrature(disc(), 0.0, 64, 96, patch_levels=56)
+    inner = np.min(aq.rings.radii)
+    assert inner < 1e-9
+    powers = inner ** np.arange(65.0)
+    assert np.any((powers > 0.0) & (powers < np.finfo(float).tiny))
+    _assert_moment_gram_matches_dense(BasisDescriptor.create(disc(), 32, 0.0, 0), area_measure(cfg, aq))
+
+
+@pytest.mark.parametrize("n_theta", [8, 12, 16, 24, 32])
+@pytest.mark.parametrize("domain", [disc(), annulus(0.25)], ids=["disc", "annulus"])
+def test_moment_gram_aliases_as_the_dense_sum(domain, n_theta):
+    # With n_theta <= 4 n_max, exponent differences alias modulo n_theta;
+    # the moment Gram keeps the aliasing of the dense sum.
+    cfg = _cfg(domain, 0.5, u=HarmonicFunctionRep.from_coefficients(0.1, {1: 0.2j}))
+    basis = BasisDescriptor.create(domain, 8, 0.5, 0)
+    aq = area_quadrature(domain, 0.5, 24, n_theta, patch_radius=0.0)
+    _assert_moment_gram_matches_dense(basis, area_measure(cfg, aq))
+    _assert_moment_gram_matches_dense(basis, boundary_measure(cfg, boundary_quadrature(domain, max(n_theta, 8))))
 
 
 def test_masked_rule_gram_is_dense_and_exact():
@@ -122,7 +164,7 @@ def test_masked_rule_gram_is_dense_and_exact():
     rho = 0.6
     aq = area_quadrature(disc(), 0.0, 2048, 32, patch_radius=0.0)
     (masked,) = mask_quadrature(aq, lambda z, rings=None: np.log(np.abs(z)), [math.log(rho)])
-    kept = masked.whole_weights != 0.0
+    kept = masked.kept
     nodes = np.concatenate([aq.nodes[kept], masked.nodes])
     weights = np.concatenate([aq.weights[kept], masked.weights])
     basis = BasisDescriptor.create(disc(), 4, 0.0, 0)
