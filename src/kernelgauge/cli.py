@@ -44,7 +44,6 @@ _SCHEMA = {
         "radial_cells",
         "angular_cells",
         "patch_levels",
-        "patch_panels",
         "patch_radius",
         "refine_quadrature",
         "tol_eq",
@@ -180,7 +179,7 @@ def build_resolution(doc: dict, domain: DomainSpec) -> Resolution:
         if not (isinstance(sched, list) and all(isinstance(v, int) for v in sched) and len(sched) >= 2):
             raise ScenarioError("'run.basis_schedule' must be a list of >= 2 integers")
         kwargs["basis_schedule"] = tuple(sched)
-    for key in ("boundary_nodes", "radial_cells", "angular_cells", "patch_levels", "patch_panels"):
+    for key in ("boundary_nodes", "radial_cells", "angular_cells", "patch_levels"):
         if key in run:
             kwargs[key] = int(_require_number(run, key, "run"))
     if "patch_radius" in run:

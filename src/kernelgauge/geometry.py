@@ -1,19 +1,21 @@
 """Disc and annulus domains with boundary and area quadrature rules.
 
 Boundary integrals use the periodic trapezoid rule, which is spectrally
-accurate for integrands analytic in the angle.  Area integrals use a
-midpoint rule on polar cells.  Cell nodes sit at the radial midpoint
-(inner+outer)/2, which makes the rule exact for the Jacobian factor r, so the
-cell weights sum to the domain area at machine precision regardless of
-how the radial edges are graded.
+accurate for integrands analytic in the angle.  Area integrals use polar
+cells, each node weighted by its cell's area (outer^2 - inner^2) / 2 *
+dtheta, so the weights sum to the domain area at machine precision.  On
+the global grid a node sits at its cell's radial midpoint, which makes
+the rule exact for the Jacobian factor r.
 
 A locally refined ring of cells passes through a marked interior point
 z0: its outer radii are snapped to global grid lines (so the cells tile
-the domain with no overlap), its interior radii are geometrically graded
-toward |z0|, and its angular grid coincides with the global one.  The
-grading resolves integrable radial densities behaving like
-|z - z0|^(2*beta), beta > -1, while the uniform angular structure keeps
-the trapezoid-exact orthogonality of Laurent monomials intact.
+the domain with no overlap), and its angular grid coincides with the
+global one.  Inside it, Gauss-Legendre panels in r are geometrically
+graded toward |z0|, and each Gauss node owns the cell whose area is its
+weight for r dr.  The grading resolves integrable radial densities
+behaving like |z - z0|^(2*beta), beta > -1, at a rate exponential in the
+number of Gauss points, while the uniform angular structure keeps the
+trapezoid-exact orthogonality of Laurent monomials intact.
 
 Every rule here is stored in its product form: a set of rings times one
 uniform angle grid of n_theta angles, recorded as a `RingGrid`.  Node j
@@ -35,6 +37,7 @@ of a parent cell whose angle index it records.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -43,7 +46,9 @@ import numpy as np
 from .errors import PatchTooLarge
 
 _TWO_PI = 2.0 * np.pi
-_PATCH_GRADING = 0.7  # width ratio of consecutive refinement levels toward |z0|
+_PATCH_GRADING = 0.7  # depth ratio of one refinement level toward |z0|
+_PANEL_RATIO = 0.25  # smallest width ratio of consecutive Gauss panels of the ring
+_PANEL_GAUSS = 8  # Gauss-Legendre radii per panel of the ring
 _RADIAL_SAMPLES = 12  # field samples along the midline of a straddling cell
 
 
@@ -139,7 +144,7 @@ def boundary_quadrature(domain: DomainSpec, nodes_per_component: int) -> Boundar
 
 @dataclass(frozen=True)
 class AreaQuadrature:
-    """Midpoint rule on polar cells.
+    """Product rule on polar cells, each node weighted by its cell's area.
 
     Ring r spans [inner[r], outer[r]] (rings in build order, not sorted by
     radius) and angle cell j spans [angle_edges[j], angle_edges[j + 1]].
@@ -157,32 +162,54 @@ class AreaQuadrature:
 
 
 def _graded_edges(lo: float, hi: float, pivot: float, levels: int) -> np.ndarray:
-    """Edge sequence on [lo, hi] geometrically refined toward pivot."""
+    """Panel edges on [lo, hi] geometrically graded toward pivot.
+
+    Each side of pivot is cut down to depth _PATCH_GRADING ** levels of
+    its width, by panels of one common width ratio no smaller than
+    _PANEL_RATIO, and a last panel runs on to pivot.
+    """
+    panels = max(1, int(np.ceil(levels * np.log(_PATCH_GRADING) / np.log(_PANEL_RATIO) - 1e-9)))
+    depth = _PATCH_GRADING ** (levels * np.arange(panels + 1) / panels)
     pieces = [np.array([pivot])]
     if pivot - lo > 1e-15:
-        left = pivot - (pivot - lo) * _PATCH_GRADING ** np.arange(levels + 1, dtype=float)
+        left = pivot - (pivot - lo) * depth
         left[0] = lo
         pieces.insert(0, left)
     if hi - pivot > 1e-15:
-        right = pivot + (hi - pivot) * _PATCH_GRADING ** np.arange(levels, -1, -1, dtype=float)
+        right = pivot + (hi - pivot) * depth[::-1]
         right[-1] = hi
         pieces.append(right)
     return np.unique(np.concatenate(pieces))
 
 
-def _subdivide(edges: np.ndarray, spacing: float, min_panels: int = 1) -> np.ndarray:
-    """Split every interval into max(min_panels, ceil(width/spacing)) panels.
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
-    The spacing cap keeps refined cells no coarser than the surrounding
-    global grid (smooth-density accuracy); min_panels > 1 additionally
-    enforces a constant relative width on geometric levels, which is what
-    controls the midpoint error on |z - z0|^(2*beta) profiles.
+
+def _gauss_rings(edges: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre radii on every panel of edges, and the edges of their cells.
+
+    A panel gets _PANEL_GAUSS points, or one per three global spacings if
+    it is wider.  Node i of a panel [a, b] with Gauss weight w_i for r dr
+    owns the cell [e_i, e_(i+1)], e_0 = a and e_(i+1)^2 = e_i^2 + 2 w_i, so
+    its cell's area is its weight.  Gauss rules integrate r exactly, so
+    the cells tile the panel: the last edge is b up to rounding and is set
+    to b.
     """
-    out = [edges[:1]]
+    radii, cell_edges = [], [edges[:1]]
     for a, b in zip(edges[:-1], edges[1:]):
-        n = max(min_panels, int(np.ceil((b - a) / spacing - 1e-12)))
-        out.append(a + (b - a) * np.arange(1, n + 1) / n)
-    return np.concatenate(out)
+        x, w = _gauss_legendre(max(_PANEL_GAUSS, int(np.ceil((b - a) / (3.0 * spacing) - 1e-12))))
+        r = 0.5 * (a + b) + 0.5 * (b - a) * x
+        area = (b - a) * np.cumsum(w * r)  # twice the r dr weights of the nodes so far
+        e = a + area / (a + np.sqrt(a * a + area))  # e^2 - a^2 = area, without cancellation
+        e[-1] = b
+        radii.append(r)
+        cell_edges.append(e)
+    return np.concatenate(radii), np.concatenate(cell_edges)
 
 
 def area_quadrature(
@@ -192,14 +219,14 @@ def area_quadrature(
     angular_cells: int,
     patch_radius: float | None = None,
     patch_levels: int = 48,
-    patch_panels: int = 20,
 ) -> AreaQuadrature:
     """Polar-cell quadrature with a radially graded refinement ring at z0.
 
     The annulus radial grid is geometric (uniform in log r) so Laurent
     modes are resolved evenly at both circles; the disc grid is uniform.
-    patch_radius = 0 skips the ring entirely (best for densities smooth
-    on the closed domain).
+    The ring's Gauss panels reach down to depth 0.7 ** patch_levels of
+    its width on either side of |z0|.  patch_radius = 0 skips the ring
+    entirely (best for densities smooth on the closed domain).
     """
     if not domain.contains(z0, margin=1e-9):
         raise ValueError(f"z0={z0} is not interior to the domain")
@@ -216,10 +243,9 @@ def area_quadrature(
     clearance = domain.boundary_clearance(z0)
     if patch_radius is None:
         patch_radius = min(0.5 * clearance, 0.25)
-    if patch_radius == 0.0:
-        # No refinement block: plain global grid (smooth densities).
-        inner, outer = global_r[:-1], global_r[1:]
-    else:
+    inner, outer = global_r[:-1], global_r[1:]
+    radii = 0.5 * (inner + outer)
+    if patch_radius != 0.0:
         if patch_radius >= clearance:
             raise PatchTooLarge(
                 f"patch radius {patch_radius:.4g} reaches the boundary "
@@ -227,8 +253,8 @@ def area_quadrature(
             )
 
         # Snap the patch band to global radial grid lines so the tiling is
-        # exact.  The patch is a full ring: radii geometrically graded toward
-        # |z0| (putting z0 on a radial edge, so no quadrature node ever
+        # exact.  The patch is a full ring: Gauss panels geometrically graded
+        # toward |z0| (putting z0 on a panel edge, so no quadrature node ever
         # coincides with it) while angles stay on the global uniform grid.
         # Keeping the angular structure uniform at every radius preserves the
         # exact angular orthogonality of monomial products; the radial
@@ -241,19 +267,18 @@ def area_quadrature(
 
         pivot_r = min(max(s, ra), rb)
         spacing_r = float(np.min(np.diff(global_r[i0 : i1 + 1])))
-        pr_edges = _subdivide(
-            _graded_edges(ra, rb, pivot_r, patch_levels), spacing_r, patch_panels
-        )
+        pr, pe = _gauss_rings(_graded_edges(ra, rb, pivot_r, patch_levels), spacing_r)
         # Global rings outside the band first, then the patch rings.
         keep_r = np.concatenate([np.arange(0, i0), np.arange(i1, radial_cells)])
-        inner = np.concatenate([global_r[keep_r], pr_edges[:-1]])
-        outer = np.concatenate([global_r[keep_r + 1], pr_edges[1:]])
+        inner = np.concatenate([inner[keep_r], pe[:-1]])
+        outer = np.concatenate([outer[keep_r], pe[1:]])
+        radii = np.concatenate([radii[keep_r], pr])
 
-    rmid = 0.5 * (inner + outer)
     tmid = 0.5 * (global_t[:-1] + global_t[1:])
-    weights = np.outer(rmid * (outer - inner), np.diff(global_t)).ravel()
-    nodes = np.outer(rmid, np.exp(1j * tmid)).ravel()
-    rings = RingGrid(rmid, angular_cells, np.pi / angular_cells)
+    # Each weight is its cell's area, (outer^2 - inner^2) / 2 * dtheta.
+    weights = np.outer(0.5 * (inner + outer) * (outer - inner), np.diff(global_t)).ravel()
+    nodes = np.outer(radii, np.exp(1j * tmid)).ravel()
+    rings = RingGrid(radii, angular_cells, np.pi / angular_cells)
     return AreaQuadrature(nodes, weights, inner, outer, global_t, rings)
 
 

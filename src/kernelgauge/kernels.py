@@ -56,7 +56,6 @@ class Resolution:
     radial_cells: int = 256
     angular_cells: int = 256
     patch_levels: int = 48
-    patch_panels: int = 16
     patch_radius: float | None = None
     refine_quadrature: bool = True
 
@@ -75,15 +74,15 @@ class Resolution:
     @staticmethod
     def for_domain(domain: DomainSpec) -> "Resolution":
         if domain.kind == "annulus":
-            # Annulus base points sit off-center, where the refinement ring
-            # pays per-angle cost; keep it light (densities from the weight
-            # families are smooth there unless a_g > 0).
+            # Annulus base points sit off-center, where every ring of the
+            # refinement band costs a full angle grid; a shallower band
+            # suffices (densities from the weight families are smooth there
+            # unless a_g > 0).
             return Resolution(
                 boundary_nodes=512,
                 radial_cells=320,
                 angular_cells=256,
                 patch_levels=32,
-                patch_panels=2,
             )
         return Resolution()
 
@@ -192,7 +191,6 @@ def area_quadrature_for(config: WeightConfig, res: Resolution) -> AreaQuadrature
         res.angular_cells,
         patch_radius=res.patch_radius,
         patch_levels=res.patch_levels,
-        patch_panels=res.patch_panels,
     )
 
 

@@ -102,7 +102,7 @@ def test_ac03_annulus_strictness():
     start = time.time()
     res = Resolution(basis_schedule=(8, 16, 32), boundary_nodes=512,
                      radial_cells=320, angular_cells=256,
-                     patch_levels=32, patch_panels=2)
+                     patch_levels=32)
     report = verify_main(_cfg(annulus(0.25), 0.5), res)
     elapsed = time.time() - start
     margin = report.ratio - 1.0
@@ -124,7 +124,7 @@ def test_ac03_annulus_strictness():
 def test_ac04_annulus_extended_equality():
     res = Resolution(basis_schedule=(8, 16, 32), boundary_nodes=512,
                      radial_cells=320, angular_cells=256,
-                     patch_levels=32, patch_panels=2)
+                     patch_levels=32)
     matched = _cfg(annulus(0.25), 0.5, u=HarmonicFunctionRep.log_mode(-0.5))
     report = verify_main(matched, res)
     f0 = f0_construct(matched)
@@ -172,7 +172,7 @@ def test_ac06_minimal_integral_linearity():
     crv = g_curve(_cfg(disc(), 0.0), [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5], res)
     disc_gap = float(np.max(np.abs(crv.g_upper - PI * np.exp(-crv.t))))
     res_a = Resolution(basis_schedule=(8, 16), boundary_nodes=256, radial_cells=256,
-                       angular_cells=256, patch_levels=32, patch_panels=2)
+                       angular_cells=256, patch_levels=32)
     matched = _cfg(annulus(0.25), 0.5, u=HarmonicFunctionRep.log_mode(-0.5))
     crv_a = g_curve(matched, [0.0, 0.3, 0.6, 0.9, 1.2], res_a)
     ok = disc_gap < 1e-3 * PI and crv_a.linear_residual < 1e-3 * crv_a.g0
@@ -220,7 +220,7 @@ def test_ac09_reproducing_suite():
     disc_res = Resolution(basis_schedule=(8, 16), radial_cells=256, angular_cells=128,
                           boundary_nodes=256, refine_quadrature=False)
     ann_res = Resolution(basis_schedule=(8, 16), boundary_nodes=512, radial_cells=256,
-                         angular_cells=256, patch_levels=32, patch_panels=2,
+                         angular_cells=256, patch_levels=32,
                          refine_quadrature=False)
     for domain, z0, res, exponents in (
         (disc(), 0.5, disc_res, range(0, 9)),
@@ -269,7 +269,7 @@ def test_ac11_structural_suites():
     cfg = _cfg(annulus(0.25), 0.5, u=HarmonicFunctionRep.from_coefficients(0.2, {1: 0.1}))
     basis = BasisDescriptor.create(annulus(0.25), 12, 0.5, 0)
     m = gram(basis, area_measure(cfg, area_quadrature_for(
-        cfg, Resolution(radial_cells=128, angular_cells=96, patch_levels=24, patch_panels=2)
+        cfg, Resolution(radial_cells=128, angular_cells=96, patch_levels=24)
     ))).entries
     checks.append(("gram_hermitian", float(np.max(np.abs(m - m.conj().T))) == 0.0))
     checks.append(("gram_pd", float(np.linalg.eigvalsh(m)[0]) > 0.0))

@@ -67,6 +67,8 @@ def test_verify_unknown_key(tmp_path, capsys):
         ({"weight": {**weight, "typo_key": 1}}, "typo_key"),
         # The refinement grading is a fixed constant, no longer a run key.
         ({"weight": weight, "run": {"patch_grading": 0.7}}, "patch_grading"),
+        # So are the refinement ring's Gauss panels.
+        ({"weight": weight, "run": {"patch_panels": 16}}, "patch_panels"),
     ):
         doc = {"domain": {"kind": "disc"}, "point": {"z0": 0.0}, **extra}
         code = main(["verify", _write(tmp_path, doc)])

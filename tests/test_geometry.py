@@ -3,6 +3,7 @@ import pytest
 
 from kernelgauge import (
     PatchTooLarge,
+    Resolution,
     annulus,
     area_quadrature,
     boundary_quadrature,
@@ -91,14 +92,17 @@ def test_area_rule_is_ring_major_product(domain, z0, patch_radius):
         assert rings > radial
     else:
         assert rings == radial
-    rmid = 0.5 * (aq.inner + aq.outer)
+    radii = aq.rings.radii
+    area = 0.5 * (aq.inner + aq.outer) * (aq.outer - aq.inner)
     tmid = 0.5 * (aq.angle_edges[:-1] + aq.angle_edges[1:])
-    assert np.array_equal(aq.rings.radii, rmid)
-    assert np.array_equal(aq.nodes.reshape(rings, angular), np.outer(rmid, np.exp(1j * tmid)))
-    assert np.array_equal(
-        aq.weights.reshape(rings, angular),
-        np.outer(rmid * (aq.outer - aq.inner), np.diff(aq.angle_edges)),
-    )
+    assert np.array_equal(aq.nodes.reshape(rings, angular), np.outer(radii, np.exp(1j * tmid)))
+    # Each weight is its cell's area, (outer^2 - inner^2) / 2 * dtheta, and
+    # each node lies inside its cell: at its midpoint on the global rings,
+    # at a Gauss point on the refinement ring.
+    assert np.array_equal(aq.weights.reshape(rings, angular), np.outer(area, np.diff(aq.angle_edges)))
+    assert np.all((aq.inner < radii) & (radii < aq.outer))
+    if patch_radius == 0.0:
+        assert np.array_equal(radii, 0.5 * (aq.inner + aq.outer))
     # The rings tile [inner radius, 1] and the angle edges split [0, 2 pi]
     # uniformly, with node j of every ring at theta0 + 2 pi j / n_theta.
     order = np.argsort(aq.inner)
@@ -110,6 +114,14 @@ def test_area_rule_is_ring_major_product(domain, z0, patch_radius):
     assert np.max(np.abs(np.exp(1j * tmid) - np.exp(1j * theta))) < 1e-14
 
 
+def test_refinement_ring_is_light():
+    # The default disc rule at 192 x 160: the graded ring's Gauss panels
+    # take at most a third of the 928 rings its midpoint sub-panels took.
+    res = Resolution(radial_cells=192, angular_cells=160)
+    aq = area_quadrature(disc(), 0.0, res.radial_cells, res.angular_cells, patch_levels=res.patch_levels)
+    assert len(aq.inner) <= 928 // 3
+
+
 def test_area_inverse_radius():
     aq = area_quadrature(disc(), 0.0, 256, 64)
     val = aq.integrate(1.0 / np.abs(aq.nodes))
@@ -119,15 +131,15 @@ def test_area_inverse_radius():
 def test_area_singular_radial_profiles():
     # |z|^(2 beta) against the closed form 2 pi / (2 beta + 2).  The
     # default grading handles every profile the weight families generate
-    # (beta >= -0.6) at 1e-6.
+    # (beta >= -0.6), and -0.7, at 1e-6.
     aq = area_quadrature(disc(), 0.0, 512, 48)
-    for beta in (-0.3, -0.5, -0.6):
+    for beta in (-0.3, -0.5, -0.6, -0.7):
         val = aq.integrate(np.abs(aq.nodes) ** (2 * beta))
         exact = TWO_PI / (2 * beta + 2)
         assert abs(val / exact - 1.0) < 1e-6, f"beta={beta}"
-    # Near the integrability edge the ring depth and panel count must
-    # grow like 1/(beta+1); demonstrate convergence there explicitly.
-    deep = area_quadrature(disc(), 0.0, 512, 16, patch_levels=260, patch_panels=96)
+    # Near the integrability edge the ring depth must grow like
+    # 1/(beta+1); demonstrate convergence there explicitly.
+    deep = area_quadrature(disc(), 0.0, 512, 16, patch_levels=260)
     val = deep.integrate(np.abs(deep.nodes) ** (2 * -0.9))
     exact = TWO_PI / (2 * -0.9 + 2)
     assert abs(val / exact - 1.0) < 1e-6
@@ -302,7 +314,7 @@ def test_mask_whole_cells_do_not_depend_on_rings():
 
     cfg = WeightConfig(annulus(0.25), -0.3 + 0.55j, 0, PsiSpec(1.0, 0.0),
                        PhiSpec(0.0, HarmonicFunctionRep.zero()), CProfile.constant_one())
-    ann = area_quadrature(annulus(0.25), cfg.z0, 96, 64, patch_levels=12, patch_panels=2)
+    ann = area_quadrature(annulus(0.25), cfg.z0, 96, 64, patch_levels=12)
     # The disc's corner grid has a ring of radius 0; the constant term must
     # still count there.
     u = HarmonicFunctionRep.from_coefficients(0.0, {0: 0.3, 1: 0.1 - 0.2j})

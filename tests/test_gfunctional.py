@@ -43,7 +43,7 @@ def _cfg(domain, z0, k=0, p0=1.0, eps=0.0, a_g=0.0, u=None, c=None):
 DISC_RES = Resolution(basis_schedule=(8, 16), radial_cells=192, angular_cells=128)
 ANN_RES = Resolution(
     basis_schedule=(8, 16), boundary_nodes=256, radial_cells=256, angular_cells=256,
-    patch_levels=32, patch_panels=2,
+    patch_levels=32,
 )
 MATCHED_U = HarmonicFunctionRep.log_mode(-0.5)
 
@@ -80,7 +80,7 @@ def test_g_reciprocal_of_bergman():
     assert g0 * b.value == pytest.approx(1.0, rel=1e-6 + b.total_estimate / b.value)
 
 
-MASK_RES = Resolution(basis_schedule=(4, 8), radial_cells=48, angular_cells=40, patch_levels=12, patch_panels=2)
+MASK_RES = Resolution(basis_schedule=(4, 8), radial_cells=48, angular_cells=40, patch_levels=12)
 MASK_CASES = [
     (disc(), 0.0, HarmonicFunctionRep.from_coefficients(0.0, {1: 0.2 + 0.1j})),
     (disc(), 0.45 + 0.2j, HarmonicFunctionRep.from_coefficients(0.0, {2: -0.1j})),
@@ -136,7 +136,7 @@ def test_green_evaluated_once_per_check(monkeypatch):
     monkeypatch.setattr(GreenFunctionRep, "value", counted)
     cfg = _cfg(annulus(0.25), 0.5, p0=0.75, a_g=0.5, u=MATCHED_U)
     res = Resolution(basis_schedule=(4, 8), boundary_nodes=64, radial_cells=48, angular_cells=40,
-                     patch_levels=12, patch_panels=2)
+                     patch_levels=12)
     nodes = area_quadrature_for(cfg, res).nodes.size
     g_curve(cfg, [0.0, 0.3, 0.6], res)
     assert calls == [nodes]
@@ -196,7 +196,7 @@ def test_g_curve_detects_strong_concavity():
     # like |z - z0|^-1 there, bending the curve far from the secant.
     res = Resolution(
         basis_schedule=(8, 16), boundary_nodes=256, radial_cells=256, angular_cells=256,
-        patch_levels=48, patch_panels=8,
+        patch_levels=48,
     )
     crv = g_curve(_cfg(annulus(0.25), 0.5, a_g=1.0), [0.0, 0.3, 0.6, 0.9, 1.2], res)
     assert crv.linear_residual > 100.0 * 1e-3 * crv.g0
@@ -257,7 +257,7 @@ def test_f0_requires_equality_shape():
 def test_f0_agrees_with_szego_section_on_boundary():
     cfg = _cfg(annulus(0.25), 0.5, u=MATCHED_U)
     res = Resolution(basis_schedule=(16, 32, 48), boundary_nodes=512, radial_cells=320,
-                     angular_cells=256, patch_levels=32, patch_panels=2)
+                     angular_cells=256, patch_levels=32)
     sec = kernel_section(cfg, "szego", res)
     theta = 2 * PI * np.arange(32) / 32
     for radius in (1.0, 0.25):

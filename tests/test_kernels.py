@@ -42,7 +42,7 @@ def _cfg(domain, z0, k=0, p0=1.0, a_g=0.0, u=None, c=None):
 FAST_DISC = Resolution(basis_schedule=(8, 16), radial_cells=128, angular_cells=96, boundary_nodes=128)
 FAST_ANNULUS = Resolution(
     basis_schedule=(8, 16), boundary_nodes=256, radial_cells=192, angular_cells=128,
-    patch_levels=32, patch_panels=2, refine_quadrature=False,
+    patch_levels=32, refine_quadrature=False,
 )
 
 
@@ -79,7 +79,7 @@ def test_gram_annulus_boundary_two_circle_sums():
 def test_gram_positive_definite_and_hermitian():
     cfg = _cfg(annulus(0.25), 0.5, u=HarmonicFunctionRep.from_coefficients(0.2, {1: 0.1}))
     basis = BasisDescriptor.create(annulus(0.25), 12, 0.5, 0)
-    aq = area_quadrature(annulus(0.25), 0.5, 128, 96, patch_levels=24, patch_panels=2)
+    aq = area_quadrature(annulus(0.25), 0.5, 128, 96, patch_levels=24)
     m = gram(basis, area_measure(cfg, aq)).entries
     assert np.max(np.abs(m - m.conj().T)) == 0.0
     eigs = np.linalg.eigvalsh(m)
@@ -94,7 +94,7 @@ def _assert_moment_gram_matches_dense(basis, measure):
 
 
 RING_RES = Resolution(basis_schedule=(4, 8), boundary_nodes=40, radial_cells=48, angular_cells=40,
-                      patch_levels=12, patch_panels=2)
+                      patch_levels=12)
 RING_CASES = [
     (disc(), 0.0, HarmonicFunctionRep.from_coefficients(0.0, {1: 0.2 + 0.1j})),
     (disc(), 0.45 + 0.2j, HarmonicFunctionRep.from_coefficients(0.0, {2: -0.1j})),
@@ -187,6 +187,18 @@ def test_disc_weighted_bergman():
     got = kernel_diag(cfg, "bergman", Resolution(basis_schedule=(8, 16), radial_cells=192,
                                                  angular_cells=96, boundary_nodes=128))
     assert got.value == pytest.approx((1 - 0.3) / math.pi, rel=3e-6)
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.6])
+def test_graded_ring_closed_form(delta):
+    # Centred disc with exp_delta: B = (1 - delta) / pi exactly, and the
+    # density |z|^(-2 delta) is singular at z0 = 0, inside the graded ring.
+    # delta = 0.84 is left out: there the error (4e-4) exceeds its own
+    # estimate, because doubling the resolution leaves the innermost
+    # panels of the ring unchanged, so the estimate cannot see them.
+    cfg = _cfg(disc(), 0.0, c=CProfile.exp_delta(delta))
+    got = kernel_diag(cfg, "bergman", Resolution(basis_schedule=(8, 16, 32), radial_cells=128, angular_cells=160))
+    assert abs(math.pi * got.value / (1 - delta) - 1) < 3 * got.total_estimate / got.value
 
 
 def test_basis_growth_monotone():

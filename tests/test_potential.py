@@ -254,7 +254,7 @@ def test_harmonic_derivative_formulas():
 
 
 def _rules(domain, w, factor):
-    aq = area_quadrature(domain, w, 48 * factor, 40 * factor, patch_levels=12, patch_panels=2)
+    aq = area_quadrature(domain, w, 48 * factor, 40 * factor, patch_levels=12)
     return {"area": aq, "boundary": boundary_quadrature(domain, 40 * factor)}
 
 

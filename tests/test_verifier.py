@@ -39,7 +39,7 @@ def _cfg(domain, z0, k=0, p0=1.0, eps=0.0, a_g=0.0, u=None, c=None):
 DISC_RES = Resolution(basis_schedule=(8, 16), radial_cells=160, angular_cells=96, boundary_nodes=128)
 ANN_RES = Resolution(
     basis_schedule=(8, 16, 32), boundary_nodes=512, radial_cells=320, angular_cells=256,
-    patch_levels=32, patch_panels=2,
+    patch_levels=32,
 )
 
 
@@ -223,7 +223,7 @@ def test_hardy_diagnostic_extremal_section():
     cfg = _cfg(annulus(0.25), 0.5, u=HarmonicFunctionRep.log_mode(-0.5))
     f0 = f0_construct(cfg)
     res = Resolution(basis_schedule=(8, 16), boundary_nodes=256, radial_cells=256,
-                     angular_cells=192, patch_levels=32, patch_panels=2)
+                     angular_cells=192, patch_levels=32)
     diag = hardy_diagnostic(f0.abs2, cfg, res=res)
     assert diag.trend == "bounded"
 
@@ -236,6 +236,27 @@ def test_superlevel_constant_scaling():
     assert c2 == pytest.approx(2.0, abs=0.05)
     c3 = superlevel_constant(_cfg(disc(), 0.0, eps=0.2), res=res).constant
     assert c3 > 1.0
+
+
+def test_superlevel_constant_evaluates_green_once(monkeypatch):
+    # psi on the area rule comes from the G values the check already holds.
+    from kernelgauge.geometry import area_quadrature
+    from kernelgauge.potential import GreenFunctionRep
+
+    calls = []
+    value = GreenFunctionRep.value
+
+    def counted(self, z, rings=None):
+        # Area rules have theta0 = pi / n_theta; corner grids and boundary rules 0.
+        if rings is not None and rings.theta0 != 0.0:
+            calls.append(rings.radii.size * rings.n_theta)
+        return value(self, z, rings)
+
+    monkeypatch.setattr(GreenFunctionRep, "value", counted)
+    res = Resolution(basis_schedule=(8, 16), radial_cells=64, angular_cells=48)
+    cfg = _cfg(disc(), 0.2, eps=0.2)
+    superlevel_constant(cfg, res=res)
+    assert calls == [area_quadrature(disc(), 0.2, 64, 48).nodes.size]
 
 
 # ------------------------------------------------------ corpus invariants
@@ -262,7 +283,6 @@ def test_ratio_never_below_one(config):
         radial_cells=192,
         angular_cells=256,
         patch_levels=32,
-        patch_panels=2,
     )
     report = verify_main(config, res)
     assert report.ratio >= 1.0 - 3.0 * report.combined_estimate - report.tol_eq
@@ -274,7 +294,7 @@ def test_ratio_continuity_minimum_at_match():
     # ratio curve with its minimum at the match.
     res = Resolution(
         basis_schedule=(8, 16), boundary_nodes=256, radial_cells=192, angular_cells=128,
-        patch_levels=32, patch_panels=2, refine_quadrature=False,
+        patch_levels=32, refine_quadrature=False,
     )
     alphas = [0.1, 0.3, 0.5, 0.7, 0.9]
     ratios = []

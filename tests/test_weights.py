@@ -201,7 +201,7 @@ def test_character_mismatch_arithmetic():
 )
 def test_densities_on_rings_match_pointwise(domain, z0, u, factor):
     cfg = _cfg(domain, z0, eps=0.1, a_g=0.5, u=u, c=CProfile.exp_delta(-0.4))
-    aq = area_quadrature(domain, z0, 48 * factor, 40 * factor, patch_levels=12, patch_panels=2)
+    aq = area_quadrature(domain, z0, 48 * factor, 40 * factor, patch_levels=12)
     bq = boundary_quadrature(domain, 40 * factor)
     pairs = [
         (cfg.rho(aq.nodes, aq.rings), cfg.rho(aq.nodes)),
