@@ -21,15 +21,11 @@ from kernelgauge import (
     log_capacity,
 )
 
-# All pinned configurations carry densities that are smooth on the closed
-# annulus, so the refinement patch is disabled and the log-spaced global
-# grid does the work.
 HI = Resolution(
     basis_schedule=(8, 16, 32, 48),
     boundary_nodes=1024,
     radial_cells=1024,
     angular_cells=384,
-    patch_radius=0.0,
 )
 
 

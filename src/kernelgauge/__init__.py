@@ -10,8 +10,8 @@ from .errors import (
     KernelGaugeError,
     NonConvergent,
     NotEqualityShape,
-    PatchTooLarge,
     PoleTooCloseToBoundary,
+    ResolutionTooCoarse,
     RouteMismatch,
     ScenarioError,
     SingularGram,

@@ -44,7 +44,6 @@ _SCHEMA = {
         "radial_cells",
         "angular_cells",
         "patch_levels",
-        "patch_radius",
         "refine_quadrature",
         "tol_eq",
         "output_dir",
@@ -182,8 +181,6 @@ def build_resolution(doc: dict, domain: DomainSpec) -> Resolution:
     for key in ("boundary_nodes", "radial_cells", "angular_cells", "patch_levels"):
         if key in run:
             kwargs[key] = int(_require_number(run, key, "run"))
-    if "patch_radius" in run:
-        kwargs["patch_radius"] = float(_require_number(run, "patch_radius", "run"))
     if "refine_quadrature" in run:
         if not isinstance(run["refine_quadrature"], bool):
             raise ScenarioError("'run.refine_quadrature' must be a boolean")

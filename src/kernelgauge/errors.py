@@ -17,10 +17,6 @@ class NonConvergent(KernelGaugeError):
     """Successive refinement differences grow instead of shrinking."""
 
 
-class PatchTooLarge(KernelGaugeError):
-    """Requested quadrature patch crosses the domain boundary."""
-
-
 class PoleTooCloseToBoundary(KernelGaugeError):
     """Green-function pole too close to the boundary for series accuracy."""
 
@@ -55,6 +51,10 @@ class RouteMismatch(KernelGaugeError):
 
 class InvalidConfig(KernelGaugeError):
     """Weight configuration failed validation checks."""
+
+
+class ResolutionTooCoarse(InvalidConfig, ValueError):
+    """Quadrature resolution too coarse for the basis order it must integrate."""
 
 
 class ScenarioError(KernelGaugeError):

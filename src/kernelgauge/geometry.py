@@ -1,20 +1,20 @@
 """Disc and annulus domains with boundary and area quadrature rules.
 
 Boundary integrals use the periodic trapezoid rule, which is spectrally
-accurate for integrands analytic in the angle.  Area integrals use polar
-cells, each node weighted by its cell's area (outer^2 - inner^2) / 2 *
-dtheta, so the weights sum to the domain area at machine precision.  On
-the global grid a node sits at its cell's radial midpoint, which makes
-the rule exact for the Jacobian factor r.
+accurate for integrands analytic in the angle.  Area integrals use the
+midpoint rule in angle, also spectral for periodic integrands, times
+composite Gauss-Legendre panels in r: each Gauss node owns the polar cell
+whose area is its weight for r dr, so the weights sum to the domain area
+at machine precision and the radial rule converges at a rate exponential
+in the points per panel away from singularities.
 
-A locally refined ring of cells passes through a marked interior point
-z0: its outer radii are snapped to global grid lines (so the cells tile
+A locally refined ring of panels passes through a marked interior point
+z0: its outer radii are snapped to global panel edges (so the cells tile
 the domain with no overlap), and its angular grid coincides with the
-global one.  Inside it, Gauss-Legendre panels in r are geometrically
-graded toward |z0|, and each Gauss node owns the cell whose area is its
-weight for r dr.  The grading resolves integrable radial densities
-behaving like |z - z0|^(2*beta), beta > -1, at a rate exponential in the
-number of Gauss points, while the uniform angular structure keeps the
+global one.  Inside it, the panels are geometrically graded toward |z0|.
+The grading resolves integrable radial densities behaving like
+|z - z0|^(2*beta), beta > -1, at a rate exponential in the number of
+Gauss points, while the uniform angular structure keeps the
 trapezoid-exact orthogonality of Laurent monomials intact.
 
 Every rule here is stored in its product form: a set of rings times one
@@ -37,18 +37,17 @@ of a parent cell whose angle index it records.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import PatchTooLarge
-
 _TWO_PI = 2.0 * np.pi
 _PATCH_GRADING = 0.7  # depth ratio of one refinement level toward |z0|
 _PANEL_RATIO = 0.25  # smallest width ratio of consecutive Gauss panels of the ring
-_PANEL_GAUSS = 8  # Gauss-Legendre radii per panel of the ring
+_PANEL_GAUSS = 8  # Gauss-Legendre radii per panel
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_PANEL_GAUSS)  # nodes and weights on [-1, 1]
+_PIVOT_FLOOR = 1e-12  # closest relative approach of a ring edge to a nonzero |z0|
 _RADIAL_SAMPLES = 12  # field samples along the midline of a straddling cell
 
 
@@ -146,8 +145,9 @@ def boundary_quadrature(domain: DomainSpec, nodes_per_component: int) -> Boundar
 class AreaQuadrature:
     """Product rule on polar cells, each node weighted by its cell's area.
 
-    Ring r spans [inner[r], outer[r]] (rings in build order, not sorted by
-    radius) and angle cell j spans [angle_edges[j], angle_edges[j + 1]].
+    Ring r spans [inner[r], outer[r]], with rings sorted by radius so that
+    inner[r + 1] == outer[r], and angle cell j spans [angle_edges[j],
+    angle_edges[j + 1]].
     """
 
     nodes: np.ndarray
@@ -166,50 +166,45 @@ def _graded_edges(lo: float, hi: float, pivot: float, levels: int) -> np.ndarray
 
     Each side of pivot is cut down to depth _PATCH_GRADING ** levels of
     its width, by panels of one common width ratio no smaller than
-    _PANEL_RATIO, and a last panel runs on to pivot.
+    _PANEL_RATIO, and a last panel runs on to pivot.  An edge within two
+    floors f = _PIVOT_FLOOR * |pivot| of a nonzero pivot is moved to f
+    from it, so every panel stays at least f, many ulps, wide at any
+    depth; the repeats this makes are dropped.
     """
     panels = max(1, int(np.ceil(levels * np.log(_PATCH_GRADING) / np.log(_PANEL_RATIO) - 1e-9)))
     depth = _PATCH_GRADING ** (levels * np.arange(panels + 1) / panels)
+    floor = _PIVOT_FLOOR * abs(pivot)
+
+    def offsets(width):
+        d = width * depth
+        return np.where(d < 2.0 * floor, floor, d)
+
     pieces = [np.array([pivot])]
     if pivot - lo > 1e-15:
-        left = pivot - (pivot - lo) * depth
+        left = pivot - offsets(pivot - lo)
         left[0] = lo
         pieces.insert(0, left)
     if hi - pivot > 1e-15:
-        right = pivot + (hi - pivot) * depth[::-1]
+        right = pivot + offsets(hi - pivot)[::-1]
         right[-1] = hi
         pieces.append(right)
     return np.unique(np.concatenate(pieces))
 
 
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+def _gauss_rings(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_PANEL_GAUSS Gauss-Legendre radii on every panel of edges, and the edges of their cells.
 
-
-def _gauss_rings(edges: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre radii on every panel of edges, and the edges of their cells.
-
-    A panel gets _PANEL_GAUSS points, or one per three global spacings if
-    it is wider.  Node i of a panel [a, b] with Gauss weight w_i for r dr
-    owns the cell [e_i, e_(i+1)], e_0 = a and e_(i+1)^2 = e_i^2 + 2 w_i, so
-    its cell's area is its weight.  Gauss rules integrate r exactly, so
-    the cells tile the panel: the last edge is b up to rounding and is set
-    to b.
+    Node i of a panel [a, b] with Gauss weight w_i for r dr owns the cell
+    [e_i, e_(i+1)], e_0 = a and e_(i+1)^2 = e_i^2 + 2 w_i, so its cell's
+    area is its weight.  Gauss rules integrate r exactly, so the cells
+    tile the panel: the last edge is b up to rounding and is set to b.
     """
-    radii, cell_edges = [], [edges[:1]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = _gauss_legendre(max(_PANEL_GAUSS, int(np.ceil((b - a) / (3.0 * spacing) - 1e-12))))
-        r = 0.5 * (a + b) + 0.5 * (b - a) * x
-        area = (b - a) * np.cumsum(w * r)  # twice the r dr weights of the nodes so far
-        e = a + area / (a + np.sqrt(a * a + area))  # e^2 - a^2 = area, without cancellation
-        e[-1] = b
-        radii.append(r)
-        cell_edges.append(e)
-    return np.concatenate(radii), np.concatenate(cell_edges)
+    a, b = edges[:-1, None], edges[1:, None]
+    r = 0.5 * (a + b) + 0.5 * (b - a) * _GAUSS_X
+    area = (b - a) * np.cumsum(_GAUSS_W * r, axis=1)  # twice the r dr weights of the nodes so far
+    e = a + area / (a + np.sqrt(a * a + area))  # e^2 - a^2 = area, without cancellation
+    e[:, -1] = edges[1:]
+    return r.ravel(), np.concatenate([edges[:1], e.ravel()])
 
 
 def area_quadrature(
@@ -217,69 +212,48 @@ def area_quadrature(
     z0: complex,
     radial_cells: int,
     angular_cells: int,
-    patch_radius: float | None = None,
     patch_levels: int = 48,
 ) -> AreaQuadrature:
-    """Polar-cell quadrature with a radially graded refinement ring at z0.
+    """Gauss-panel polar quadrature with a radially graded refinement ring at z0.
 
-    The annulus radial grid is geometric (uniform in log r) so Laurent
-    modes are resolved evenly at both circles; the disc grid is uniform.
-    The ring's Gauss panels reach down to depth 0.7 ** patch_levels of
-    its width on either side of |z0|.  patch_radius = 0 skips the ring
-    entirely (best for densities smooth on the closed domain).
+    The radii form ceil(radial_cells / 8) panels of 8 Gauss-Legendre
+    radii each, uniform in log r on the annulus (so Laurent modes are
+    resolved evenly at both circles) and in r on the disc.  The panels
+    within min(clearance / 2, 1/4) of |z0| give way to the refinement
+    ring, whose panels reach down to depth 0.7 ** patch_levels of its
+    width on either side of |z0|.
     """
     if not domain.contains(z0, margin=1e-9):
         raise ValueError(f"z0={z0} is not interior to the domain")
+    panels = -(-radial_cells // _PANEL_GAUSS)
+    edges = np.linspace(0.0, 1.0, panels + 1)
     if domain.kind == "annulus":
-        u = np.linspace(0.0, 1.0, radial_cells + 1)
-        global_r = domain.q ** (1.0 - u)
-        global_r[0] = domain.q
-        global_r[-1] = 1.0
-    else:
-        global_r = np.linspace(0.0, 1.0, radial_cells + 1)
-    global_t = np.linspace(0.0, _TWO_PI, angular_cells + 1)
+        edges = domain.q ** (1.0 - edges)
+        edges[0], edges[-1] = domain.q, 1.0
 
+    # The ring replaces the panels [edges[i0], edges[i1]] around |z0|, so
+    # the panels tile the domain with no overlap.  It is a full ring: Gauss
+    # panels geometrically graded toward |z0| (putting z0 on a panel edge,
+    # so no quadrature node ever coincides with it) while angles stay on
+    # the global uniform grid.  Keeping the angular structure uniform at
+    # every radius preserves the exact angular orthogonality of monomial
+    # products; the radial grading is what integrable radial singularities
+    # require.
     s = abs(z0)
-    clearance = domain.boundary_clearance(z0)
-    if patch_radius is None:
-        patch_radius = min(0.5 * clearance, 0.25)
-    inner, outer = global_r[:-1], global_r[1:]
-    radii = 0.5 * (inner + outer)
-    if patch_radius != 0.0:
-        if patch_radius >= clearance:
-            raise PatchTooLarge(
-                f"patch radius {patch_radius:.4g} reaches the boundary "
-                f"(clearance {clearance:.4g})"
-            )
+    band = min(0.5 * domain.boundary_clearance(z0), 0.25)
+    i0 = max(int(np.searchsorted(edges, s - band, side="right")) - 1, 0)
+    i1 = int(np.searchsorted(edges, s + band))
+    graded = _graded_edges(edges[i0], edges[i1], s, patch_levels)
+    radii, cell_edges = _gauss_rings(np.concatenate([edges[:i0], graded, edges[i1 + 1 :]]))
+    inner, outer = cell_edges[:-1], cell_edges[1:]
 
-        # Snap the patch band to global radial grid lines so the tiling is
-        # exact.  The patch is a full ring: Gauss panels geometrically graded
-        # toward |z0| (putting z0 on a panel edge, so no quadrature node ever
-        # coincides with it) while angles stay on the global uniform grid.
-        # Keeping the angular structure uniform at every radius preserves the
-        # exact angular orthogonality of monomial products; the radial
-        # grading is what integrable radial singularities require.
-        i0 = int(np.searchsorted(global_r, s - patch_radius, side="right")) - 1
-        i0 = max(i0, 0)
-        i1 = int(np.searchsorted(global_r, s + patch_radius, side="left"))
-        i1 = min(max(i1, i0 + 1), radial_cells)
-        ra, rb = float(global_r[i0]), float(global_r[i1])
-
-        pivot_r = min(max(s, ra), rb)
-        spacing_r = float(np.min(np.diff(global_r[i0 : i1 + 1])))
-        pr, pe = _gauss_rings(_graded_edges(ra, rb, pivot_r, patch_levels), spacing_r)
-        # Global rings outside the band first, then the patch rings.
-        keep_r = np.concatenate([np.arange(0, i0), np.arange(i1, radial_cells)])
-        inner = np.concatenate([inner[keep_r], pe[:-1]])
-        outer = np.concatenate([outer[keep_r], pe[1:]])
-        radii = np.concatenate([radii[keep_r], pr])
-
-    tmid = 0.5 * (global_t[:-1] + global_t[1:])
+    angle_edges = np.linspace(0.0, _TWO_PI, angular_cells + 1)
+    tmid = 0.5 * (angle_edges[:-1] + angle_edges[1:])
     # Each weight is its cell's area, (outer^2 - inner^2) / 2 * dtheta.
-    weights = np.outer(0.5 * (inner + outer) * (outer - inner), np.diff(global_t)).ravel()
+    weights = np.outer(0.5 * (inner + outer) * (outer - inner), np.diff(angle_edges)).ravel()
     nodes = np.outer(radii, np.exp(1j * tmid)).ravel()
     rings = RingGrid(radii, angular_cells, np.pi / angular_cells)
-    return AreaQuadrature(nodes, weights, inner, outer, global_t, rings)
+    return AreaQuadrature(nodes, weights, inner, outer, angle_edges, rings)
 
 
 @dataclass(frozen=True)
@@ -361,18 +335,18 @@ def _angle_midlines(quad: AreaQuadrature) -> np.ndarray:
 def _cell_extremes(quad: AreaQuadrature, level_field) -> tuple[np.ndarray, np.ndarray]:
     """Largest and smallest field value over each cell's four corners and its node."""
     # Neighbouring cells share corners: evaluate the field once on the
-    # distinct edge radii x angle edges, a ring grid whose angle edge
-    # n_theta is edge 0 again, and gather.
+    # ring edges x angle edges, a ring grid whose angle edge n_theta is
+    # edge 0 again.  Rings are sorted, so ring r's corners are rows r and
+    # r + 1.
     n = quad.rings.n_theta
-    edge_r = np.unique(np.concatenate([quad.inner, quad.outer]))
+    edge_r = np.append(quad.inner, quad.outer[-1])
     corners = np.outer(edge_r, np.exp(1j * quad.angle_edges[:-1])).ravel()
     # Level fields carry log poles; -inf corner values classify fine.
     with np.errstate(divide="ignore", invalid="ignore"):
         grid = np.asarray(level_field(corners, RingGrid(edge_r, n, 0.0))).reshape(edge_r.size, n)
         on_nodes = np.asarray(level_field(quad.nodes, quad.rings))
     grid = np.concatenate([grid, grid[:, :1]], axis=1)
-    lo_r = grid[np.searchsorted(edge_r, quad.inner)]
-    hi_r = grid[np.searchsorted(edge_r, quad.outer)]
+    lo_r, hi_r = grid[:-1], grid[1:]
     vals = np.stack(
         [lo_r[:, :-1].ravel(), lo_r[:, 1:].ravel(), hi_r[:, :-1].ravel(), hi_r[:, 1:].ravel(), on_nodes]
     )

@@ -25,7 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, ResolutionTooCoarse
 from .geometry import (
     AreaQuadrature,
     BoundaryQuadrature,
@@ -56,7 +56,6 @@ class Resolution:
     radial_cells: int = 256
     angular_cells: int = 256
     patch_levels: int = 48
-    patch_radius: float | None = None
     refine_quadrature: bool = True
 
     @property
@@ -64,11 +63,17 @@ class Resolution:
         return max(self.basis_schedule)
 
     def scaled(self, factor: int) -> "Resolution":
+        """Refine the angles, the boundary and the ring depth by factor.
+
+        The Gauss panels' radial rule is spectral away from z0, where the
+        densities are smooth; the refinement ring resolves z0, and its depth
+        must grow for the refined value to see the ring's error.
+        """
         return replace(
             self,
             boundary_nodes=factor * self.boundary_nodes,
-            radial_cells=factor * self.radial_cells,
             angular_cells=factor * self.angular_cells,
+            patch_levels=factor * self.patch_levels,
         )
 
     @staticmethod
@@ -189,7 +194,6 @@ def area_quadrature_for(config: WeightConfig, res: Resolution) -> AreaQuadrature
         config.z0,
         res.radial_cells,
         res.angular_cells,
-        patch_radius=res.patch_radius,
         patch_levels=res.patch_levels,
     )
 
@@ -288,7 +292,7 @@ def _moment_gram(basis: BasisDescriptor, rings: RingGrid, ring_weights: np.ndarr
 def _powers(doubled: BasisDescriptor, radii: np.ndarray) -> np.ndarray:
     """The doubled basis at real radii, each entry in [0, 1], subnormals set to 0.
 
-    Disc patch radii reach 1e-9, whose high powers are subnormal; they
+    Disc ring radii reach 1e-9, whose high powers are subnormal; they
     add nothing at double precision but slow every product they enter.
     """
     p = np.ascontiguousarray(doubled.matrix(radii).real)
@@ -328,10 +332,10 @@ class KernelValue:
 
 
 def _sweep_over_schedule(config: WeightConfig, side: Side, res: Resolution, basis: BasisDescriptor):
-    if res.angular_cells <= 4 * res.n_max or res.boundary_nodes <= 4 * res.n_max:
-        raise ValueError(
-            f"quadrature resolution too coarse for basis order {res.n_max}; "
-            "need more than 4*N angular/boundary nodes"
+    if min(res.angular_cells, res.boundary_nodes) <= 4 * res.n_max or res.radial_cells <= res.n_max:
+        raise ResolutionTooCoarse(
+            f"quadrature resolution too coarse for basis order N = {res.n_max}; "
+            "need more than 4*N angular and boundary nodes and more than N radial cells"
         )
     full = gram(basis, side_measure(config, side, res))
     constraints = basis.constraints()
@@ -348,8 +352,9 @@ def kernel_diag(config: WeightConfig, side: Side, res: Resolution | None = None)
     """Kernel diagonal at z0 with order-k jet constraints.
 
     Truncation is estimated by sweeping the basis schedule; quadrature
-    error by recomputing at doubled node counts (the reported value is
-    the doubled-resolution one), unless res.refine_quadrature is off.
+    error by recomputing at res.scaled(2), with doubled angle and boundary
+    counts and a doubled ring depth (the reported value is the refined
+    one), unless res.refine_quadrature is off.
     """
     if res is None:
         res = Resolution.for_domain(config.domain)

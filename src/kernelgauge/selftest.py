@@ -263,7 +263,7 @@ def check_rho_radial_weight() -> tuple[bool, str]:
 def check_gram_disc_moments() -> tuple[bool, str]:
     cfg = WeightConfig(disc(), 0.0, 0, PsiSpec(1.0), PhiSpec(), CProfile.constant_one())
     basis = BasisDescriptor.create(disc(), 2, 0.0, 0)
-    aq = area_quadrature(disc(), 0.0, 16384, 48, patch_radius=0.0)
+    aq = area_quadrature(disc(), 0.0, 16384, 48)
     m = gram(basis, area_measure(cfg, aq)).entries
     expected = np.diag([math.pi, math.pi / 2.0, math.pi / 3.0])
     err = float(np.max(np.abs(m - expected)))
@@ -316,7 +316,7 @@ def check_sections_disc() -> tuple[bool, str]:
     err_s = float(np.max(np.abs(sec(zs) - (1.0 - 0.25) / (1.0 - 0.5 * zs))))
     cfg_b = WeightConfig(disc(), z0, 0, PsiSpec(1.0), PhiSpec(), CProfile.constant_one())
     res_b = Resolution(
-        basis_schedule=(8, 16, 32), radial_cells=8192, angular_cells=160, patch_radius=0.0
+        basis_schedule=(8, 16, 32), radial_cells=8192, angular_cells=160
     )
     sec_b = kernel_section(cfg_b, "bergman", res_b)
     err_b = float(np.max(np.abs(sec_b(zs) - (1.0 - 0.25) ** 2 / (1.0 - 0.5 * zs) ** 2)))
@@ -424,7 +424,7 @@ def check_verify_higher_disc() -> tuple[bool, str]:
 
 def check_suita_disc() -> tuple[bool, str]:
     res = Resolution(basis_schedule=(8, 16), radial_cells=384, angular_cells=128,
-                     boundary_nodes=160, patch_radius=0.0)
+                     boundary_nodes=160)
     rep = verify_suita(disc(), 0.5, res)
     ok = rep.verdict == "pass"
     return ok, f"c^2={rep.cbeta_squared:.8f}, piB={rep.pi_b:.8f}, Khat={rep.k_hat:.8f}"

@@ -8,6 +8,7 @@ scripts/pin_goldens.py for the run that produced them).
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from kernelgauge.selftest import brute_force_constrained_min, run_selftest
 import golden_values as golden
 
 PI = math.pi
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _announce(criterion: str, passed: bool, detail: str):
@@ -237,7 +239,7 @@ def test_ac09_reproducing_suite():
 
 def test_ac10_capacity_chain():
     res_disc = Resolution(basis_schedule=(8, 16, 32), radial_cells=1024, angular_cells=160,
-                          boundary_nodes=256, patch_radius=0.0)
+                          boundary_nodes=256)
     details = []
     ok = True
     for z0 in (0.0, 0.5):
@@ -249,7 +251,7 @@ def test_ac10_capacity_chain():
             f"disc z0={z0}: chain=({rep.cbeta_squared:.8f}, {rep.pi_b:.8f}, {rep.k_hat:.8f})"
         )
     res_ann = Resolution(basis_schedule=(16, 32), boundary_nodes=512, radial_cells=768,
-                         angular_cells=320, patch_radius=0.0)
+                         angular_cells=320)
     rep = verify_suita(annulus(0.25), 0.5, res_ann)
     ok = ok and rep.verdict == "pass"
     ok = ok and abs(rep.left_margin - golden.ANNULUS_SUITA_LEFT) < 0.05 * golden.ANNULUS_SUITA_LEFT
@@ -317,3 +319,42 @@ def test_ac11_structural_suites():
     ok = all(passed for _, passed in checks)
     detail = ", ".join(f"{name}={'ok' if passed else 'FAIL'}" for name, passed in checks)
     _announce("AC11 structural suites", ok, f"{detail} ({elapsed:.1f}s)")
+
+
+def _shipped(name):
+    from kernelgauge.cli import build_config, build_resolution, load_scenario
+
+    doc = load_scenario(ROOT / "scenarios" / f"{name}.json")
+    config = build_config(doc)
+    return config, build_resolution(doc, config.domain)
+
+
+def test_ac12_shipped_annuli_meet_exact_series():
+    # Gauss panels on every ring: the unweighted annulus's pi * B meets the
+    # exact series, and annulus_matched's equality holds to roundoff.
+    config, res = _shipped("annulus_strict")
+    pib = PI * kernel_diag(config, "bergman", res).value
+    strict_err = abs(pib / golden.ANNULUS_PIB - 1.0)
+    report = verify_main(*_shipped("annulus_matched"))
+    ok = strict_err <= 1e-11 and abs(report.ratio - 1.0) <= 1e-10 and report.verdict == "pass"
+    _announce(
+        "AC12 shipped annuli",
+        ok,
+        f"annulus_strict piB={pib:.12f} (exact {golden.ANNULUS_PIB}, rel err {strict_err:.1e}); "
+        f"annulus_matched ratio-1={report.ratio - 1.0:.1e}",
+    )
+
+
+def test_ac13_centred_singular_disc_is_honest():
+    # c = exp(-0.84 t) at z0 = 0 makes pi * B = 0.16 with a density
+    # singular at z0; the refined level deepens the ring, so the estimate
+    # covers the error and the equality case does not fail.
+    report = verify_main(_cfg(disc(), 0.0, c=CProfile.exp_delta(0.84)), Resolution())
+    err = abs(report.ratio - 1.0)
+    ok = report.verdict != "fail" and err <= 3.0 * report.combined_estimate
+    _announce(
+        "AC13 centred singular disc",
+        ok,
+        f"ratio-1={report.ratio - 1.0:.2e}, 3x estimate={3.0 * report.combined_estimate:.2e}, "
+        f"verdict={report.verdict}",
+    )

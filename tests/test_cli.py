@@ -69,11 +69,23 @@ def test_verify_unknown_key(tmp_path, capsys):
         ({"weight": weight, "run": {"patch_grading": 0.7}}, "patch_grading"),
         # So are the refinement ring's Gauss panels.
         ({"weight": weight, "run": {"patch_panels": 16}}, "patch_panels"),
+        # Every ring is a Gauss panel, so no run key switches the ring off.
+        ({"weight": weight, "run": {"patch_radius": 0.0}}, "patch_radius"),
     ):
         doc = {"domain": {"kind": "disc"}, "point": {"z0": 0.0}, **extra}
         code = main(["verify", _write(tmp_path, doc)])
         assert code == 2
         assert key in capsys.readouterr().err
+
+
+def test_verify_too_coarse_resolution(tmp_path, capsys):
+    # 64 angles cannot integrate a basis of order 32: a configuration error.
+    doc = json.loads(Path(_fast_disc(tmp_path, tmp_path / "out")).read_text())
+    doc["run"].update(basis_schedule=[8, 16, 32], angular_cells=64)
+    code = main(["verify", _write(tmp_path, doc)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "too coarse" in err and "Traceback" not in err
 
 
 def test_verify_nonintegrable_profile(tmp_path, capsys):

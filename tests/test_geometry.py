@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kernelgauge import (
-    PatchTooLarge,
     Resolution,
     annulus,
     area_quadrature,
@@ -74,44 +73,51 @@ def test_area_weights_sum_exactly():
         assert np.all(radii > domain.inner_radius)
 
 
-@pytest.mark.parametrize("patch_radius", [None, 0.0], ids=["patch", "no-patch"])
 @pytest.mark.parametrize(
     "domain,z0",
     [(disc(), 0.0), (disc(), 0.3 + 0.4j), (annulus(0.25), 0.5), (annulus(0.25), -0.4 + 0.5j)],
-    ids=["disc-center", "disc-off", "annulus", "annulus-off"],
+    ids=["disc-center-patch", "disc-off-patch", "annulus-patch", "annulus-off-patch"],
 )
-def test_area_rule_is_ring_major_product(domain, z0, patch_radius):
+def test_area_rule_is_ring_major_product(domain, z0):
     # The flat nodes and weights are the outer products of the stored ring
     # and angle arrays, ring-major, bit for bit; kernels.gram and
     # LaurentSeries rely on this layout.
     radial, angular = 40, 24
-    aq = area_quadrature(domain, z0, radial, angular, patch_radius=patch_radius)
+    aq = area_quadrature(domain, z0, radial, angular)
     rings = len(aq.inner)
     assert aq.rings.n_theta == angular and aq.angle_edges.shape == (angular + 1,)
-    if patch_radius is None:
-        assert rings > radial
-    else:
-        assert rings == radial
+    assert rings > radial
     radii = aq.rings.radii
     area = 0.5 * (aq.inner + aq.outer) * (aq.outer - aq.inner)
     tmid = 0.5 * (aq.angle_edges[:-1] + aq.angle_edges[1:])
     assert np.array_equal(aq.nodes.reshape(rings, angular), np.outer(radii, np.exp(1j * tmid)))
     # Each weight is its cell's area, (outer^2 - inner^2) / 2 * dtheta, and
-    # each node lies inside its cell: at its midpoint on the global rings,
-    # at a Gauss point on the refinement ring.
+    # each node, a Gauss point of its panel, lies inside its cell.
     assert np.array_equal(aq.weights.reshape(rings, angular), np.outer(area, np.diff(aq.angle_edges)))
     assert np.all((aq.inner < radii) & (radii < aq.outer))
-    if patch_radius == 0.0:
-        assert np.array_equal(radii, 0.5 * (aq.inner + aq.outer))
-    # The rings tile [inner radius, 1] and the angle edges split [0, 2 pi]
-    # uniformly, with node j of every ring at theta0 + 2 pi j / n_theta.
-    order = np.argsort(aq.inner)
-    assert np.array_equal(aq.inner[order][1:], aq.outer[order][:-1])
-    assert (aq.inner[order][0], aq.outer[order][-1]) == (domain.inner_radius, 1.0)
+    # The rings are sorted and tile [inner radius, 1], and the angle edges
+    # split [0, 2 pi] uniformly, with node j of every ring at
+    # theta0 + 2 pi j / n_theta.
+    assert np.array_equal(aq.inner[1:], aq.outer[:-1])
+    assert (aq.inner[0], aq.outer[-1]) == (domain.inner_radius, 1.0)
     assert (aq.angle_edges[0], aq.angle_edges[-1]) == (0.0, TWO_PI)
     assert np.allclose(np.diff(aq.angle_edges), TWO_PI / angular, rtol=0, atol=1e-14)
     theta = aq.rings.theta0 + TWO_PI * np.arange(angular) / angular
     assert np.max(np.abs(np.exp(1j * tmid) - np.exp(1j * theta))) < 1e-14
+
+
+@pytest.mark.parametrize("levels", [96, 110, 300])
+def test_deep_ring_keeps_off_center_cells_apart(levels):
+    # At any depth the ring's edges stay 1e-12 |z0| clear of |z0|: no cell
+    # collapses to zero width, every node lies strictly inside its cell,
+    # and no ring sits at |z0|, where the density may be unbounded.
+    for s in np.append(0.6, np.linspace(0.3, 0.7, 41)):
+        aq = area_quadrature(disc(), s, 64, 32, patch_levels=levels)
+        radii = aq.rings.radii
+        assert np.all(aq.outer > aq.inner)
+        assert np.all((aq.inner < radii) & (radii < aq.outer))
+        assert not np.any(radii == s)
+        assert np.min(np.abs(radii - s)) > 10.0 * np.spacing(s)
 
 
 def test_refinement_ring_is_light():
@@ -174,14 +180,10 @@ def test_area_doubling_converges():
         return aq.integrate(np.exp(-np.abs(aq.nodes - z0) ** 2) / np.abs(aq.nodes))
 
     v1, v2, v3 = integral(64), integral(128), integral(256)
-    assert abs(v3 - v2) < abs(v2 - v1)
-
-
-def test_patch_too_large():
-    with pytest.raises(PatchTooLarge):
-        area_quadrature(disc(), 0.9, 64, 64, patch_radius=0.2)
-    with pytest.raises(PatchTooLarge):
-        area_quadrature(annulus(0.25), 0.5, 64, 64, patch_radius=0.3)
+    # Spectral radial and angular rules: every level already sits at the
+    # roundoff floor.
+    assert abs(v3 - v2) <= max(abs(v2 - v1), 4.0 * np.finfo(float).eps * abs(v3))
+    assert abs(v1 - v3) <= 1e-13 * abs(v3)
 
 
 def _mask_counted(aq, field, thresholds, keep):
@@ -287,10 +289,12 @@ def test_mask_nonradial_field():
 
 
 def test_mask_two_crossings_in_one_cell():
-    # Both roots of a radially symmetric field fall inside the radial cell
-    # [0.5, 0.5625]; the band between them must be clipped out exactly.
-    aq = area_quadrature(disc(), 0.0, 16, 32, patch_radius=0.0)
-    a, b = 0.51, 0.55
+    # Both roots of a radially symmetric field fall inside one radial cell
+    # [r0, r1]; the band between them must be clipped out exactly.
+    aq = area_quadrature(disc(), 0.0, 16, 32)
+    cell = int(np.searchsorted(aq.inner, 0.53)) - 1
+    r0, r1 = aq.inner[cell], aq.outer[cell]
+    a, b = r0 + 0.15 * (r1 - r0), r0 + 0.75 * (r1 - r0)
 
     def field(z, rings=None):
         r = np.abs(z)
@@ -305,7 +309,7 @@ def test_mask_two_crossings_in_one_cell():
     # The straddling cell at angle 0 keeps its two outer pieces, in
     # increasing radius.
     first_cell = np.abs(np.angle(outside.nodes) - np.pi / 32) < 1e-12
-    assert np.abs(outside.nodes[first_cell]) == pytest.approx([0.505, 0.55625], abs=1e-12)
+    assert np.abs(outside.nodes[first_cell]) == pytest.approx([0.5 * (r0 + a), 0.5 * (b + r1)], abs=1e-12)
 
 
 def test_mask_whole_cells_do_not_depend_on_rings():

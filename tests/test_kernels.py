@@ -10,6 +10,7 @@ from kernelgauge import (
     PhiSpec,
     PsiSpec,
     Resolution,
+    ResolutionTooCoarse,
     WeightConfig,
     annulus,
     area_quadrature,
@@ -51,7 +52,7 @@ FAST_ANNULUS = Resolution(
 
 def test_gram_disc_area_moments():
     basis = BasisDescriptor.create(disc(), 2, 0.0, 0)
-    aq = area_quadrature(disc(), 0.0, 16384, 48, patch_radius=0.0)
+    aq = area_quadrature(disc(), 0.0, 16384, 48)
     m = gram(basis, area_measure(_cfg(disc(), 0.0), aq)).entries
     assert np.max(np.abs(m - np.diag([math.pi, math.pi / 2, math.pi / 3]))) < 1e-8
 
@@ -128,7 +129,7 @@ def test_moment_gram_deep_annulus_stays_finite():
     cfg = _cfg(domain, 0.3, u=HarmonicFunctionRep.log_mode(-0.5))
     with np.errstate(over="ignore"):
         basis = BasisDescriptor.create(domain, 160, 0.3, 0)
-    aq = area_quadrature(domain, 0.3, 48, 64, patch_radius=0.0)
+    aq = area_quadrature(domain, 0.3, 48, 64)
     _assert_moment_gram_matches_dense(basis, area_measure(cfg, aq))
     _assert_moment_gram_matches_dense(basis, boundary_measure(cfg, boundary_quadrature(domain, 384)))
 
@@ -152,7 +153,7 @@ def test_moment_gram_aliases_as_the_dense_sum(domain, n_theta):
     # the moment Gram keeps the aliasing of the dense sum.
     cfg = _cfg(domain, 0.5, u=HarmonicFunctionRep.from_coefficients(0.1, {1: 0.2j}))
     basis = BasisDescriptor.create(domain, 8, 0.5, 0)
-    aq = area_quadrature(domain, 0.5, 24, n_theta, patch_radius=0.0)
+    aq = area_quadrature(domain, 0.5, 24, n_theta)
     _assert_moment_gram_matches_dense(basis, area_measure(cfg, aq))
     _assert_moment_gram_matches_dense(basis, boundary_measure(cfg, boundary_quadrature(domain, max(n_theta, 8))))
 
@@ -162,7 +163,7 @@ def test_masked_rule_gram_is_dense_and_exact():
     # Gram of the clipped rule, its kept parent cells and then its pieces,
     # reproduces the moments of the smaller disc.
     rho = 0.6
-    aq = area_quadrature(disc(), 0.0, 2048, 32, patch_radius=0.0)
+    aq = area_quadrature(disc(), 0.0, 2048, 32)
     (masked,) = mask_quadrature(aq, lambda z, rings=None: np.log(np.abs(z)), [math.log(rho)])
     kept = masked.kept
     nodes = np.concatenate([aq.nodes[kept], masked.nodes])
@@ -292,7 +293,7 @@ def test_disc_szego_section_unit_weight():
 
 def test_disc_bergman_section():
     cfg = _cfg(disc(), 0.5)
-    res = Resolution(basis_schedule=(8, 16, 32), radial_cells=8192, angular_cells=160, patch_radius=0.0)
+    res = Resolution(basis_schedule=(8, 16, 32), radial_cells=8192, angular_cells=160)
     sec = kernel_section(cfg, "bergman", res)
     grid = np.array([0.3 + 0.2j, -0.5, 0.1j])
     exact = (1 - 0.25) ** 2 / (1 - 0.5 * grid) ** 2
@@ -344,7 +345,7 @@ def test_sections_coincide_in_matched_configs():
     # In extremal-family configurations the normalized Hardy and Bergman
     # kernel sections are one and the same function.
     res_d = Resolution(basis_schedule=(8, 16, 32), radial_cells=1024, angular_cells=160,
-                       boundary_nodes=256, patch_radius=0.0)
+                       boundary_nodes=256)
     cfg_d = _cfg(disc(), 0.3)
     sec_k = kernel_section(cfg_d, "szego", res_d)
     sec_b = kernel_section(cfg_d, "bergman", res_d)
@@ -352,7 +353,7 @@ def test_sections_coincide_in_matched_configs():
     assert np.max(np.abs(sec_k(grid) - sec_b(grid))) < 1e-6
 
     res_a = Resolution(basis_schedule=(8, 16, 32), boundary_nodes=512, radial_cells=512,
-                       angular_cells=256, patch_radius=0.0)
+                       angular_cells=256)
     cfg_a = _cfg(annulus(0.25), 0.5, u=HarmonicFunctionRep.log_mode(-0.5))
     sec_k = kernel_section(cfg_a, "szego", res_a)
     sec_b = kernel_section(cfg_a, "bergman", res_a)
@@ -364,3 +365,23 @@ def test_resolution_guard():
     cfg = _cfg(disc(), 0.0)
     with pytest.raises(ValueError):
         kernel_diag(cfg, "szego", Resolution(basis_schedule=(8, 64), boundary_nodes=128))
+
+
+def test_resolution_guard_covers_radii():
+    # The refined level keeps the radial cells, so they must outnumber the
+    # basis order themselves.
+    cfg = _cfg(annulus(0.25), 0.5)
+    res = Resolution(basis_schedule=(8, 16, 48), boundary_nodes=256, radial_cells=48, angular_cells=256)
+    with pytest.raises(ResolutionTooCoarse):
+        kernel_diag(cfg, "bergman", res)
+    kernel_diag(cfg, "bergman", dataclasses.replace(res, radial_cells=56, refine_quadrature=False))
+
+
+def test_deep_ring_off_center_kernel_is_finite():
+    # At 2x the ring is 96 levels deep; without a floor on its depth, edges
+    # met |z0| and the density went infinite on a ring.
+    z0 = 0.6 * np.exp(1j * np.pi / 192)
+    cfg = _cfg(disc(), z0, c=CProfile.exp_delta(0.3))
+    got = kernel_diag(cfg, "bergman", Resolution(basis_schedule=(8, 16), radial_cells=128, angular_cells=96))
+    assert np.isfinite(got.value) and got.value > 0.0
+    assert np.isfinite(got.quadrature_estimate)

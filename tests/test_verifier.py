@@ -182,7 +182,7 @@ def test_suita_disc_center():
 
 def test_suita_disc_offcenter():
     res = Resolution(basis_schedule=(8, 16, 32), radial_cells=1024, angular_cells=160,
-                     boundary_nodes=256, patch_radius=0.0)
+                     boundary_nodes=256)
     rep = verify_suita(disc(), 0.5, res)
     assert rep.verdict == "pass"
     target = 1.0 / (1.0 - 0.25) ** 2
@@ -193,7 +193,7 @@ def test_suita_disc_offcenter():
 
 def test_suita_annulus_strict_margins():
     res = Resolution(basis_schedule=(16, 32), boundary_nodes=512, radial_cells=768,
-                     angular_cells=320, patch_radius=0.0)
+                     angular_cells=320)
     rep = verify_suita(annulus(0.25), 0.5, res)
     assert rep.verdict == "pass"
     assert rep.left_margin == pytest.approx(golden.ANNULUS_SUITA_LEFT, rel=0.05)
