@@ -7,16 +7,20 @@ fresh interpreters with PYTHONPATH=<tree>/src, each writing into its own
 temporary directory:
 
     kernelgauge verify scenarios/{disc_baseline,annulus_strict,annulus_matched}.json
+    kernelgauge verify higher_order.json
     kernelgauge sweep scenarios/annulus_strict.json --param alpha_u --range=-0.4:0.5:9
+        (under KERNELGAUGE_THREADS=1 and =2)
     kernelgauge kernel-eval scenarios/<each of the three>.json --curve {boundary,radial}
     kernelgauge selftest
 
-The three shipped scenarios are all k = 0, as kernel-eval requires.
-Both trees read the scenario files of CHANGE_TREE, so only the code
-differs.  That makes 50 outputs: every report.csv, report.md, sweep.csv
+The three shipped scenarios are all k = 0, as kernel-eval requires;
+higher_order.json is a k = 1 annulus scenario that this script writes
+(HIGHER_ORDER), so the order-zero reduction is compared too.  Both trees
+read the same scenario files, CHANGE_TREE's shipped ones and the written
+one, so only the code differs.  That makes 60 outputs: every report.csv, report.md, sweep.csv
 and kernel_eval_*.csv, the selftest's stdout, which prints the sublevel
 checks (g_curve, shell identity, boundary limit, Hardy diagnostic), and
-every exit code, under both thread counts.
+every exit code, under both BLAS thread counts.
 Each one that differs between the trees is printed with a diff; the
 script exits 1 if any differs or is missing, and 0 if all are
 byte-identical.  Standard library only.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import subprocess
 import sys
@@ -34,31 +39,45 @@ from pathlib import Path
 
 SCENARIOS = ("disc_baseline", "annulus_strict", "annulus_matched")
 THREADS = ("1", "2")
+# Equality case of order k = 1: a_G + 2 p0 = 4 and 2 alpha_z0 + alpha_u = 1 + 0.
+HIGHER_ORDER = {
+    "domain": {"kind": "annulus", "q": 0.25},
+    "point": {"z0": [0.3, 0.4]},
+    "k": 1,
+    "weight": {"p0": 1.5, "aG": 1.0, "c": {"kind": "exp_delta", "delta": -0.3}},
+    "run": {"basis_schedule": [8, 16, 32], "boundary_nodes": 256, "radial_cells": 160, "angular_cells": 192},
+}
 
 
-def commands(scenarios: Path):
-    """(name, CLI arguments, output files) of every compared command; no files: compare stdout."""
+def commands(scenarios: Path, higher_order: Path):
+    """(name, CLI arguments, output files, extra environment) of every compared command.
+
+    A command with no output files is compared by its stdout.
+    """
     for name in SCENARIOS:
-        yield name, ["verify", str(scenarios / f"{name}.json")], ("report.csv", "report.md")
+        yield name, ["verify", str(scenarios / f"{name}.json")], ("report.csv", "report.md"), {}
+    yield "higher_order", ["verify", str(higher_order)], ("report.csv", "report.md"), {}
     sweep = ["sweep", str(scenarios / "annulus_strict.json"), "--param", "alpha_u", "--range=-0.4:0.5:9"]
-    yield "sweep_alpha_u", sweep, ("sweep.csv",)
+    for workers in THREADS:
+        yield f"sweep_alpha_u_workers{workers}", sweep, ("sweep.csv",), {"KERNELGAUGE_THREADS": workers}
     for name in SCENARIOS:
         for curve in ("boundary", "radial"):
             args = ["kernel-eval", str(scenarios / f"{name}.json"), "--curve", curve]
-            yield f"{name}_kernel_eval_{curve}", args, (f"kernel_eval_{curve}.csv",)
-    yield "selftest", ["selftest"], ()
+            yield f"{name}_kernel_eval_{curve}", args, (f"kernel_eval_{curve}.csv",), {}
+    yield "selftest", ["selftest"], (), {}
 
 
-def run_tree(tree: Path, scenarios: Path, threads: str, work: Path) -> dict[str, bytes | int | None]:
+def run_tree(tree: Path, scenarios: Path, higher_order: Path, threads: str,
+             work: Path) -> dict[str, bytes | int | None]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS=threads,
                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     outputs: dict[str, bytes | int | None] = {}
-    for name, args, files in commands(scenarios):
+    for name, args, files, extra in commands(scenarios, higher_order):
         out = work / name
         if files:
             args = [*args, "--out", str(out)]
         proc = subprocess.run([sys.executable, "-m", "kernelgauge.cli", *args],
-                              cwd=work, env=env, capture_output=True)
+                              cwd=work, env={**env, **extra}, capture_output=True)
         outputs[f"{name} exit code"] = proc.returncode
         if not files:
             outputs[f"{name} stdout"] = proc.stdout
@@ -87,12 +106,14 @@ def main(argv: list[str] | None = None) -> int:
     scenarios = trees[1] / "scenarios"
     compared = failed = 0
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        higher_order = Path(tmp) / "higher_order.json"
+        higher_order.write_text(json.dumps(HIGHER_ORDER, indent=1))
         for threads in THREADS:
             results = []
             for label, tree in zip(("parent", "change"), trees):
                 work = Path(tmp) / threads / label
                 work.mkdir(parents=True)
-                results.append(run_tree(tree, scenarios, threads, work))
+                results.append(run_tree(tree, scenarios, higher_order, threads, work))
             parent, change = results
             for key in parent:
                 compared += 1

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidConfig, KernelGaugeError, ScenarioError
 from .geometry import DomainSpec
 from .kernels import KernelValue, Resolution, kernel_section
-from .potential import HarmonicFunctionRep
+from .potential import GreenFunctionRep, HarmonicFunctionRep, green
 from .selftest import run_selftest
 from .verifier import VerificationReport, verify
 from .weights import CProfile, PhiSpec, PsiSpec, WeightConfig
@@ -108,7 +108,7 @@ def load_scenario(path: str | Path) -> dict:
     return doc
 
 
-def build_config(doc: dict) -> WeightConfig:
+def _domain_and_point(doc: dict) -> tuple[DomainSpec, complex]:
     dom = doc["domain"]
     kind = dom.get("kind")
     if kind not in ("disc", "annulus"):
@@ -125,7 +125,12 @@ def build_config(doc: dict) -> WeightConfig:
     z0 = _as_complex(doc["point"].get("z0"), "point.z0")
     if not domain.contains(z0, margin=1e-9):
         raise ScenarioError(f"'point.z0' = {z0} is not interior to the domain")
+    return domain, z0
 
+
+def build_config(doc: dict, green_rep: GreenFunctionRep | None = None) -> WeightConfig:
+    """The scenario's configuration; green_rep, if given, is its domain's Green function with pole z0."""
+    domain, z0 = _domain_and_point(doc)
     weight = doc["weight"]
     p0 = float(_require_number(weight, "p0", "weight"))
     eps = float(_require_number(weight, "eps", "weight", default=0.0))
@@ -164,7 +169,7 @@ def build_config(doc: dict) -> WeightConfig:
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ScenarioError("'k' must be a nonnegative integer")
     try:
-        return WeightConfig(domain, z0, k, PsiSpec(p0, eps), PhiSpec(a_g, u), profile)
+        return WeightConfig(domain, z0, k, PsiSpec(p0, eps), PhiSpec(a_g, u), profile, green_rep)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -335,10 +340,13 @@ def cmd_sweep(args) -> int:
     if n < 1:
         raise ScenarioError("--range point count must be >= 1")
     values = np.linspace(lo, hi, n)
+    # No swept parameter moves the domain or z0, so every point shares one
+    # Green function and with it every rule and G on its nodes.
+    shared = green(*_domain_and_point(doc))
 
     def run_one(value: float) -> VerificationReport:
         varied = _apply_param(doc, args.param, float(value))
-        config = build_config(varied)
+        config = build_config(varied, shared)
         res = build_resolution(varied, config.domain)
         return verify(config, res, _tol_eq(varied))
 

@@ -40,26 +40,21 @@ _MONODROMY_NODES = 1024
 _BRANCH_PROBES = 8  # points where the two continuation paths of F0 are compared
 
 
-def _sublevel_masks(config: WeightConfig, aq: AreaQuadrature, two_psi, ts, keep: str) -> list[MaskedQuadrature]:
+def _sublevel_masks(config: WeightConfig, aq: AreaQuadrature, ts, keep: str) -> list[MaskedQuadrature]:
     """aq masked to {2 psi < -t} (keep "above": {2 psi >= -t}), one rule per t, by one mask call.
 
-    two_psi holds 2 psi on aq's nodes, which the mask's node call reuses.
     Below, every t must be nonnegative and the largest below max(-2 psi)
     on the nodes; the t = 0 rule is the whole of aq, with no mask.
     """
     if keep == "below" and min(ts) < 0.0:
         raise ValueError("t must be nonnegative")
     if keep == "below" and max(ts) > 0.0:
-        top = float(np.max(-two_psi))
+        top = float(np.max(-config.two_psi(aq.nodes, aq.rings)))
         if max(ts) >= top:
             raise EmptySublevel(f"t={max(ts)} exceeds max(-2 psi)={top:.6g} on the grid")
 
-    def level(z, rings=None):
-        # Under the level-field protocol, aq's rings mean aq's nodes.
-        return two_psi if rings is aq.rings else config.two_psi(z, rings)
-
     cut = [t for t in ts if t != 0.0 or keep != "below"]
-    masked = dict(zip(cut, mask_quadrature(aq, level, [-t for t in cut], keep))) if cut else {}
+    masked = dict(zip(cut, mask_quadrature(aq, config.two_psi, [-t for t in cut], keep))) if cut else {}
     # psi < 0 on the open domain, so the t = 0 sublevel set is everything.
     whole = MaskedQuadrature(
         aq, np.ones(aq.weights.size, dtype=bool), np.empty(0, dtype=complex), np.empty(0), np.empty(0, dtype=int)
@@ -85,11 +80,10 @@ def _masked_gram(
 
 
 def _sublevel_minima(config: WeightConfig, ts, res: Resolution, aq: AreaQuadrature) -> list[float]:
-    """G_up at every t of ts: G on aq's nodes, the basis and rho are built once for all of them."""
-    two_psi, phi = config.two_psi_phi(aq.nodes, aq.rings)
-    masks = _sublevel_masks(config, aq, two_psi, ts, "below")
+    """G_up at every t of ts: the masks, the basis and rho on aq's nodes are built once for all of them."""
+    masks = _sublevel_masks(config, aq, ts, "below")
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
-    rho = config.rho_from(two_psi, phi)
+    rho = config.rho(aq.nodes, aq.rings)
     values = []
     while masks:  # each rule is dropped once its Gram is formed
         gram_t = _masked_gram(config, basis, aq, rho, masks.pop(0))
@@ -310,16 +304,16 @@ def shell_identity_check(
     if f0 is None:
         f0 = f0_construct(config)
     aq = area_quadrature_for(config, res)
-    two_psi, phi = config.two_psi_phi(aq.nodes, aq.rings)
 
-    def density(z, two_psi, phi, rings=None):
+    def density(z, rings=None):
+        two_psi, phi = config.two_psi_phi(z, rings)
         return f0.abs2(z, rings) * np.exp(-phi) * a_profile.c(-two_psi)
 
-    on_parent = density(aq.nodes, two_psi, phi, aq.rings)
+    on_parent = density(aq.nodes, aq.rings)
     ts = [t2, t1] if math.isfinite(t1) else [t2]
     integrals = [
-        masked.integrate(on_parent, density(masked.nodes, *config.two_psi_phi(masked.nodes)))
-        for masked in _sublevel_masks(config, aq, two_psi, ts, "below")
+        masked.integrate(on_parent, density(masked.nodes))
+        for masked in _sublevel_masks(config, aq, ts, "below")
     ]
     lhs = integrals[0] - sum(integrals[1:])
     tail_hi = float(a_profile.h(t1)) if math.isfinite(t1) else 0.0
@@ -354,14 +348,13 @@ def boundary_limit_check(
     if res is None:
         res = Resolution.for_domain(config.domain)
     aq = area_quadrature_for(config, res)
-    two_psi, phi = config.two_psi_phi(aq.nodes, aq.rings)
-    on_parent = f_abs2(aq.nodes, aq.rings) * config.rho_from(two_psi, phi)
+    on_parent = f_abs2(aq.nodes, aq.rings) * config.rho(aq.nodes, aq.rings)
     r_values = np.asarray(list(r_values), dtype=float)
     ts = [-math.log(r) for r in r_values]
     ratios = np.array([
         masked.integrate(on_parent, f_abs2(masked.nodes) * config.rho(masked.nodes))
         / (config.c.total - float(config.c.h(t)))
-        for masked, t in zip(_sublevel_masks(config, aq, two_psi, ts, "above"), ts)
+        for masked, t in zip(_sublevel_masks(config, aq, ts, "above"), ts)
     ])
     boundary = side_measure(config, "szego", res)
     boundary_value = 0.5 * float(np.sum(boundary.wdensity * f_abs2(boundary.points, boundary.rings)))

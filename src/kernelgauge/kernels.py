@@ -26,14 +26,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import InvalidConfig, ResolutionTooCoarse
-from .geometry import (
-    AreaQuadrature,
-    BoundaryQuadrature,
-    DomainSpec,
-    RingGrid,
-    area_quadrature,
-    boundary_quadrature,
-)
+from .geometry import AreaQuadrature, BoundaryQuadrature, DomainSpec, RingGrid
 from .numerics import (
     ConstraintSystem,
     HermitianMatrix,
@@ -189,13 +182,8 @@ def area_measure(config: WeightConfig, aq: AreaQuadrature) -> Measure:
 
 
 def area_quadrature_for(config: WeightConfig, res: Resolution) -> AreaQuadrature:
-    return area_quadrature(
-        config.domain,
-        config.z0,
-        res.radial_cells,
-        res.angular_cells,
-        patch_levels=res.patch_levels,
-    )
+    """The area rule of res about z0, from the memo of the config's Green function."""
+    return config.green_rep.area_rule(res.radial_cells, res.angular_cells, res.patch_levels)
 
 
 # Kernel diagonal = normalizer / minimal plain sum (see the module docstring).
@@ -205,7 +193,7 @@ _SIDE_NORMALIZER = {"szego": _TWO_PI, "bergman": 1.0}
 def side_measure(config: WeightConfig, side: Side, res: Resolution) -> Measure:
     """The weighted rule of one side: boundary for szego, area for bergman."""
     if side == "szego":
-        return boundary_measure(config, boundary_quadrature(config.domain, res.boundary_nodes))
+        return boundary_measure(config, config.green_rep.boundary_rule(res.boundary_nodes))
     return area_measure(config, area_quadrature_for(config, res))
 
 

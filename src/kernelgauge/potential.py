@@ -20,12 +20,20 @@ mod 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PoleTooCloseToBoundary, TruncationInsufficient
-from .geometry import DomainSpec, RingGrid
+from .geometry import (
+    AreaQuadrature,
+    BoundaryQuadrature,
+    DomainSpec,
+    RingGrid,
+    area_quadrature,
+    boundary_quadrature,
+)
 
 _TWO_PI = 2.0 * np.pi
 # Target for truncation tails when auto-sizing expansions.
@@ -173,17 +181,16 @@ class HarmonicFunctionRep:
     def analytic_derivative(self) -> "AnalyticDerivative":
         """Single-valued derivative w'(z) = 2 du/dz of the completion u + i*conj."""
         s = self.series
-        terms: dict[int, complex] = {}
-        for m, c in zip(range(s.m_min, s.m_max + 1), s.coeffs):
-            if m != 0 and c != 0.0:
-                terms[m - 1] = terms.get(m - 1, 0.0) + m * c
+        m = np.arange(s.m_min, s.m_max + 1)
+        keep = (m != 0) & (s.coeffs != 0.0)
+        powers, terms = m[keep] - 1, m[keep] * s.coeffs[keep]
         if self.alpha_log != 0.0:
-            terms[-1] = terms.get(-1, 0.0) + self.alpha_log
-        lo = min(terms) if terms else 0
-        hi = max(terms) if terms else 0
+            # Power -1 would come from m = 0 alone, which the series drops.
+            powers, terms = np.append(powers, -1), np.append(terms, self.alpha_log)
+        lo = int(powers.min()) if powers.size else 0
+        hi = int(powers.max()) if powers.size else 0
         arr = np.zeros(hi - lo + 1, dtype=complex)
-        for m, c in terms.items():
-            arr[m - lo] = c
+        arr[powers - lo] = terms
         return AnalyticDerivative(LaurentSeries(lo, arr), Character(self.alpha_log))
 
     def __add__(self, other: "HarmonicFunctionRep") -> "HarmonicFunctionRep":
@@ -229,12 +236,90 @@ class PoleDerivative:
 
 
 @dataclass(frozen=True)
+class _OnNodes:
+    """A memoized rule's nodes with G there, and on a boundary rule its signs and dG/dnu."""
+
+    nodes: np.ndarray
+    g: np.ndarray
+    signs: np.ndarray | None = None
+    dg_dnu: np.ndarray | None = None
+
+
+def _read_only(*arrays: np.ndarray | None) -> None:
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+
+
+@dataclass(frozen=True)
 class GreenFunctionRep:
-    """Green function log|z - w| + correction, vanishing on the boundary."""
+    """Green function log|z - w| + correction, vanishing on the boundary.
+
+    It keeps, for its lifetime, a memo of every rule built about its pole
+    by `area_rule` and `boundary_rule`, each with G (and on the boundary
+    dG/dnu) on its nodes, and of its derivative series and character.  An
+    entry is built once, by whichever thread asks first, and its arrays
+    are read-only, so every configuration sharing this Green function
+    (the points of a sweep, an order-k configuration and its reduction)
+    reads the same values.  `value_at` and `normal_derivative_at` read
+    them where `value` and `normal_derivative` always evaluate.
+    """
 
     domain: DomainSpec
     pole: complex
     correction: HarmonicFunctionRep
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _known: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # id(rings) -> _OnNodes
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
+
+    def _memoized(self, key: tuple, build):
+        """The memo's entry for key, built by build() on first use."""
+        with self._lock:
+            entry = self._memo.setdefault(key, [threading.Lock(), None])
+        with entry[0]:
+            if entry[1] is None:
+                entry[1] = build()
+        return entry[1]
+
+    def _on_nodes(self, z, rings: RingGrid | None) -> _OnNodes | None:
+        """The memo's values when z are the nodes of a rule built here with these rings."""
+        if rings is None:
+            return None
+        with self._lock:
+            known = self._known.get(id(rings))
+        return known if known is not None and z is known.nodes else None
+
+    def _remember(self, rings: RingGrid, known: _OnNodes, *arrays: np.ndarray) -> None:
+        _read_only(rings.radii, known.nodes, known.g, known.signs, known.dg_dnu, *arrays)
+        with self._lock:
+            self._known[id(rings)] = known
+
+    def area_rule(self, radial_cells: int, angular_cells: int, patch_levels: int) -> AreaQuadrature:
+        """`geometry.area_quadrature` about the pole, with G on its nodes, built once."""
+
+        def build():
+            aq = area_quadrature(self.domain, self.pole, radial_cells, angular_cells, patch_levels=patch_levels)
+            known = _OnNodes(aq.nodes, self.value(aq.nodes, aq.rings))
+            self._remember(aq.rings, known, aq.weights, aq.inner, aq.outer, aq.angle_edges)
+            return aq
+
+        return self._memoized(("area", radial_cells, angular_cells, patch_levels), build)
+
+    def boundary_rule(self, nodes_per_component: int) -> BoundaryQuadrature:
+        """`geometry.boundary_quadrature`, with G and dG/dnu on its nodes, built once."""
+
+        def build():
+            bq = boundary_quadrature(self.domain, nodes_per_component)
+            known = _OnNodes(
+                bq.nodes,
+                self.value(bq.nodes, bq.rings),
+                bq.normal_signs,
+                self.normal_derivative(bq.nodes, bq.normal_signs, bq.rings),
+            )
+            self._remember(bq.rings, known, bq.weights)
+            return bq
+
+        return self._memoized(("boundary", nodes_per_component), build)
 
     def value(self, z, rings: RingGrid | None = None):
         z = np.asarray(z, dtype=complex)
@@ -242,20 +327,38 @@ class GreenFunctionRep:
         with np.errstate(divide="ignore"):
             return np.log(np.abs(z - self.pole)) + self.correction.value(z, rings)
 
+    def value_at(self, z, rings: RingGrid | None = None):
+        """G at z as `value` gives it, read from the memo on a memoized rule's nodes."""
+        known = self._on_nodes(z, rings)
+        return self.value(z, rings) if known is None else known.g
+
     @property
     def robin_constant(self) -> float:
         """Finite part of G at the pole, lim (G - log|z - w|)."""
         return float(self.correction.value(self.pole))
 
     def derivative(self) -> PoleDerivative:
-        reg = self.correction.analytic_derivative().series
-        return PoleDerivative(self.pole, reg)
+        """2 dG/dz, formed once."""
+        return self._memoized(
+            ("derivative",), lambda: PoleDerivative(self.pole, self.correction.analytic_derivative().series)
+        )
+
+    def character(self) -> Character:
+        """`character_exponent` of this Green function, measured once."""
+        return self._memoized(("character",), lambda: character_exponent(self.domain, self))
 
     def normal_derivative(self, zeta, signs, rings: RingGrid | None = None):
         """dG/dnu at boundary points; signs +1 outer circle, -1 inner."""
         zeta = np.asarray(zeta, dtype=complex)
         h = self.derivative()
         return np.asarray(signs, dtype=float) * np.real(zeta / np.abs(zeta) * h(zeta, rings))
+
+    def normal_derivative_at(self, zeta, signs, rings: RingGrid | None = None):
+        """dG/dnu as `normal_derivative` gives it, read from the memo on a memoized boundary rule."""
+        known = self._on_nodes(zeta, rings)
+        if known is None or known.dg_dnu is None or signs is not known.signs:
+            return self.normal_derivative(zeta, signs, rings)
+        return known.dg_dnu
 
 
 def _auto_truncation(ratio: float, minimum: int = 48, maximum: int = 6000) -> int:

@@ -263,7 +263,7 @@ def check_rho_radial_weight() -> tuple[bool, str]:
 def check_gram_disc_moments() -> tuple[bool, str]:
     cfg = WeightConfig(disc(), 0.0, 0, PsiSpec(1.0), PhiSpec(), CProfile.constant_one())
     basis = BasisDescriptor.create(disc(), 2, 0.0, 0)
-    aq = area_quadrature(disc(), 0.0, 16384, 48)
+    aq = area_quadrature(disc(), 0.0, 256, 48)
     m = gram(basis, area_measure(cfg, aq)).entries
     expected = np.diag([math.pi, math.pi / 2.0, math.pi / 3.0])
     err = float(np.max(np.abs(m - expected)))
@@ -315,9 +315,7 @@ def check_sections_disc() -> tuple[bool, str]:
     zs = np.array([0.3 + 0.2j, -0.5, 0.1j])
     err_s = float(np.max(np.abs(sec(zs) - (1.0 - 0.25) / (1.0 - 0.5 * zs))))
     cfg_b = WeightConfig(disc(), z0, 0, PsiSpec(1.0), PhiSpec(), CProfile.constant_one())
-    res_b = Resolution(
-        basis_schedule=(8, 16, 32), radial_cells=8192, angular_cells=160
-    )
+    res_b = Resolution(basis_schedule=(8, 16, 32), radial_cells=256, angular_cells=160)
     sec_b = kernel_section(cfg_b, "bergman", res_b)
     err_b = float(np.max(np.abs(sec_b(zs) - (1.0 - 0.25) ** 2 / (1.0 - 0.5 * zs) ** 2)))
     return err_s < 1e-8 and err_b < 1e-8, f"szego err={err_s:.2e}, bergman err={err_b:.2e}"

@@ -333,8 +333,8 @@ def superlevel_constant(
     if res is None:
         res = Resolution.for_domain(config.domain)
     aq = area_quadrature_for(config, res)
-    gvals = config.green_rep.value(aq.nodes, aq.rings)
-    pvals = config._psi_from_green(gvals, aq.nodes)
+    gvals = config.green_rep.value_at(aq.nodes, aq.rings)
+    pvals = config.psi_value(aq.nodes, aq.rings)
     best = 0.0
     for t in np.linspace(t0 / grid_points, t0, grid_points):
         sel = gvals >= -t

@@ -24,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import EvaluationAtPole, InvalidProfile
-from .geometry import DomainSpec, RingGrid, area_quadrature, boundary_quadrature
+from .geometry import DomainSpec, RingGrid
 from .potential import (
     Character,
     GreenFunctionRep,
@@ -149,7 +149,13 @@ def _bump_log_coefficient(domain: DomainSpec) -> float:
 
 
 class WeightConfig:
-    """Immutable bundle of domain, base point, order and weight data."""
+    """Immutable bundle of domain, base point, order and weight data.
+
+    green_rep is the Green function of the domain with pole z0, built here
+    unless given.  Configurations that share one (the points of a sweep,
+    a configuration and its `reduced` form) share its memo of rules and of
+    G on their nodes (see `potential.GreenFunctionRep`).
+    """
 
     def __init__(
         self,
@@ -159,27 +165,24 @@ class WeightConfig:
         psi: PsiSpec,
         phi: PhiSpec,
         c: CProfile,
+        green_rep: GreenFunctionRep | None = None,
     ):
         if k < 0:
             raise ValueError("derivative order k must be nonnegative")
         if not domain.contains(z0, margin=1e-9):
             raise ValueError(f"base point {z0} not interior")
+        if green_rep is not None and (green_rep.domain != domain or green_rep.pole != complex(z0)):
+            raise ValueError("green_rep must be the Green function of this domain with pole z0")
         self.domain = domain
         self.z0 = complex(z0)
         self.k = int(k)
         self.psi = psi
         self.phi = phi
         self.c = c
-        self._green: GreenFunctionRep | None = None
+        self.green_rep = green_rep if green_rep is not None else green(domain, self.z0)
         self._bump_b = _bump_log_coefficient(domain)
 
     # -- potential-theoretic data ------------------------------------
-
-    @property
-    def green_rep(self) -> GreenFunctionRep:
-        if self._green is None:
-            self._green = green(self.domain, self.z0)
-        return self._green
 
     def bump(self, z):
         """The fixed perturbation s(z) <= 0, vanishing on the boundary."""
@@ -196,10 +199,11 @@ class WeightConfig:
 
     # Every evaluator below takes the rule's RingGrid as `rings` when its
     # points are that rule's ring-major nodes; the Laurent parts are then
-    # summed ring by ring (see potential.LaurentSeries).
+    # summed ring by ring (see potential.LaurentSeries).  On the nodes of a
+    # rule from green_rep's memo, G is read from the memo.
 
     def psi_value(self, z, rings: RingGrid | None = None):
-        return self._psi_from_green(self.green_rep.value(z, rings), z)
+        return self._psi_from_green(self.green_rep.value_at(z, rings), z)
 
     def _psi_from_green(self, g, z):
         val = self.psi.p0 * g
@@ -212,13 +216,13 @@ class WeightConfig:
 
     def dpsi_dnu(self, zeta, signs, rings: RingGrid | None = None):
         """Outward normal derivative of psi at boundary nodes."""
-        val = self.psi.p0 * self.green_rep.normal_derivative(zeta, signs, rings)
+        val = self.psi.p0 * self.green_rep.normal_derivative_at(zeta, signs, rings)
         if self.psi.eps:
             val = val + self.psi.eps * np.asarray(signs, dtype=float) * self.bump_radial_derivative(zeta)
         return val
 
     def phi_value(self, z, rings: RingGrid | None = None):
-        g = self.green_rep.value(z, rings) if self.phi.a_g != 0.0 else None
+        g = self.green_rep.value_at(z, rings) if self.phi.a_g != 0.0 else None
         return self._phi_from_green(g, z, rings)
 
     def _phi_from_green(self, g, z, rings):
@@ -229,8 +233,8 @@ class WeightConfig:
         return val
 
     def two_psi_phi(self, z, rings: RingGrid | None = None):
-        """(2 psi, phi) at z, from one evaluation of G."""
-        g = self.green_rep.value(z, rings)
+        """(2 psi, phi) at z, from one value of G."""
+        g = self.green_rep.value_at(z, rings)
         return 2.0 * self._psi_from_green(g, z), self._phi_from_green(g, z, rings)
 
     # -- densities -----------------------------------------------------
@@ -256,7 +260,7 @@ class WeightConfig:
 
     @property
     def alpha_z0(self) -> Character:
-        return character_exponent(self.domain, self.green_rep)
+        return self.green_rep.character()
 
     @property
     def alpha_u(self) -> Character:
@@ -295,6 +299,7 @@ class WeightConfig:
             self.psi,
             PhiSpec(self.phi.a_g - 2.0 * self.k, self.phi.u + h_corr.scaled(float(self.k))),
             self.c,
+            self.green_rep,
         )
 
 
@@ -351,7 +356,7 @@ def validate_config(config: WeightConfig) -> list[ConfigCheck]:
         )
     )
 
-    bq = boundary_quadrature(config.domain, 128)
+    bq = config.green_rep.boundary_rule(128)
     trace = float(np.max(np.abs(config.psi_value(bq.nodes, bq.rings))))
     flux = config.dpsi_dnu(bq.nodes, bq.normal_signs, bq.rings)
     min_flux = float(np.min(flux))
@@ -372,7 +377,7 @@ def validate_config(config: WeightConfig) -> list[ConfigCheck]:
         )
     )
 
-    aq = area_quadrature(config.domain, config.z0, 96, 96, patch_levels=12)
+    aq = config.green_rep.area_rule(96, 96, 12)
     rho_vals = config.rho(aq.nodes, aq.rings)
     min_rho = float(np.min(rho_vals))
     finite = bool(np.all(np.isfinite(rho_vals)))

@@ -334,3 +334,91 @@ def test_verify_unrefined_quadrature_reported_unchecked(tmp_path, capsys):
 
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
+
+
+def _small_annulus_strict(out_dir):
+    """scenarios/annulus_strict.json on a coarser grid, quadrature refinement on."""
+    doc = json.loads((SCENARIOS / "annulus_strict.json").read_text())
+    doc["run"] = {"basis_schedule": [8, 16], "boundary_nodes": 160, "radial_cells": 80, "angular_cells": 80,
+                  "patch_levels": 12, "output_dir": str(out_dir)}
+    return doc
+
+
+SHARED_SWEEPS = {"alpha_u": "-0.4:0.5:2", "delta": "-0.5:0.5:2", "p0": "1:1.5:2", "aG": "0:0.5:2"}
+
+
+def test_sweep_points_equal_independent_verify_reports(tmp_path, monkeypatch):
+    # Sweep points share one Green function and its rules; every report
+    # equals, bit for bit, the report of a verify that builds its own.
+    import kernelgauge.cli as cli
+
+    doc = _small_annulus_strict(tmp_path / "out")
+    path = _write(tmp_path, doc)
+    real = cli.verify
+    shared = {}
+
+    def recording(config, res, tol_eq):
+        report = real(config, res, tol_eq)
+        key = (config.psi.p0, config.phi.a_g, config.phi.u.alpha_log, config.c)
+        shared.setdefault(key, []).append((config.green_rep, report))
+        return report
+
+    monkeypatch.setattr(cli, "verify", recording)
+    for param, spec in SHARED_SWEEPS.items():
+        lo, hi, n = spec.split(":")
+        independent = {}
+        for value in np.linspace(float(lo), float(hi), int(n)):
+            varied = cli._apply_param(doc, param, float(value))
+            config = cli.build_config(varied)
+            key = (config.psi.p0, config.phi.a_g, config.phi.u.alpha_log, config.c)
+            independent[key] = real(config, cli.build_resolution(varied, config.domain), cli._tol_eq(varied))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("KERNELGAUGE_THREADS", threads)
+            shared.clear()
+            main(["sweep", path, "--param", param, f"--range={spec}"])
+            assert sorted(shared, key=repr) == sorted(independent, key=repr)
+            greens = {id(green) for points in shared.values() for green, _ in points}
+            assert len(greens) == 1
+            for key, points in shared.items():
+                assert [report for _, report in points] == [independent[key]]
+
+
+def test_sweep_rules_built_once_per_command_and_released(tmp_path, monkeypatch):
+    # Each command builds its own rules (admissibility, 1x, 2x) once, and
+    # none of them outlives it.
+    import weakref
+
+    import kernelgauge.potential as potential
+
+    real = potential.area_quadrature
+    built = []
+
+    def tracked(*args, **kwargs):
+        rule = real(*args, **kwargs)
+        built.append(weakref.ref(rule))
+        return rule
+
+    monkeypatch.setattr(potential, "area_quadrature", tracked)
+    path = _write(tmp_path, _small_annulus_strict(tmp_path / "out"))
+    for _ in range(2):
+        built.clear()
+        main(["sweep", path, "--param", "alpha_u", "--range=-0.4:0.5:3"])
+        assert len(built) == 3
+        assert all(ref() is None for ref in built)
+
+
+def test_higher_order_verify_builds_each_rule_once(tmp_path, monkeypatch):
+    # The order-zero reduction reads the rules of the k = 1 configuration.
+    import kernelgauge.potential as potential
+
+    builds = []
+    for name in ("area_quadrature", "boundary_quadrature"):
+        real = getattr(potential, name)
+        monkeypatch.setattr(potential, name, lambda *a, real=real, name=name, **kw: builds.append((name, a, kw))
+                            or real(*a, **kw))
+    doc = _k1_disc(tmp_path / "o6")
+    doc["run"].update(boundary_nodes=160, refine_quadrature=True)
+    assert main(["verify", _write(tmp_path, doc)]) == 0
+    names = [name for name, _, _ in builds]
+    assert names.count("area_quadrature") == 3 and names.count("boundary_quadrature") == 3
+    assert len({repr(b) for b in builds}) == len(builds)

@@ -96,7 +96,7 @@ def test_masked_gram_rings_match_dense(domain, z0, u, keep, t):
     # the dense Gram of the same masked rule, as in test_ring_gram_matches_dense.
     cfg = _cfg(domain, z0, u=u, c=CProfile.exp_delta(-0.4))
     aq = area_quadrature_for(cfg, MASK_RES)
-    (masked,) = _sublevel_masks(cfg, aq, cfg.two_psi(aq.nodes, aq.rings), [t], keep)
+    (masked,) = _sublevel_masks(cfg, aq, [t], keep)
     kept = masked.kept
     whole = np.count_nonzero(kept)
     if t == 0.0:
@@ -119,9 +119,10 @@ def test_masked_gram_rings_match_dense(domain, z0, u, keep, t):
 
 
 def test_green_evaluated_once_per_check(monkeypatch):
-    # 2 psi, phi and rho on the parent area rule come from one evaluation
-    # of G per check, which the mask's node call reuses.  The shell adds
-    # the one in its g_of_t(config, 0) call.  phi carries a_g G here.
+    # 2 psi, phi and rho on the parent area rule, the mask's node call and
+    # the shell's g_of_t(config, 0) all read G from the one evaluation in
+    # the Green function's memo.  phi carries a_g G here.
+    from kernelgauge.geometry import area_quadrature
     from kernelgauge.potential import GreenFunctionRep
 
     calls = []
@@ -134,18 +135,32 @@ def test_green_evaluated_once_per_check(monkeypatch):
         return value(self, z, rings)
 
     monkeypatch.setattr(GreenFunctionRep, "value", counted)
-    cfg = _cfg(annulus(0.25), 0.5, p0=0.75, a_g=0.5, u=MATCHED_U)
     res = Resolution(basis_schedule=(4, 8), boundary_nodes=64, radial_cells=48, angular_cells=40,
                      patch_levels=12)
-    nodes = area_quadrature_for(cfg, res).nodes.size
-    g_curve(cfg, [0.0, 0.3, 0.6], res)
-    assert calls == [nodes]
+    nodes = area_quadrature(annulus(0.25), 0.5, 48, 40, patch_levels=12).nodes.size
+
+    def config():
+        return _cfg(annulus(0.25), 0.5, p0=0.75, a_g=0.5, u=MATCHED_U)
+
+    def curve(cfg):
+        g_curve(cfg, [0.0, 0.3, 0.6], res)
+
+    def boundary(cfg):
+        boundary_limit_check(cfg, lambda z, rings=None: np.ones(np.shape(z)), res=res)
+
+    def shell(cfg):
+        shell_identity_check(cfg, CProfile.constant_one(), 0.6, 0.3, res=res)
+
+    for check in (curve, boundary, shell):
+        calls.clear()
+        check(config())
+        assert calls == [nodes]
+    # The three checks of one configuration share its Green function's rule.
     calls.clear()
-    boundary_limit_check(cfg, lambda z, rings=None: np.ones(np.shape(z)), res=res)
+    cfg = config()
+    for check in (curve, shell, boundary):
+        check(cfg)
     assert calls == [nodes]
-    calls.clear()
-    shell_identity_check(cfg, CProfile.constant_one(), 0.6, 0.3, res=res)
-    assert calls == [nodes, nodes]
 
 
 def test_empty_sublevel(monkeypatch):

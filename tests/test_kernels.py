@@ -325,16 +325,17 @@ def test_reproducing_residuals_annulus_negative_mode():
 
 
 def test_reproducing_residual_builds_its_rule_once(monkeypatch):
-    import kernelgauge.kernels as kernels_module
+    # Rules are built through the memo of the config's Green function.
+    import kernelgauge.potential as potential_module
 
     builds = []
-    real = kernels_module.area_quadrature
+    real = potential_module.area_quadrature
 
     def counting(*args, **kwargs):
         builds.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(kernels_module, "area_quadrature", counting)
+    monkeypatch.setattr(potential_module, "area_quadrature", counting)
     cfg = _cfg(disc(), 0.5)
     res = Resolution(basis_schedule=(8,), radial_cells=96, angular_cells=64, refine_quadrature=False)
     assert max(reproducing_residual(cfg, "bergman", (0, 1, 2), res)) < 1e-8

@@ -324,3 +324,81 @@ def test_ring_evaluation_near_pole_against_exact_sum():
             zi = mpmath.mpc(complex(bq.nodes[i]))
             exact = complex(mpmath.fsum(c * zi**m for m, c in terms))
             assert abs(ring[i] - exact) <= 1e-12 * np.max(np.abs(ring))
+
+
+# ------------------------------------------------------------ rule memo
+
+
+def test_rule_memo_values_match_evaluation_and_are_read_only():
+    g = green(annulus(0.25), 0.4 + 0.3j)
+    aq = g.area_rule(48, 40, 12)
+    bq = g.boundary_rule(64)
+    assert g.area_rule(48, 40, 12) is aq and g.boundary_rule(64) is bq
+    fresh = area_quadrature(annulus(0.25), 0.4 + 0.3j, 48, 40, patch_levels=12)
+    assert np.array_equal(aq.nodes, fresh.nodes) and np.array_equal(aq.weights, fresh.weights)
+    on_area = g.value_at(aq.nodes, aq.rings)
+    on_boundary = g.value_at(bq.nodes, bq.rings)
+    flux = g.normal_derivative_at(bq.nodes, bq.normal_signs, bq.rings)
+    assert np.array_equal(on_area, g.value(aq.nodes, aq.rings))
+    assert np.array_equal(on_boundary, g.value(bq.nodes, bq.rings))
+    assert np.array_equal(flux, g.normal_derivative(bq.nodes, bq.normal_signs, bq.rings))
+    # Only a memoized rule's own nodes read the memo.
+    assert g.value_at(aq.nodes.copy(), aq.rings) is not on_area
+    shared = (aq.nodes, aq.weights, aq.inner, aq.outer, aq.angle_edges, aq.rings.radii, on_area,
+              bq.nodes, bq.weights, bq.normal_signs, bq.rings.radii, on_boundary, flux)
+    for array in shared:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_rule_memo_builds_once_across_threads(monkeypatch):
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    import kernelgauge.potential as potential
+
+    real = potential.area_quadrature
+    builds = []
+    gate = threading.Barrier(4)
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "area_quadrature", counted)
+    g = green(disc(), 0.3)
+
+    def ask(_):
+        gate.wait()
+        return g.area_rule(32, 24, 8)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        rules = list(pool.map(ask, range(4)))
+    assert len(builds) == 1
+    assert all(rule is rules[0] for rule in rules)
+
+
+def test_derivative_and_character_formed_once():
+    g = green(annulus(0.25), 0.5)
+    assert g.derivative() is g.derivative()
+    assert g.character() is g.character()
+    assert g.character().exponent == character_exponent(annulus(0.25), g).exponent
+
+
+def test_analytic_derivative_vectorized_matches_term_loop():
+    rng = np.random.default_rng(3)
+    for lo, hi, alpha in ((-5, 7, 0.3), (0, 4, 0.0), (-3, 0, -1.25), (0, 0, 0.7)):
+        coeffs = {m: complex(*rng.normal(size=2)) for m in range(lo, hi + 1) if m not in (lo + 1, 2)}
+        u = HarmonicFunctionRep.from_coefficients(alpha, coeffs)
+        terms = {}
+        for m, c in zip(range(u.series.m_min, u.series.m_max + 1), u.series.coeffs):
+            if m != 0 and c != 0.0:
+                terms[m - 1] = m * c
+        if alpha:
+            terms[-1] = alpha
+        got = u.analytic_derivative()
+        low = min(terms, default=0)
+        assert got.series.m_min == low and got.series.m_max == max(terms, default=0)
+        for m, c in terms.items():
+            assert got.series.coeffs[m - low] == c
+        assert np.count_nonzero(got.series.coeffs) == len(terms)
