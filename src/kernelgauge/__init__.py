@@ -76,8 +76,6 @@ from .verifier import (
     hardy_diagnostic,
     superlevel_constant,
     verify,
-    verify_higher,
-    verify_main,
     verify_suita,
 )
 from .weights import (

@@ -24,7 +24,7 @@ from .geometry import DomainSpec
 from .kernels import KernelValue, Resolution, kernel_section
 from .potential import GreenFunctionRep, HarmonicFunctionRep, green
 from .selftest import run_selftest
-from .verifier import VerificationReport, verify
+from .verifier import DEFAULT_TOL_EQ, VerificationReport, verify
 from .weights import CProfile, PhiSpec, PsiSpec, WeightConfig
 
 _EXIT_PASS = 0
@@ -78,6 +78,13 @@ def _require_number(mapping: dict, key: str, path: str, default=None):
     return value
 
 
+def _require_int(mapping: dict, key: str, path: str, default=None, minimum=1) -> int:
+    value = _require_number(mapping, key, path, default)
+    if not isinstance(value, int) or value < minimum:
+        raise ScenarioError(f"'{path}.{key}' must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def load_scenario(path: str | Path) -> dict:
     """Parse and validate a scenario file; raises ScenarioError with
     line diagnostics on malformed JSON and on schema violations."""
@@ -95,8 +102,14 @@ def load_scenario(path: str | Path) -> dict:
         if not isinstance(doc[section], dict):
             raise ScenarioError(f"'{section}' must be an object")
         _reject_unknown(doc[section], _SCHEMA[section], section)
-    if "run" in doc:
-        _reject_unknown(doc["run"], _SCHEMA["run"], "run")
+    run = doc.get("run", {})
+    if not isinstance(run, dict):
+        raise ScenarioError("'run' must be an object")
+    _reject_unknown(run, _SCHEMA["run"], "run")
+    _require_number(run, "tol_eq", "run", DEFAULT_TOL_EQ)
+    _require_int(run, "curve_samples", "run", 64)
+    if not isinstance(run.get("output_dir", "."), str):
+        raise ScenarioError("'run.output_dir' must be a string")
     if "u" in doc["weight"]:
         if not isinstance(doc["weight"]["u"], dict):
             raise ScenarioError("'weight.u' must be an object")
@@ -140,12 +153,17 @@ def build_config(doc: dict, green_rep: GreenFunctionRep | None = None) -> Weight
         u_doc = weight["u"]
         alpha = float(_require_number(u_doc, "log", "weight.u", default=0.0))
         coeffs: dict[int, complex] = {}
-        for entry in u_doc.get("coeffs", []):
+        entries = u_doc.get("coeffs", [])
+        if not isinstance(entries, list):
+            raise ScenarioError("'weight.u.coeffs' must be a list of [n, re, im] triples")
+        for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise ScenarioError("'weight.u.coeffs' entries must be [n, re, im] triples")
             n, re_c, im_c = entry
             if not isinstance(n, int) or isinstance(n, bool):
                 raise ScenarioError("'weight.u.coeffs' exponents must be integers")
+            if any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in (re_c, im_c)):
+                raise ScenarioError("'weight.u.coeffs' real and imaginary parts must be numbers")
             coeffs[n] = complex(re_c, im_c)
         if domain.kind == "disc" and (alpha != 0.0 or any(n < 0 for n in coeffs)):
             raise ScenarioError("disc domains admit no log mode or negative exponents in 'weight.u'")
@@ -180,12 +198,18 @@ def build_resolution(doc: dict, domain: DomainSpec) -> Resolution:
     kwargs = {}
     if "basis_schedule" in run:
         sched = run["basis_schedule"]
-        if not (isinstance(sched, list) and all(isinstance(v, int) for v in sched) and len(sched) >= 2):
-            raise ScenarioError("'run.basis_schedule' must be a list of >= 2 integers")
+        if not (
+            isinstance(sched, list)
+            and len(sched) >= 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in sched)
+            and sched[0] >= 0
+            and all(a < b for a, b in zip(sched, sched[1:]))
+        ):
+            raise ScenarioError("'run.basis_schedule' must be >= 2 nonnegative integers, strictly increasing")
         kwargs["basis_schedule"] = tuple(sched)
     for key in ("boundary_nodes", "radial_cells", "angular_cells", "patch_levels"):
         if key in run:
-            kwargs[key] = int(_require_number(run, key, "run"))
+            kwargs[key] = _require_int(run, key, "run", minimum=0 if key == "patch_levels" else 1)
     if "refine_quadrature" in run:
         if not isinstance(run["refine_quadrature"], bool):
             raise ScenarioError("'run.refine_quadrature' must be a boolean")
@@ -197,7 +221,7 @@ def build_resolution(doc: dict, domain: DomainSpec) -> Resolution:
 
 
 def _tol_eq(doc: dict) -> float:
-    return float(doc.get("run", {}).get("tol_eq", 1e-4))
+    return float(doc.get("run", {}).get("tol_eq", DEFAULT_TOL_EQ))
 
 
 def _output_dir(doc: dict, override: str | None) -> Path:
@@ -373,7 +397,7 @@ def cmd_kernel_eval(args) -> int:
     if config.k != 0:
         raise ScenarioError("kernel-eval requires a k = 0 scenario")
     res = build_resolution(doc, config.domain)
-    samples = int(doc.get("run", {}).get("curve_samples", 64))
+    samples = doc.get("run", {}).get("curve_samples", 64)
     sec_k = kernel_section(config, "szego", res)
     sec_b = kernel_section(config, "bergman", res)
     if args.curve == "boundary":

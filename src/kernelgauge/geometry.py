@@ -225,6 +225,8 @@ def area_quadrature(
     """
     if not domain.contains(z0, margin=1e-9):
         raise ValueError(f"z0={z0} is not interior to the domain")
+    if patch_levels < 0:
+        raise ValueError(f"patch_levels must be nonnegative, got {patch_levels}")
     panels = -(-radial_cells // _PANEL_GAUSS)
     edges = np.linspace(0.0, 1.0, panels + 1)
     if domain.kind == "annulus":

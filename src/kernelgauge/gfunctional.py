@@ -62,6 +62,18 @@ def _sublevel_masks(config: WeightConfig, aq: AreaQuadrature, ts, keep: str) -> 
     return [masked.get(t, whole) for t in ts]
 
 
+def _sublevel_integrals(config: WeightConfig, res: Resolution, density, ts, keep: str) -> list[float]:
+    """Integral of density over the config's area rule masked as `_sublevel_masks` masks it, one per t.
+
+    density is called as density(z, rings) with the level-field protocol
+    of `mask_quadrature`: once on the area rule's nodes, and once on each
+    rule's clipped pieces.
+    """
+    aq = area_quadrature_for(config, res)
+    on_parent = density(aq.nodes, aq.rings)
+    return [masked.integrate(on_parent, density(masked.nodes)) for masked in _sublevel_masks(config, aq, ts, keep)]
+
+
 def _masked_gram(
     config: WeightConfig, basis: BasisDescriptor, aq: AreaQuadrature, rho, masked: MaskedQuadrature
 ) -> HermitianMatrix:
@@ -79,8 +91,9 @@ def _masked_gram(
     return _moment_gram(basis, rings, whole, pieces)
 
 
-def _sublevel_minima(config: WeightConfig, ts, res: Resolution, aq: AreaQuadrature) -> list[float]:
-    """G_up at every t of ts: the masks, the basis and rho on aq's nodes are built once for all of them."""
+def _sublevel_minima(config: WeightConfig, ts, res: Resolution) -> list[float]:
+    """G_up at every t of ts: the masks, the basis and rho on the area rule are built once for all of them."""
+    aq = area_quadrature_for(config, res)
     masks = _sublevel_masks(config, aq, ts, "below")
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
     rho = config.rho(aq.nodes, aq.rings)
@@ -91,12 +104,7 @@ def _sublevel_minima(config: WeightConfig, ts, res: Resolution, aq: AreaQuadratu
     return values
 
 
-def g_of_t(
-    config: WeightConfig,
-    t: float,
-    res: Resolution | None = None,
-    aq: AreaQuadrature | None = None,
-) -> float:
+def g_of_t(config: WeightConfig, t: float, res: Resolution | None = None) -> float:
     """Upper bound for the minimal weighted integral over {2 psi < -t}.
 
     Minimizes the integral of |f|^2 exp(-phi) c(-2 psi) over basis
@@ -105,9 +113,7 @@ def g_of_t(
     """
     if res is None:
         res = Resolution.for_domain(config.domain)
-    if aq is None:
-        aq = area_quadrature_for(config, res)
-    return _sublevel_minima(config, [t], res, aq)[0]
+    return _sublevel_minima(config, [t], res)[0]
 
 
 @dataclass(frozen=True)
@@ -138,8 +144,7 @@ def g_curve(config: WeightConfig, t_grid, res: Resolution | None = None) -> GCur
         raise ValueError("t grid must increase from 0")
     if res is None:
         res = Resolution.for_domain(config.domain)
-    aq = area_quadrature_for(config, res)
-    values = np.array(_sublevel_minima(config, t_grid, res, aq))
+    values = np.array(_sublevel_minima(config, t_grid, res))
     r = np.asarray(config.c.h(t_grid), dtype=float)
     g0 = values[0]
     predicted = g0 * r / r[0]
@@ -240,7 +245,7 @@ def f0_construct(config: WeightConfig) -> ExtremalFunction:
     green_rep = config.green_rep
     h_prime = green_rep.derivative()
     v_rep = green_rep.correction.scaled(float(config.k + 1)) + config.phi.u
-    w_prime = v_rep.analytic_derivative().series
+    w_prime = v_rep.analytic_derivative()
 
     if config.domain.kind == "annulus":
         base = complex(0.5 * (1.0 + config.domain.q))
@@ -303,21 +308,15 @@ def shell_identity_check(
         res = Resolution.for_domain(config.domain)
     if f0 is None:
         f0 = f0_construct(config)
-    aq = area_quadrature_for(config, res)
 
     def density(z, rings=None):
-        two_psi, phi = config.two_psi_phi(z, rings)
-        return f0.abs2(z, rings) * np.exp(-phi) * a_profile.c(-two_psi)
+        return f0.abs2(z, rings) * np.exp(-config.phi_value(z, rings)) * a_profile.c(-config.two_psi(z, rings))
 
-    on_parent = density(aq.nodes, aq.rings)
     ts = [t2, t1] if math.isfinite(t1) else [t2]
-    integrals = [
-        masked.integrate(on_parent, density(masked.nodes))
-        for masked in _sublevel_masks(config, aq, ts, "below")
-    ]
+    integrals = _sublevel_integrals(config, res, density, ts, "below")
     lhs = integrals[0] - sum(integrals[1:])
     tail_hi = float(a_profile.h(t1)) if math.isfinite(t1) else 0.0
-    g0 = g_of_t(config, 0.0, res, aq)
+    g0 = g_of_t(config, 0.0, res)
     rhs = g0 / config.c.total * (float(a_profile.h(t2)) - tail_hi)
     gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return ShellIdentity(lhs, rhs, gap)
@@ -347,14 +346,15 @@ def boundary_limit_check(
     """
     if res is None:
         res = Resolution.for_domain(config.domain)
-    aq = area_quadrature_for(config, res)
-    on_parent = f_abs2(aq.nodes, aq.rings) * config.rho(aq.nodes, aq.rings)
     r_values = np.asarray(list(r_values), dtype=float)
     ts = [-math.log(r) for r in r_values]
+
+    def density(z, rings=None):
+        return f_abs2(z, rings) * config.rho(z, rings)
+
+    integrals = _sublevel_integrals(config, res, density, ts, "above")
     ratios = np.array([
-        masked.integrate(on_parent, f_abs2(masked.nodes) * config.rho(masked.nodes))
-        / (config.c.total - float(config.c.h(t)))
-        for masked, t in zip(_sublevel_masks(config, aq, ts, "above"), ts)
+        integral / (config.c.total - float(config.c.h(t))) for integral, t in zip(integrals, ts)
     ])
     boundary = side_measure(config, "szego", res)
     boundary_value = 0.5 * float(np.sum(boundary.wdensity * f_abs2(boundary.points, boundary.rings)))

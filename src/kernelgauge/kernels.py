@@ -328,12 +328,12 @@ def _sweep_over_schedule(config: WeightConfig, side: Side, res: Resolution, basi
     full = gram(basis, side_measure(config, side, res))
     constraints = basis.constraints()
 
-    def value_at(n: int) -> float:
+    def diagonal_at(n: int) -> float:
         m = basis.size(n)
         result = constrained_min(full.principal(m), constraints.restricted(m))
         return _SIDE_NORMALIZER[side] / result.value
 
-    return richardson_sweep(value_at, res.basis_schedule)
+    return richardson_sweep(diagonal_at, res.basis_schedule)
 
 
 def kernel_diag(config: WeightConfig, side: Side, res: Resolution | None = None) -> KernelValue:

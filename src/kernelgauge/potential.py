@@ -178,7 +178,7 @@ class HarmonicFunctionRep:
             out = out + self.alpha_log * np.log(np.abs(z))
         return out
 
-    def analytic_derivative(self) -> "AnalyticDerivative":
+    def analytic_derivative(self) -> LaurentSeries:
         """Single-valued derivative w'(z) = 2 du/dz of the completion u + i*conj."""
         s = self.series
         m = np.arange(s.m_min, s.m_max + 1)
@@ -191,7 +191,7 @@ class HarmonicFunctionRep:
         hi = int(powers.max()) if powers.size else 0
         arr = np.zeros(hi - lo + 1, dtype=complex)
         arr[powers - lo] = terms
-        return AnalyticDerivative(LaurentSeries(lo, arr), Character(self.alpha_log))
+        return LaurentSeries(lo, arr)
 
     def __add__(self, other: "HarmonicFunctionRep") -> "HarmonicFunctionRep":
         lo = min(self.series.m_min, other.series.m_min)
@@ -205,17 +205,6 @@ class HarmonicFunctionRep:
         return HarmonicFunctionRep(
             factor * self.alpha_log, LaurentSeries(self.series.m_min, factor * self.series.coeffs)
         )
-
-
-@dataclass(frozen=True)
-class AnalyticDerivative:
-    """Analytic evaluator with its loop period recorded as a Character."""
-
-    series: LaurentSeries
-    character: Character
-
-    def __call__(self, z):
-        return self.series(z)
 
 
 @dataclass(frozen=True)
@@ -261,8 +250,8 @@ class GreenFunctionRep:
     entry is built once, by whichever thread asks first, and its arrays
     are read-only, so every configuration sharing this Green function
     (the points of a sweep, an order-k configuration and its reduction)
-    reads the same values.  `value_at` and `normal_derivative_at` read
-    them where `value` and `normal_derivative` always evaluate.
+    reads the same values: `value` and `normal_derivative` return them
+    when given such a rule's own nodes (and signs) with its rings.
     """
 
     domain: DomainSpec
@@ -322,15 +311,14 @@ class GreenFunctionRep:
         return self._memoized(("boundary", nodes_per_component), build)
 
     def value(self, z, rings: RingGrid | None = None):
+        """G at z; the memo's values when z are a memoized rule's nodes and rings its RingGrid."""
+        known = self._on_nodes(z, rings)
+        if known is not None:
+            return known.g
         z = np.asarray(z, dtype=complex)
         # -inf at the pole itself is the correct value.
         with np.errstate(divide="ignore"):
             return np.log(np.abs(z - self.pole)) + self.correction.value(z, rings)
-
-    def value_at(self, z, rings: RingGrid | None = None):
-        """G at z as `value` gives it, read from the memo on a memoized rule's nodes."""
-        known = self._on_nodes(z, rings)
-        return self.value(z, rings) if known is None else known.g
 
     @property
     def robin_constant(self) -> float:
@@ -340,7 +328,7 @@ class GreenFunctionRep:
     def derivative(self) -> PoleDerivative:
         """2 dG/dz, formed once."""
         return self._memoized(
-            ("derivative",), lambda: PoleDerivative(self.pole, self.correction.analytic_derivative().series)
+            ("derivative",), lambda: PoleDerivative(self.pole, self.correction.analytic_derivative())
         )
 
     def character(self) -> Character:
@@ -348,17 +336,17 @@ class GreenFunctionRep:
         return self._memoized(("character",), lambda: character_exponent(self.domain, self))
 
     def normal_derivative(self, zeta, signs, rings: RingGrid | None = None):
-        """dG/dnu at boundary points; signs +1 outer circle, -1 inner."""
+        """dG/dnu at boundary points; signs +1 outer circle, -1 inner.
+
+        The memo's values when zeta and signs are a memoized boundary
+        rule's nodes and normal_signs and rings its RingGrid.
+        """
+        known = self._on_nodes(zeta, rings)
+        if known is not None and known.dg_dnu is not None and signs is known.signs:
+            return known.dg_dnu
         zeta = np.asarray(zeta, dtype=complex)
         h = self.derivative()
         return np.asarray(signs, dtype=float) * np.real(zeta / np.abs(zeta) * h(zeta, rings))
-
-    def normal_derivative_at(self, zeta, signs, rings: RingGrid | None = None):
-        """dG/dnu as `normal_derivative` gives it, read from the memo on a memoized boundary rule."""
-        known = self._on_nodes(zeta, rings)
-        if known is None or known.dg_dnu is None or signs is not known.signs:
-            return self.normal_derivative(zeta, signs, rings)
-        return known.dg_dnu
 
 
 def _auto_truncation(ratio: float, minimum: int = 48, maximum: int = 6000) -> int:

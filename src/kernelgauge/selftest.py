@@ -41,7 +41,7 @@ from .potential import (
     green,
     log_capacity,
 )
-from .verifier import equality_predicate, superlevel_constant, verify_higher, verify_main, verify_suita
+from .verifier import equality_predicate, superlevel_constant, verify, verify_suita
 from .weights import CProfile, PhiSpec, PsiSpec, WeightConfig
 
 
@@ -379,7 +379,7 @@ def check_boundary_limit() -> tuple[bool, str]:
 def check_verify_disc_baseline() -> tuple[bool, str]:
     cfg = WeightConfig(disc(), 0.0, 0, PsiSpec(1.0), PhiSpec(), CProfile.constant_one())
     res = Resolution(basis_schedule=(8, 16), radial_cells=128, angular_cells=96, boundary_nodes=128)
-    report = verify_main(cfg, res)
+    report = verify(cfg, res)
     ok = report.verdict == "pass" and abs(report.ratio - 1.0) < 1e-5
     return ok, f"ratio={report.ratio:.8f}, verdict={report.verdict}"
 
@@ -387,7 +387,7 @@ def check_verify_disc_baseline() -> tuple[bool, str]:
 def check_verify_weighted() -> tuple[bool, str]:
     cfg = WeightConfig(disc(), 0.0, 0, PsiSpec(1.0), PhiSpec(), CProfile.exp_delta(0.6))
     res = Resolution(basis_schedule=(8, 16), radial_cells=256, angular_cells=96, boundary_nodes=128)
-    report = verify_main(cfg, res)
+    report = verify(cfg, res)
     ok = (
         report.verdict == "pass"
         and abs(report.k_value.value - 1.0) < 1e-8
@@ -403,15 +403,15 @@ def check_verify_annulus_strict() -> tuple[bool, str]:
         basis_schedule=(8, 16, 24), boundary_nodes=256, radial_cells=192, angular_cells=128,
         refine_quadrature=False,
     )
-    report = verify_main(cfg, res)
+    report = verify(cfg, res)
     ok = report.verdict == "pass" and report.ratio > 1.003 and not report.expected_equality
     return ok, f"ratio={report.ratio:.8f}, char distance={report.character_distance:.4f}"
 
 
-def check_verify_higher_disc() -> tuple[bool, str]:
+def check_verify_order_one_disc() -> tuple[bool, str]:
     cfg = WeightConfig(disc(), 0.0, 1, PsiSpec(2.0), PhiSpec(), CProfile.constant_one())
     res = Resolution(basis_schedule=(8, 16), radial_cells=192, angular_cells=96, boundary_nodes=128)
-    report = verify_higher(cfg, res)
+    report = verify(cfg, res)
     ok = (
         report.verdict == "pass"
         and abs(report.k_value.value - 2.0) < 1e-4
@@ -486,7 +486,7 @@ ALL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("verify_disc_baseline", check_verify_disc_baseline),
     ("verify_weighted_profile", check_verify_weighted),
     ("verify_annulus_strict", check_verify_annulus_strict),
-    ("verify_higher_order", check_verify_higher_disc),
+    ("verify_higher_order", check_verify_order_one_disc),
     ("suita_chain_disc", check_suita_disc),
     ("hardy_diagnostic", check_hardy_diagnostic),
     ("superlevel_constant", check_superlevel_constant),

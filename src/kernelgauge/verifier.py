@@ -26,10 +26,10 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import InvalidConfig, RouteMismatch
-from .geometry import DomainSpec, mask_quadrature
+from .geometry import DomainSpec
+from .gfunctional import _sublevel_integrals
 from .kernels import KernelValue, Resolution, area_quadrature_for, kernel_diag
 from .numerics import ROUNDOFF_REL
-from .potential import log_capacity
 from .weights import CProfile, PhiSpec, PsiSpec, WeightConfig, validate_config
 
 DEFAULT_TOL_EQ = 1e-4
@@ -211,28 +211,6 @@ def verify(
     )
 
 
-def verify_main(
-    config: WeightConfig,
-    res: Resolution | None = None,
-    tol_eq: float = DEFAULT_TOL_EQ,
-) -> VerificationReport:
-    """`verify` restricted to k = 0."""
-    if config.k != 0:
-        raise InvalidConfig("verify_main handles k = 0; use verify_higher")
-    return verify(config, res, tol_eq)
-
-
-def verify_higher(
-    config: WeightConfig,
-    res: Resolution | None = None,
-    tol_eq: float = DEFAULT_TOL_EQ,
-) -> VerificationReport:
-    """`verify` restricted to k >= 1, cross-checked against the order-zero reduction."""
-    if config.k < 1:
-        raise InvalidConfig("verify_higher requires k >= 1")
-    return verify(config, res, tol_eq)
-
-
 @dataclass(frozen=True)
 class SuitaReport:
     """Capacity / Bergman / Hardy chain c_beta^2 <= pi B <= K-hat."""
@@ -259,7 +237,7 @@ def verify_suita(
     inequalities are strict.
     """
     config = WeightConfig(domain, z0, 0, PsiSpec(1.0), PhiSpec(), CProfile.constant_one())
-    cbeta = log_capacity(domain, z0)
+    cbeta = float(np.exp(config.green_rep.robin_constant))
     k_hat = kernel_diag(config, "szego", res)
     b_val = kernel_diag(config, "bergman", res)
     pi_b = math.pi * b_val.value
@@ -302,13 +280,10 @@ def hardy_diagnostic(
     """
     if res is None:
         res = Resolution.for_domain(config.domain)
-    aq = area_quadrature_for(config, res)
-    on_parent = f_abs2(aq.nodes, aq.rings)
     r_values = np.asarray(list(r_values), dtype=float)
-    shells = mask_quadrature(aq, config.psi_value, [math.log(r) for r in r_values], "above")
-    ratios = np.array([
-        masked.integrate(on_parent, f_abs2(masked.nodes)) / (1.0 - r) for masked, r in zip(shells, r_values)
-    ])
+    # {psi >= log r} is {2 psi >= 2 log r}: doubling is exact, so the masks are too.
+    integrals = _sublevel_integrals(config, res, f_abs2, [-2.0 * math.log(r) for r in r_values], "above")
+    ratios = np.array([integral / (1.0 - r) for integral, r in zip(integrals, r_values)])
     trend = "increasing" if ratios[-1] > 2.0 * ratios[0] else "bounded"
     return HardyDiagnostic(r_values, ratios, trend)
 
@@ -333,7 +308,7 @@ def superlevel_constant(
     if res is None:
         res = Resolution.for_domain(config.domain)
     aq = area_quadrature_for(config, res)
-    gvals = config.green_rep.value_at(aq.nodes, aq.rings)
+    gvals = config.green_rep.value(aq.nodes, aq.rings)
     pvals = config.psi_value(aq.nodes, aq.rings)
     best = 0.0
     for t in np.linspace(t0 / grid_points, t0, grid_points):

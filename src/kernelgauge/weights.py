@@ -203,10 +203,7 @@ class WeightConfig:
     # rule from green_rep's memo, G is read from the memo.
 
     def psi_value(self, z, rings: RingGrid | None = None):
-        return self._psi_from_green(self.green_rep.value_at(z, rings), z)
-
-    def _psi_from_green(self, g, z):
-        val = self.psi.p0 * g
+        val = self.psi.p0 * self.green_rep.value(z, rings)
         if self.psi.eps:
             val = val + self.psi.eps * self.bump(z)
         return val
@@ -216,36 +213,23 @@ class WeightConfig:
 
     def dpsi_dnu(self, zeta, signs, rings: RingGrid | None = None):
         """Outward normal derivative of psi at boundary nodes."""
-        val = self.psi.p0 * self.green_rep.normal_derivative_at(zeta, signs, rings)
+        val = self.psi.p0 * self.green_rep.normal_derivative(zeta, signs, rings)
         if self.psi.eps:
             val = val + self.psi.eps * np.asarray(signs, dtype=float) * self.bump_radial_derivative(zeta)
         return val
 
     def phi_value(self, z, rings: RingGrid | None = None):
-        g = self.green_rep.value_at(z, rings) if self.phi.a_g != 0.0 else None
-        return self._phi_from_green(g, z, rings)
-
-    def _phi_from_green(self, g, z, rings):
         val = np.zeros(np.shape(np.asarray(z)), dtype=float)
         if self.phi.a_g != 0.0:
-            val = val + self.phi.a_g * g
+            val = val + self.phi.a_g * self.green_rep.value(z, rings)
         val = val + 2.0 * self.phi.u.value(z, rings)
         return val
-
-    def two_psi_phi(self, z, rings: RingGrid | None = None):
-        """(2 psi, phi) at z, from one value of G."""
-        g = self.green_rep.value_at(z, rings)
-        return 2.0 * self._psi_from_green(g, z), self._phi_from_green(g, z, rings)
 
     # -- densities -----------------------------------------------------
 
     def rho(self, z, rings: RingGrid | None = None):
         """Interior density exp(-phi) c(-2 psi)."""
-        return self.rho_from(*self.two_psi_phi(z, rings))
-
-    def rho_from(self, two_psi, phi):
-        """rho from the values of 2 psi and phi, as `two_psi_phi` returns them."""
-        return np.exp(-phi) * self.c.c(-two_psi)
+        return np.exp(-self.phi_value(z, rings)) * self.c.c(-self.two_psi(z, rings))
 
     def boundary_lambda(self, zeta, signs, rings: RingGrid | None = None):
         """Boundary density exp(-phi) c(0) / (dpsi/dnu)."""

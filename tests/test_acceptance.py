@@ -34,8 +34,7 @@ from kernelgauge import (
     kernel_diag,
     reproducing_residual,
     shell_identity_check,
-    verify_higher,
-    verify_main,
+    verify,
     verify_suita,
 )
 from kernelgauge.kernels import area_measure, boundary_measure, area_quadrature_for
@@ -68,7 +67,7 @@ def test_ac01_disc_baseline_equality():
     start = time.time()
     res = Resolution(basis_schedule=(8, 16, 32), boundary_nodes=256,
                      radial_cells=192, angular_cells=160)
-    report = verify_main(_cfg(disc(), 0.0), res)
+    report = verify(_cfg(disc(), 0.0), res)
     elapsed = time.time() - start
     ok = (
         abs(report.k_value.value - 1.0) < 1e-5
@@ -92,7 +91,7 @@ def test_ac02_weighted_profile_family():
                      radial_cells=256, angular_cells=160)
     for delta in (0.0, 0.3, 0.6):
         profile = CProfile.constant_one() if delta == 0.0 else CProfile.exp_delta(delta)
-        report = verify_main(_cfg(disc(), 0.0, c=profile), res)
+        report = verify(_cfg(disc(), 0.0, c=profile), res)
         ok = ok and abs(report.ratio - 1.0) < 1e-5
         ok = ok and abs(report.c_total - 1.0 / (1.0 - delta)) < 1e-12
         ok = ok and abs(PI * report.b_value.value - (1.0 - delta)) < 1e-5
@@ -105,7 +104,7 @@ def test_ac03_annulus_strictness():
     res = Resolution(basis_schedule=(8, 16, 32), boundary_nodes=512,
                      radial_cells=320, angular_cells=256,
                      patch_levels=32)
-    report = verify_main(_cfg(annulus(0.25), 0.5), res)
+    report = verify(_cfg(annulus(0.25), 0.5), res)
     elapsed = time.time() - start
     margin = report.ratio - 1.0
     ok = (
@@ -128,10 +127,10 @@ def test_ac04_annulus_extended_equality():
                      radial_cells=320, angular_cells=256,
                      patch_levels=32)
     matched = _cfg(annulus(0.25), 0.5, u=HarmonicFunctionRep.log_mode(-0.5))
-    report = verify_main(matched, res)
+    report = verify(matched, res)
     f0 = f0_construct(matched)
     shifted = _cfg(annulus(0.25), 0.5, u=HarmonicFunctionRep.log_mode(-0.25))
-    report2 = verify_main(shifted, res)
+    report2 = verify(shifted, res)
     margin2 = report2.ratio - 1.0
     ok = (
         report.expected_equality
@@ -154,7 +153,7 @@ def test_ac04_annulus_extended_equality():
 def test_ac05_higher_derivative_disc():
     res = Resolution(basis_schedule=(8, 16, 32), boundary_nodes=256,
                      radial_cells=224, angular_cells=160)
-    report = verify_higher(_cfg(disc(), 0.0, k=1, p0=2.0), res)
+    report = verify(_cfg(disc(), 0.0, k=1, p0=2.0), res)
     ok = (
         abs(report.k_value.value - 2.0) < 1e-4
         and abs(PI * report.b_value.value - 2.0) < 1e-4
@@ -335,7 +334,7 @@ def test_ac12_shipped_annuli_meet_exact_series():
     config, res = _shipped("annulus_strict")
     pib = PI * kernel_diag(config, "bergman", res).value
     strict_err = abs(pib / golden.ANNULUS_PIB - 1.0)
-    report = verify_main(*_shipped("annulus_matched"))
+    report = verify(*_shipped("annulus_matched"))
     ok = strict_err <= 1e-11 and abs(report.ratio - 1.0) <= 1e-10 and report.verdict == "pass"
     _announce(
         "AC12 shipped annuli",
@@ -349,7 +348,7 @@ def test_ac13_centred_singular_disc_is_honest():
     # c = exp(-0.84 t) at z0 = 0 makes pi * B = 0.16 with a density
     # singular at z0; the refined level deepens the ring, so the estimate
     # covers the error and the equality case does not fail.
-    report = verify_main(_cfg(disc(), 0.0, c=CProfile.exp_delta(0.84)), Resolution())
+    report = verify(_cfg(disc(), 0.0, c=CProfile.exp_delta(0.84)), Resolution())
     err = abs(report.ratio - 1.0)
     ok = report.verdict != "fail" and err <= 3.0 * report.combined_estimate
     _announce(

@@ -88,6 +88,52 @@ def test_verify_too_coarse_resolution(tmp_path, capsys):
     assert "too coarse" in err and "Traceback" not in err
 
 
+def _one_scenario_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "run",
+    [{"patch_levels": -3}, {"radial_cells": 48.7}, {"basis_schedule": [8, 4]}],
+    ids=["negative_patch_levels", "fractional_radial_cells", "decreasing_schedule"],
+)
+def test_verify_rejects_bad_resolution(tmp_path, capsys, run):
+    doc = json.loads(Path(_fast_disc(tmp_path, tmp_path / "out")).read_text())
+    doc["run"].update(run)
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    assert f"'run.{next(iter(run))}'" in _one_scenario_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("verify", "tol_eq", "1e-4"),
+        ("verify", "tol_eq", [1e-4]),
+        ("verify", "output_dir", 5),
+        ("verify", "u", {"coeffs": [[1, "a", 0]]}),
+        ("kernel-eval", "curve_samples", "x"),
+        ("kernel-eval", "angular_cells", 0),
+    ],
+    ids=["string_tol_eq", "list_tol_eq", "numeric_output_dir", "string_coefficient", "string_curve_samples",
+         "zero_angular_cells"],
+)
+def test_untyped_scenario_values_rejected(tmp_path, capsys, command, key, value):
+    doc = json.loads(Path(_fast_disc(tmp_path, tmp_path / "out")).read_text())
+    doc["weight" if key == "u" else "run"][key] = value
+    args = [command, _write(tmp_path, doc)] + (["--curve", "radial"] if command == "kernel-eval" else [])
+    assert main(args) == 2
+    _one_scenario_error(capsys)
+
+
+def test_run_section_must_be_an_object(tmp_path, capsys):
+    doc = json.loads(Path(_fast_disc(tmp_path, tmp_path / "out")).read_text())
+    doc["run"] = 64
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    _one_scenario_error(capsys)
+
+
 def test_verify_nonintegrable_profile(tmp_path, capsys):
     doc = {
         "domain": {"kind": "disc"},

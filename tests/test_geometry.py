@@ -73,6 +73,13 @@ def test_area_weights_sum_exactly():
         assert np.all(radii > domain.inner_radius)
 
 
+
+def test_area_rejects_negative_patch_levels():
+    # Negative levels would grade the ring outward, past the domain.
+    with pytest.raises(ValueError, match="patch_levels"):
+        area_quadrature(disc(), 0.3, 48, 40, patch_levels=-3)
+    assert area_quadrature(disc(), 0.3, 48, 40, patch_levels=0).weights.sum() == pytest.approx(np.pi, abs=1e-12)
+
 @pytest.mark.parametrize(
     "domain,z0",
     [(disc(), 0.0), (disc(), 0.3 + 0.4j), (annulus(0.25), 0.5), (annulus(0.25), -0.4 + 0.5j)],

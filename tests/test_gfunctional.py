@@ -121,26 +121,29 @@ def test_masked_gram_rings_match_dense(domain, z0, u, keep, t):
 def test_green_evaluated_once_per_check(monkeypatch):
     # 2 psi, phi and rho on the parent area rule, the mask's node call and
     # the shell's g_of_t(config, 0) all read G from the one evaluation in
-    # the Green function's memo.  phi carries a_g G here.
+    # the Green function's memo.  phi carries a_g G here.  An evaluation of
+    # G is a call of its correction; a read of the memo calls nothing.
     from kernelgauge.geometry import area_quadrature
-    from kernelgauge.potential import GreenFunctionRep
 
     calls = []
-    value = GreenFunctionRep.value
+    corrections = []
+    value = HarmonicFunctionRep.value
 
     def counted(self, z, rings=None):
         # Area rules have theta0 = pi / n_theta; corner grids and boundary rules 0.
-        if rings is not None and rings.theta0 != 0.0:
+        if rings is not None and rings.theta0 != 0.0 and any(self is c for c in corrections):
             calls.append(rings.radii.size * rings.n_theta)
         return value(self, z, rings)
 
-    monkeypatch.setattr(GreenFunctionRep, "value", counted)
+    monkeypatch.setattr(HarmonicFunctionRep, "value", counted)
     res = Resolution(basis_schedule=(4, 8), boundary_nodes=64, radial_cells=48, angular_cells=40,
                      patch_levels=12)
     nodes = area_quadrature(annulus(0.25), 0.5, 48, 40, patch_levels=12).nodes.size
 
     def config():
-        return _cfg(annulus(0.25), 0.5, p0=0.75, a_g=0.5, u=MATCHED_U)
+        cfg = _cfg(annulus(0.25), 0.5, p0=0.75, a_g=0.5, u=MATCHED_U)
+        corrections.append(cfg.green_rep.correction)
+        return cfg
 
     def curve(cfg):
         g_curve(cfg, [0.0, 0.3, 0.6], res)

@@ -237,7 +237,7 @@ def test_harmonic_derivative_formulas():
     u2 = HarmonicFunctionRep.log_mode(0.4)
     w2 = u2.analytic_derivative()
     assert np.max(np.abs(w2(zs) - 0.4 / zs)) < 1e-14
-    assert w2.character.exponent == pytest.approx(0.4)
+    assert character_exponent(annulus(0.25), u2).exponent == pytest.approx(0.4)
 
     u3 = HarmonicFunctionRep.from_coefficients(0.3, {2: 1.0})  # Re z^2 + 0.3 log|z|
     w3 = u3.analytic_derivative()
@@ -336,14 +336,23 @@ def test_rule_memo_values_match_evaluation_and_are_read_only():
     assert g.area_rule(48, 40, 12) is aq and g.boundary_rule(64) is bq
     fresh = area_quadrature(annulus(0.25), 0.4 + 0.3j, 48, 40, patch_levels=12)
     assert np.array_equal(aq.nodes, fresh.nodes) and np.array_equal(aq.weights, fresh.weights)
-    on_area = g.value_at(aq.nodes, aq.rings)
-    on_boundary = g.value_at(bq.nodes, bq.rings)
-    flux = g.normal_derivative_at(bq.nodes, bq.normal_signs, bq.rings)
-    assert np.array_equal(on_area, g.value(aq.nodes, aq.rings))
-    assert np.array_equal(on_boundary, g.value(bq.nodes, bq.rings))
-    assert np.array_equal(flux, g.normal_derivative(bq.nodes, bq.normal_signs, bq.rings))
-    # Only a memoized rule's own nodes read the memo.
-    assert g.value_at(aq.nodes.copy(), aq.rings) is not on_area
+    on_area = g.value(aq.nodes, aq.rings)
+    on_boundary = g.value(bq.nodes, bq.rings)
+    flux = g.normal_derivative(bq.nodes, bq.normal_signs, bq.rings)
+    # A rule's own nodes (and signs) with its rings read the memo, the same
+    # arrays every time; anything else evaluates anew, to the same bits.
+    assert g.value(aq.nodes, aq.rings) is on_area and g.value(bq.nodes, bq.rings) is on_boundary
+    assert g.normal_derivative(bq.nodes, bq.normal_signs, bq.rings) is flux
+    fresh_area = g.value(aq.nodes.copy(), aq.rings)
+    fresh_boundary = g.value(bq.nodes.copy(), bq.rings)
+    fresh_flux = [
+        g.normal_derivative(bq.nodes.copy(), bq.normal_signs, bq.rings),
+        g.normal_derivative(bq.nodes, bq.normal_signs.copy(), bq.rings),
+    ]
+    for fresh, memo in [(fresh_area, on_area), (fresh_boundary, on_boundary)] + [(f, flux) for f in fresh_flux]:
+        assert fresh is not memo and fresh.flags.writeable
+        assert np.array_equal(fresh, memo)
+    assert g.value(aq.nodes) is not on_area  # no rings: Horner, point by point
     shared = (aq.nodes, aq.weights, aq.inner, aq.outer, aq.angle_edges, aq.rings.radii, on_area,
               bq.nodes, bq.weights, bq.normal_signs, bq.rings.radii, on_boundary, flux)
     for array in shared:
@@ -398,7 +407,7 @@ def test_analytic_derivative_vectorized_matches_term_loop():
             terms[-1] = alpha
         got = u.analytic_derivative()
         low = min(terms, default=0)
-        assert got.series.m_min == low and got.series.m_max == max(terms, default=0)
+        assert got.m_min == low and got.m_max == max(terms, default=0)
         for m, c in terms.items():
-            assert got.series.coeffs[m - low] == c
-        assert np.count_nonzero(got.series.coeffs) == len(terms)
+            assert got.coeffs[m - low] == c
+        assert np.count_nonzero(got.coeffs) == len(terms)

@@ -16,8 +16,7 @@ from kernelgauge import (
     equality_predicate,
     hardy_diagnostic,
     superlevel_constant,
-    verify_higher,
-    verify_main,
+    verify,
     verify_suita,
 )
 from kernelgauge.potential import HarmonicFunctionRep
@@ -70,20 +69,20 @@ def test_equality_predicate_structural_flags():
     assert not pred.flags.psi_is_green_multiple and not pred.expected
 
 
-# ---------------------------------------------------------- verify_main
+# ------------------------------------------------------ verify, k = 0
 
 
 def test_verify_disc_baseline():
-    report = verify_main(_cfg(disc(), 0.0), DISC_RES)
+    report = verify(_cfg(disc(), 0.0), DISC_RES)
     assert report.verdict == "pass"
     assert report.ratio == pytest.approx(1.0, abs=1e-5)
     assert report.expected_equality
 
 
 def test_verify_disc_weighted_profile():
-    report = verify_main(_cfg(disc(), 0.0, c=CProfile.exp_delta(0.6)),
-                         Resolution(basis_schedule=(8, 16), radial_cells=256,
-                                    angular_cells=96, boundary_nodes=128))
+    report = verify(_cfg(disc(), 0.0, c=CProfile.exp_delta(0.6)),
+                    Resolution(basis_schedule=(8, 16), radial_cells=256,
+                               angular_cells=96, boundary_nodes=128))
     assert report.verdict == "pass"
     assert report.k_value.value == pytest.approx(1.0, abs=1e-8)
     assert report.c_total == pytest.approx(2.5, abs=1e-12)
@@ -92,7 +91,7 @@ def test_verify_disc_weighted_profile():
 
 
 def test_verify_annulus_strict_golden():
-    report = verify_main(_cfg(annulus(0.25), 0.5), ANN_RES)
+    report = verify(_cfg(annulus(0.25), 0.5), ANN_RES)
     assert report.verdict == "pass"
     assert not report.expected_equality
     margin = report.ratio - 1.0
@@ -102,18 +101,18 @@ def test_verify_annulus_strict_golden():
 
 def test_verify_rejects_bad_config():
     with pytest.raises(InvalidConfig):
-        verify_main(_cfg(disc(), 0.0, k=1), DISC_RES)  # mass arithmetic fails
+        verify(_cfg(disc(), 0.0, k=1), DISC_RES)  # mass arithmetic fails
     with pytest.raises(InvalidConfig):
-        verify_main(_cfg(disc(), 0.0, k=0, p0=1.0, a_g=-3.0), DISC_RES)
+        verify(_cfg(disc(), 0.0, k=0, p0=1.0, a_g=-3.0), DISC_RES)
 
 
-# --------------------------------------------------------- verify_higher
+# ----------------------------------------------------- verify, k >= 1
 
 
 def test_verify_higher_disc_k1():
     cfg = _cfg(disc(), 0.0, k=1, p0=2.0)
-    report = verify_higher(cfg, Resolution(basis_schedule=(8, 16), radial_cells=192,
-                                           angular_cells=96, boundary_nodes=128))
+    report = verify(cfg, Resolution(basis_schedule=(8, 16), radial_cells=192,
+                                    angular_cells=96, boundary_nodes=128))
     assert report.verdict == "pass"
     assert report.k_value.value == pytest.approx(2.0, abs=1e-4)
     assert math.pi * report.b_value.value == pytest.approx(2.0, abs=1e-4)
@@ -133,13 +132,13 @@ def test_verify_higher_reduced_density_oracle():
 
 def test_verify_higher_annulus_matched_and_shifted():
     matched = _cfg(annulus(0.25), 0.5, k=1, p0=2.0)
-    report = verify_higher(matched, ANN_RES)
+    report = verify(matched, ANN_RES)
     assert report.verdict == "pass"
     assert report.expected_equality
     assert abs(report.ratio - 1.0) < 1e-4
 
     shifted = _cfg(annulus(0.25), 0.5, k=1, p0=2.0, u=HarmonicFunctionRep.log_mode(0.3))
-    report2 = verify_higher(shifted, ANN_RES)
+    report2 = verify(shifted, ANN_RES)
     assert report2.verdict == "pass"
     assert not report2.expected_equality
     assert report2.ratio - 1.0 == pytest.approx(golden.ANNULUS_K1_SHIFT_MARGIN, abs=3e-5)
@@ -149,8 +148,8 @@ def test_verify_higher_disc_k2():
     # psi = 3G at the disc center: the order-2 extremals are z^2 / sqrt(pi/3)
     # (area) and z^2 / sqrt(2 pi / 3) (boundary), so K2 = pi B2 = 3.
     cfg = _cfg(disc(), 0.0, k=2, p0=3.0)
-    report = verify_higher(cfg, Resolution(basis_schedule=(8, 16), radial_cells=224,
-                                           angular_cells=96, boundary_nodes=128))
+    report = verify(cfg, Resolution(basis_schedule=(8, 16), radial_cells=224,
+                                    angular_cells=96, boundary_nodes=128))
     assert report.verdict == "pass"
     assert report.k_value.value == pytest.approx(3.0, abs=1e-4)
     assert math.pi * report.b_value.value == pytest.approx(3.0, abs=1e-4)
@@ -159,15 +158,10 @@ def test_verify_higher_disc_k2():
 
 def test_verify_poly_profile_equality():
     cfg = _cfg(disc(), 0.0, c=CProfile.poly(1.5))
-    report = verify_main(cfg, Resolution(basis_schedule=(8, 16), radial_cells=256,
-                                         angular_cells=96, boundary_nodes=128))
+    report = verify(cfg, Resolution(basis_schedule=(8, 16), radial_cells=256,
+                                    angular_cells=96, boundary_nodes=128))
     assert report.verdict == "pass"
     assert abs(report.ratio - 1.0) < 1e-4
-
-
-def test_verify_higher_requires_k():
-    with pytest.raises(InvalidConfig):
-        verify_higher(_cfg(disc(), 0.0), DISC_RES)
 
 
 # ----------------------------------------------------------- suita chain
@@ -239,22 +233,22 @@ def test_superlevel_constant_scaling():
 
 
 def test_superlevel_constant_evaluates_green_once(monkeypatch):
-    # psi on the area rule comes from the G values the check already holds.
+    # G and psi on the area rule both read the memo's one evaluation of G,
+    # which is the one call of its correction on the rule's rings.
     from kernelgauge.geometry import area_quadrature
-    from kernelgauge.potential import GreenFunctionRep
 
     calls = []
-    value = GreenFunctionRep.value
+    cfg = _cfg(disc(), 0.2, eps=0.2)
+    value = HarmonicFunctionRep.value
 
     def counted(self, z, rings=None):
         # Area rules have theta0 = pi / n_theta; corner grids and boundary rules 0.
-        if rings is not None and rings.theta0 != 0.0:
+        if rings is not None and rings.theta0 != 0.0 and self is cfg.green_rep.correction:
             calls.append(rings.radii.size * rings.n_theta)
         return value(self, z, rings)
 
-    monkeypatch.setattr(GreenFunctionRep, "value", counted)
+    monkeypatch.setattr(HarmonicFunctionRep, "value", counted)
     res = Resolution(basis_schedule=(8, 16), radial_cells=64, angular_cells=48)
-    cfg = _cfg(disc(), 0.2, eps=0.2)
     superlevel_constant(cfg, res=res)
     assert calls == [area_quadrature(disc(), 0.2, 64, 48).nodes.size]
 
@@ -284,7 +278,7 @@ def test_ratio_never_below_one(config):
         angular_cells=256,
         patch_levels=32,
     )
-    report = verify_main(config, res)
+    report = verify(config, res)
     assert report.ratio >= 1.0 - 3.0 * report.combined_estimate - report.tol_eq
     assert report.verdict in ("pass", "inconclusive")
 
@@ -300,6 +294,6 @@ def test_ratio_continuity_minimum_at_match():
     ratios = []
     for alpha in alphas:
         cfg = _cfg(annulus(0.25), 0.5, u=HarmonicFunctionRep.log_mode(alpha))
-        ratios.append(verify_main(cfg, res).ratio)
+        ratios.append(verify(cfg, res).ratio)
     assert np.argmin(ratios) == alphas.index(0.5)
     assert ratios[0] > ratios[1] > ratios[2] < ratios[3] < ratios[4]
