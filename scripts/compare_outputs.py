@@ -21,16 +21,21 @@ one, so only the code differs.  That makes 60 outputs: every report.csv, report.
 and kernel_eval_*.csv, the selftest's stdout, which prints the sublevel
 checks (g_curve, shell identity, boundary limit, Hardy diagnostic), and
 every exit code, under both BLAS thread counts.
-Each one that differs between the trees is printed with a diff; the
-script exits 1 if any differs or is missing, and 0 if all are
-byte-identical.  Standard library only.
+Each one that differs between the trees is printed with a diff, and a
+differing CSV file also with the size of the change: for each numeric
+column, the largest change divided by the column's largest |value| in
+PARENT_TREE.  The script exits 1 if any output differs or is missing,
+and 0 if all are byte-identical.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import difflib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +102,27 @@ def show_difference(parent, change) -> None:
         print(f"    parent: {parent!r}, change: {change!r}")
 
 
+def size_difference(parent: bytes, change: bytes) -> None:
+    """Print each numeric column's largest change, relative to the column's largest |value| in parent."""
+    (head, *old), (new_head, *new) = (list(csv.reader(io.StringIO(data.decode()))) for data in (parent, change))
+    if head != new_head or len(old) != len(new):
+        print("    not sized: the header or the row count differs")
+        return
+    for j, name in enumerate(head):
+        try:
+            pairs = [(float(a[j]), float(b[j])) for a, b in zip(old, new)]
+        except (ValueError, IndexError):
+            continue  # not a numeric column
+        # A nan on both sides is no change; on one side only, the change is nan.
+        moved = [abs(a - b) for a, b in pairs if not (math.isnan(a) and math.isnan(b))]
+        largest = math.nan if any(map(math.isnan, moved)) else max(moved, default=0.0)
+        scale = max((abs(a) for a, _ in pairs if not math.isnan(a)), default=0.0)
+        if scale:
+            print(f"    {name}: largest change {largest / scale:.2e} of the column's largest |value|")
+        else:
+            print(f"    {name}: largest change {largest:.2e} (absolute; no nonzero value in the column)")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Compare the CLI outputs of two source trees byte for byte.")
     parser.add_argument("parent_tree", type=Path)
@@ -125,6 +151,8 @@ def main(argv: list[str] | None = None) -> int:
                     failed += 1
                     print(f"DIFFERS  OPENBLAS_NUM_THREADS={threads}  {key}")
                     show_difference(parent[key], change[key])
+                    if key.endswith(".csv"):
+                        size_difference(parent[key], change[key])
                 else:
                     print(f"same     OPENBLAS_NUM_THREADS={threads}  {key}")
     print(f"{compared - failed} of {compared} outputs byte-identical")

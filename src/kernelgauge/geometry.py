@@ -15,7 +15,9 @@ global one.  Inside it, the panels are geometrically graded toward |z0|.
 The grading resolves integrable radial densities behaving like
 |z - z0|^(2*beta), beta > -1, at a rate exponential in the number of
 Gauss points, while the uniform angular structure keeps the
-trapezoid-exact orthogonality of Laurent monomials intact.
+trapezoid-exact orthogonality of Laurent monomials intact.  A density
+smooth at z0 needs no ring: its rule keeps the uniform panels and only
+puts |z0| on a panel edge.
 
 Every rule here is stored in its product form: a set of rings times one
 uniform angle grid of n_theta angles, recorded as a `RingGrid`.  Node j
@@ -212,20 +214,22 @@ def area_quadrature(
     z0: complex,
     radial_cells: int,
     angular_cells: int,
-    patch_levels: int = 48,
+    patch_levels: int | None = 48,
 ) -> AreaQuadrature:
-    """Gauss-panel polar quadrature with a radially graded refinement ring at z0.
+    """Gauss-panel polar quadrature, radially graded toward |z0| unless patch_levels is None.
 
     The radii form ceil(radial_cells / 8) panels of 8 Gauss-Legendre
     radii each, uniform in log r on the annulus (so Laurent modes are
     resolved evenly at both circles) and in r on the disc.  The panels
     within min(clearance / 2, 1/4) of |z0| give way to the refinement
     ring, whose panels reach down to depth 0.7 ** patch_levels of its
-    width on either side of |z0|.
+    width on either side of |z0|.  With patch_levels None there is no
+    ring: |z0| only becomes one more panel edge, so no node lies on z0,
+    which is all a density smooth at z0 needs.
     """
     if not domain.contains(z0, margin=1e-9):
         raise ValueError(f"z0={z0} is not interior to the domain")
-    if patch_levels < 0:
+    if patch_levels is not None and patch_levels < 0:
         raise ValueError(f"patch_levels must be nonnegative, got {patch_levels}")
     panels = -(-radial_cells // _PANEL_GAUSS)
     edges = np.linspace(0.0, 1.0, panels + 1)
@@ -242,11 +246,18 @@ def area_quadrature(
     # products; the radial grading is what integrable radial singularities
     # require.
     s = abs(z0)
-    band = min(0.5 * domain.boundary_clearance(z0), 0.25)
-    i0 = max(int(np.searchsorted(edges, s - band, side="right")) - 1, 0)
-    i1 = int(np.searchsorted(edges, s + band))
-    graded = _graded_edges(edges[i0], edges[i1], s, patch_levels)
-    radii, cell_edges = _gauss_rings(np.concatenate([edges[:i0], graded, edges[i1 + 1 :]]))
+    if patch_levels is None:
+        # An edge within _PIVOT_FLOOR * |z0| of |z0| stands for it, so no
+        # panel is only a few ulps wide.
+        if np.min(np.abs(edges - s)) > _PIVOT_FLOOR * s:
+            edges = np.insert(edges, np.searchsorted(edges, s), s)
+    else:
+        band = min(0.5 * domain.boundary_clearance(z0), 0.25)
+        i0 = max(int(np.searchsorted(edges, s - band, side="right")) - 1, 0)
+        i1 = int(np.searchsorted(edges, s + band))
+        graded = _graded_edges(edges[i0], edges[i1], s, patch_levels)
+        edges = np.concatenate([edges[:i0], graded, edges[i1 + 1 :]])
+    radii, cell_edges = _gauss_rings(edges)
     inner, outer = cell_edges[:-1], cell_edges[1:]
 
     angle_edges = np.linspace(0.0, _TWO_PI, angular_cells + 1)

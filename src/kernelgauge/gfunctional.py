@@ -88,7 +88,7 @@ def _masked_gram(
     rings = aq.rings
     whole = np.where(masked.kept, aq.weights * rho, 0.0).reshape(len(rings.radii), rings.n_theta)
     pieces = (np.abs(masked.nodes), masked.angle, masked.weights * config.rho(masked.nodes))
-    return _moment_gram(basis, rings, whole, pieces)
+    return _moment_gram(basis, rings, whole, pieces, memo=config.green_rep)
 
 
 def _sublevel_minima(config: WeightConfig, ts, res: Resolution) -> list[float]:

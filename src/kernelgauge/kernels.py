@@ -33,6 +33,7 @@ from .numerics import (
     constrained_min,
     richardson_sweep,
 )
+from .potential import GreenFunctionRep
 from .weights import WeightConfig
 
 _TWO_PI = 2.0 * np.pi
@@ -60,7 +61,8 @@ class Resolution:
 
         The Gauss panels' radial rule is spectral away from z0, where the
         densities are smooth; the refinement ring resolves z0, and its depth
-        must grow for the refined value to see the ring's error.
+        must grow for the refined value to see the ring's error.  Kernels
+        whose density is smooth at z0 use no ring (see `side_measure`).
         """
         return replace(
             self,
@@ -164,25 +166,32 @@ class Measure:
     """Quadrature points with weight-times-density factors.
 
     rings is the rule's ring x angle structure when the points follow it
-    (see `geometry`), and None for rules without one.
+    (see `geometry`), and None for rules without one.  memo is the Green
+    function whose memo may hold the rule, and with it the rule's power
+    table (`GreenFunctionRep.rule_table`).
     """
 
     points: np.ndarray
     wdensity: np.ndarray
     rings: RingGrid | None = None
+    memo: GreenFunctionRep | None = None
 
 
 def boundary_measure(config: WeightConfig, bq: BoundaryQuadrature) -> Measure:
     lam = config.boundary_lambda(bq.nodes, bq.normal_signs, bq.rings)
-    return Measure(bq.nodes, bq.weights * lam, bq.rings)
+    return Measure(bq.nodes, bq.weights * lam, bq.rings, config.green_rep)
 
 
 def area_measure(config: WeightConfig, aq: AreaQuadrature) -> Measure:
-    return Measure(aq.nodes, aq.weights * config.rho(aq.nodes, aq.rings), aq.rings)
+    return Measure(aq.nodes, aq.weights * config.rho(aq.nodes, aq.rings), aq.rings, config.green_rep)
 
 
 def area_quadrature_for(config: WeightConfig, res: Resolution) -> AreaQuadrature:
-    """The area rule of res about z0, from the memo of the config's Green function."""
+    """The area rule of res about z0 with its refinement ring, from the memo of the config's Green function.
+
+    Masked rules are cut from this one: level curves of G cross its rings
+    near z0 whatever the density.
+    """
     return config.green_rep.area_rule(res.radial_cells, res.angular_cells, res.patch_levels)
 
 
@@ -194,7 +203,9 @@ def side_measure(config: WeightConfig, side: Side, res: Resolution) -> Measure:
     """The weighted rule of one side: boundary for szego, area for bergman."""
     if side == "szego":
         return boundary_measure(config, config.green_rep.boundary_rule(res.boundary_nodes))
-    return area_measure(config, area_quadrature_for(config, res))
+    # A density smooth at z0 gains nothing from the refinement ring.
+    levels = None if config.density_smooth_at_z0() else res.patch_levels
+    return area_measure(config, config.green_rep.area_rule(res.radial_cells, res.angular_cells, levels))
 
 
 # Bound on one ring chunk's spectra: (rings, n_theta // 2 + 1) complex values.
@@ -224,21 +235,29 @@ def gram(basis: BasisDescriptor, measure: Measure) -> HermitianMatrix:
     if measure.rings is None:
         return _dense_gram(basis, measure)
     rings = measure.rings
-    return _moment_gram(basis, rings, measure.wdensity.reshape(len(rings.radii), rings.n_theta))
+    return _moment_gram(basis, rings, measure.wdensity.reshape(len(rings.radii), rings.n_theta), memo=measure.memo)
 
 
-def _moment_gram(basis: BasisDescriptor, rings: RingGrid, ring_weights: np.ndarray, pieces=None) -> HermitianMatrix:
+def _moment_gram(
+    basis: BasisDescriptor, rings: RingGrid, ring_weights: np.ndarray, pieces=None, memo: GreenFunctionRep | None = None
+) -> HermitianMatrix:
     """The Gram of `gram` from real weights (rings, n_theta) on a ring grid.
 
     pieces, if given, is (radii, angle, weights) of further nodes, node p
     at radii[p] * exp(i (theta0 + 2 pi angle[p] / n_theta)) on the grid's
     angle lines.  They are binned by angle into an (n_theta, n_sigma)
-    table of weighted powers, whose DFT adds into the same mu.
+    table of weighted powers, whose DFT adds into the same mu.  The power
+    table of the rings is built once per rule and basis order when memo
+    holds the rule.
     """
     n = rings.n_theta
     exps = basis.exponents
     with np.errstate(over="ignore"):  # only its powers are read; its scales q^-n may overflow
         doubled = BasisDescriptor.create(basis.domain, 2 * basis.n_max, basis.z0, basis.k)
+    if memo is None:
+        powers = _powers(doubled, rings.radii)
+    else:
+        powers = memo.rule_table(rings, ("powers", doubled.n_max), lambda: _powers(doubled, rings.radii))
     # F[delta] for delta = 0..span sits in rfft column min(m, n - m), m = delta
     # mod n, conjugated when m <= n / 2 (real weights: F[-d] = conj(F[d])).
     shift = np.arange(int(exps.max() - exps.min()) + 1) % n
@@ -255,7 +274,7 @@ def _moment_gram(basis: BasisDescriptor, rings: RingGrid, ring_weights: np.ndarr
         # product took 5.8 ms, against 32 ms through @ on OpenBLAS's two
         # threads and 19 ms by einsum on the strided .real/.imag views.
         stacked = np.concatenate([spectra.real, spectra.imag], axis=1)
-        moments += np.einsum("rs,rd->sd", _powers(doubled, rings.radii[sl]), stacked)
+        moments += np.einsum("rs,rd->sd", powers[sl], stacked)
     if pieces is not None:
         radii, angle, weights = pieces
         ns = doubled.exponents.size
@@ -319,14 +338,19 @@ class KernelValue:
         return self.truncation_estimate + (self.quadrature_estimate or 0.0)
 
 
-def _sweep_over_schedule(config: WeightConfig, side: Side, res: Resolution, basis: BasisDescriptor):
+def _require_fine_enough(res: Resolution) -> None:
+    """Raise ResolutionTooCoarse unless the rules of res resolve its largest basis."""
     if min(res.angular_cells, res.boundary_nodes) <= 4 * res.n_max or res.radial_cells <= res.n_max:
         raise ResolutionTooCoarse(
             f"quadrature resolution too coarse for basis order N = {res.n_max}; "
             "need more than 4*N angular and boundary nodes and more than N radial cells"
         )
+
+
+def _sweep_over_schedule(
+    config: WeightConfig, side: Side, res: Resolution, basis: BasisDescriptor, constraints: ConstraintSystem
+):
     full = gram(basis, side_measure(config, side, res))
-    constraints = basis.constraints()
 
     def diagonal_at(n: int) -> float:
         m = basis.size(n)
@@ -346,11 +370,13 @@ def kernel_diag(config: WeightConfig, side: Side, res: Resolution | None = None)
     """
     if res is None:
         res = Resolution.for_domain(config.domain)
+    _require_fine_enough(res)  # res.scaled(2) only adds angles and boundary nodes
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
-    base = _sweep_over_schedule(config, side, res, basis)
+    constraints = basis.constraints()
+    base = _sweep_over_schedule(config, side, res, basis, constraints)
     if not res.refine_quadrature:
         return KernelValue(base.value, base.error_estimate, None)
-    fine = _sweep_over_schedule(config, side, res.scaled(2), basis)
+    fine = _sweep_over_schedule(config, side, res.scaled(2), basis, constraints)
     return KernelValue(fine.value, fine.error_estimate, abs(fine.value - base.value))
 
 
@@ -381,6 +407,7 @@ def kernel_section(config: WeightConfig, side: Side, res: Resolution | None = No
     _require_order_zero(config)
     if res is None:
         res = Resolution.for_domain(config.domain)
+    _require_fine_enough(res)
     return _section_on(config, side, res, side_measure(config, side, res))
 
 

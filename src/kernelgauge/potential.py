@@ -246,7 +246,8 @@ class GreenFunctionRep:
 
     It keeps, for its lifetime, a memo of every rule built about its pole
     by `area_rule` and `boundary_rule`, each with G (and on the boundary
-    dG/dnu) on its nodes, and of its derivative series and character.  An
+    dG/dnu) on its nodes, of tables built for those rules by `rule_table`,
+    and of its derivative series and character.  An
     entry is built once, by whichever thread asks first, and its arrays
     are read-only, so every configuration sharing this Green function
     (the points of a sweep, an order-k configuration and its reduction)
@@ -283,8 +284,11 @@ class GreenFunctionRep:
         with self._lock:
             self._known[id(rings)] = known
 
-    def area_rule(self, radial_cells: int, angular_cells: int, patch_levels: int) -> AreaQuadrature:
-        """`geometry.area_quadrature` about the pole, with G on its nodes, built once."""
+    def area_rule(self, radial_cells: int, angular_cells: int, patch_levels: int | None) -> AreaQuadrature:
+        """`geometry.area_quadrature` about the pole, with G on its nodes, built once.
+
+        patch_levels None is the rule with no refinement ring.
+        """
 
         def build():
             aq = area_quadrature(self.domain, self.pole, radial_cells, angular_cells, patch_levels=patch_levels)
@@ -293,6 +297,23 @@ class GreenFunctionRep:
             return aq
 
         return self._memoized(("area", radial_cells, angular_cells, patch_levels), build)
+
+    def rule_table(self, rings: RingGrid, key: tuple, build):
+        """build() for the memoized rule with these rings, made once per key and read-only.
+
+        The table lives in the memo, as long as its rule.  rings of a rule
+        not built here get a fresh build() on every call.
+        """
+        with self._lock:
+            # A memoized rule stays alive, so no other live RingGrid has its id.
+            memoized = id(rings) in self._known
+
+        def make():
+            table = build()
+            _read_only(table)
+            return table
+
+        return self._memoized(("table", id(rings), *key), make) if memoized else build()
 
     def boundary_rule(self, nodes_per_component: int) -> BoundaryQuadrature:
         """`geometry.boundary_quadrature`, with G and dG/dnu on its nodes, built once."""

@@ -235,6 +235,20 @@ class WeightConfig:
         """Boundary density exp(-phi) c(0) / (dpsi/dnu)."""
         return np.exp(-self.phi_value(zeta, rings)) / self.dpsi_dnu(zeta, signs, rings)
 
+    def density_smooth_at_z0(self) -> bool:
+        """Whether rho is |z - z0|^(2 beta) times a smooth factor near z0, beta a nonnegative integer.
+
+        Near z0, G = log|z - z0| + smooth and c(-2 psi) = exp(-2 delta psi)
+        on exp_delta (delta = 0 on constant_one), so beta = -(a_g + 2 p0
+        delta) / 2, matched to an integer within 1e-12.  poly profiles carry
+        a power of log|z - z0| and are never smooth there.
+        """
+        if self.c.kind == "poly":
+            return False
+        delta = self.c.delta if self.c.kind == "exp_delta" else 0.0
+        beta = -0.5 * (self.phi.a_g + 2.0 * self.psi.p0 * delta)
+        return beta > -1e-12 and abs(beta - round(beta)) <= 1e-12
+
     def density_unbounded_at_z0(self) -> bool:
         if self.phi.a_g > 0.0:
             return True

@@ -88,6 +88,24 @@ def test_verify_too_coarse_resolution(tmp_path, capsys):
     assert "too coarse" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "run",
+    [{"boundary_nodes": 4}, {"basis_schedule": [8, 16, 32], "angular_cells": 64}],
+    ids=["four_boundary_nodes", "coarse_angles"],
+)
+@pytest.mark.parametrize("command", ["verify", "kernel-eval"])
+def test_too_coarse_resolution_rejected_by_every_command(tmp_path, capsys, command, run):
+    # kernel-eval makes the resolution test of verify: exit 2 and one line,
+    # not a traceback from the boundary rule or a CSV from a too coarse rule.
+    doc = json.loads(Path(_fast_disc(tmp_path, tmp_path / "out")).read_text())
+    doc["run"].update(run)
+    args = [command, _write(tmp_path, doc)] + (["--curve", "radial"] if command == "kernel-eval" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration rejected: ") and "too coarse" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def _one_scenario_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and err.count("\n") == 1 and "Traceback" not in err

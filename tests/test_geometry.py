@@ -113,6 +113,34 @@ def test_area_rule_is_ring_major_product(domain, z0):
     assert np.max(np.abs(np.exp(1j * tmid) - np.exp(1j * theta))) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "domain,z0",
+    [(disc(), 0.0), (disc(), 0.45 + 0.2j), (annulus(0.25), 0.6), (annulus(0.25), -0.3 + 0.4j)],
+    ids=["disc-center", "disc-off", "annulus", "annulus-off"],
+)
+def test_band_free_rule_puts_z0_on_a_panel_edge(domain, z0):
+    # With no refinement ring the rule is the uniform Gauss panels with
+    # |z0| as one more edge (annulus-off: |z0| = 0.5 is an edge already).
+    aq = area_quadrature(domain, z0, 64, 40, patch_levels=None)
+    edges = np.append(aq.inner, aq.outer[-1])
+    assert abs(aq.weights.sum() - domain.area) <= 1e-14 * domain.area
+    assert np.min(np.abs(edges - abs(z0))) == 0.0
+    assert np.min(np.abs(aq.nodes - z0)) > 1e-12
+    assert np.array_equal(aq.inner[1:], aq.outer[:-1])
+    assert len(aq.rings.radii) in (64, 72)
+
+
+@pytest.mark.parametrize("domain,edge", [(disc(), 0.5), (annulus(0.25), 0.25**0.25)], ids=["disc", "annulus"])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_band_free_rule_snaps_z0_next_to_an_edge(domain, edge, side):
+    # |z0| one ulp from a panel edge (r = 4/8 on the disc, q^(2/8) on the
+    # annulus) takes that edge: no panel is added, and none is ulps wide.
+    radial = 64
+    aq = area_quadrature(domain, np.nextafter(edge, edge + side), radial, 16, patch_levels=None)
+    assert len(aq.rings.radii) == radial
+    assert np.min(aq.outer - aq.inner) > 1e-12
+
+
 @pytest.mark.parametrize("levels", [96, 110, 300])
 def test_deep_ring_keeps_off_center_cells_apart(levels):
     # At any depth the ring's edges stay 1e-12 |z0| clear of |z0|: no cell

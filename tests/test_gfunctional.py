@@ -166,6 +166,37 @@ def test_green_evaluated_once_per_check(monkeypatch):
     assert calls == [nodes]
 
 
+def test_masked_callers_keep_the_graded_rule(monkeypatch):
+    # The density is smooth at z0, so kernel diagonals take the rule with no
+    # refinement ring; every masked check still cuts the graded rule, whose
+    # rings the level curves of G cross near z0.
+    import kernelgauge.potential as potential
+    from kernelgauge.verifier import hardy_diagnostic, superlevel_constant
+
+    levels = []
+    real = potential.area_quadrature
+
+    def recorded(*args, patch_levels):
+        levels.append(patch_levels)
+        return real(*args, patch_levels=patch_levels)
+
+    monkeypatch.setattr(potential, "area_quadrature", recorded)
+    cfg = _cfg(annulus(0.25), 0.5, u=MATCHED_U)
+    assert cfg.density_smooth_at_z0()
+
+    def ones(z, rings=None):
+        return np.ones(np.shape(z))
+
+    g_curve(cfg, [0.0, 0.3], MASK_RES)
+    shell_identity_check(cfg, CProfile.constant_one(), 0.6, 0.3, res=MASK_RES)
+    boundary_limit_check(cfg, ones, res=MASK_RES)
+    hardy_diagnostic(ones, cfg, res=MASK_RES)
+    superlevel_constant(cfg, res=MASK_RES)
+    assert levels == [MASK_RES.patch_levels]
+    kernel_diag(cfg, "bergman", MASK_RES)
+    assert levels == [MASK_RES.patch_levels, None, None]
+
+
 def test_empty_sublevel(monkeypatch):
     import kernelgauge.gfunctional as gfunctional_module
 

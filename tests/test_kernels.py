@@ -22,7 +22,7 @@ from kernelgauge import (
     kernel_section,
     reproducing_residual,
 )
-from kernelgauge.kernels import Measure, area_measure, boundary_measure, side_measure
+from kernelgauge.kernels import Measure, area_measure, area_quadrature_for, boundary_measure, side_measure
 from kernelgauge.numerics import constrained_min
 from kernelgauge.potential import HarmonicFunctionRep
 
@@ -119,6 +119,63 @@ def test_ring_gram_matches_dense(domain, z0, u, side, factor, k):
         # The graded patch ring adds rings to the global radial grid.
         assert len(measure.rings.radii) > res.radial_cells
     _assert_moment_gram_matches_dense(basis, measure)
+
+
+@pytest.mark.parametrize("domain,z0,u", RING_CASES, ids=["disc-center", "disc-off", "annulus", "annulus-off"])
+def test_band_free_gram_matches_graded_on_smooth_density(domain, z0, u):
+    # A density smooth at z0 gets the area rule with no refinement ring, a
+    # memo entry of its own, whose Gram equals the graded rule's to roundoff.
+    cfg = _cfg(domain, z0, u=u)
+    res = dataclasses.replace(RING_RES, radial_cells=64)
+    basis = BasisDescriptor.create(domain, res.n_max, z0, 0)
+    measure = side_measure(cfg, "bergman", res)
+    assert measure.rings is cfg.green_rep.area_rule(res.radial_cells, res.angular_cells, None).rings
+    assert len(measure.rings.radii) <= res.radial_cells + 8
+    _assert_moment_gram_matches_dense(basis, measure)
+    graded = gram(basis, area_measure(cfg, area_quadrature_for(cfg, res))).entries
+    assert np.max(np.abs(gram(basis, measure).entries - graded)) <= 1e-13 * np.max(np.abs(graded))
+
+
+@pytest.mark.parametrize(
+    "a_g,c", [(0.0, CProfile.exp_delta(0.3)), (0.0, CProfile.poly(1.5)), (0.4, CProfile.constant_one())],
+    ids=["exp_delta", "poly", "a_g"],
+)
+def test_singular_density_keeps_the_graded_rule(a_g, c):
+    cfg = _cfg(annulus(0.25), 0.5, a_g=a_g, c=c)
+    assert side_measure(cfg, "bergman", RING_RES).rings is area_quadrature_for(cfg, RING_RES).rings
+
+
+def test_power_table_built_once_per_rule_and_freed_with_green_function(monkeypatch):
+    # The points of a sweep share one Green function, and through its memo
+    # one power table per rule: the 1x and 2x area and boundary rules.  The
+    # tables go when the Green function goes.
+    import gc
+    import weakref
+
+    import kernelgauge.kernels as kernels_module
+    from kernelgauge.potential import green
+
+    tables = []
+    real = kernels_module._powers
+
+    def recorded(doubled, radii):
+        table = real(doubled, radii)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(kernels_module, "_powers", recorded)
+    shared = green(annulus(0.25), 0.5)
+    res = Resolution(basis_schedule=(4, 8), boundary_nodes=64, radial_cells=48, angular_cells=40, patch_levels=12)
+    for alpha in np.linspace(-0.4, 0.5, 9):
+        u = HarmonicFunctionRep.log_mode(alpha)
+        cfg = WeightConfig(annulus(0.25), 0.5, 0, PsiSpec(1.0), PhiSpec(0.0, u), CProfile.constant_one(), shared)
+        for side in ("szego", "bergman"):
+            kernel_diag(cfg, side, res)
+    assert len(tables) == 4
+    assert not any(ref().flags.writeable for ref in tables)
+    del cfg, shared
+    gc.collect()
+    assert all(ref() is None for ref in tables)
 
 
 def test_moment_gram_deep_annulus_stays_finite():

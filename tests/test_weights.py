@@ -213,3 +213,22 @@ def test_densities_on_rings_match_pointwise(domain, z0, u, factor):
     ]
     for ring, pointwise in pairs:
         assert np.max(np.abs(ring - pointwise)) <= 1e-13 * np.max(np.abs(pointwise))
+
+
+@pytest.mark.parametrize(
+    "a_g,p0,c,smooth",
+    [
+        (0.0, 1.0, CProfile.constant_one(), True),
+        (-2.0, 2.0, CProfile.constant_one(), True),
+        (0.0, 1.0, CProfile.exp_delta(0.0), True),
+        (0.0, 2.0, CProfile.exp_delta(-0.5), True),
+        (0.0, 1.0, CProfile.exp_delta(0.3), False),
+        (0.4, 1.0, CProfile.constant_one(), False),
+        (0.0, 1.0, CProfile.poly(2.0), False),
+    ],
+    ids=["constant_one", "reduced_k1", "exp_delta_zero", "delta_p0_minus_one", "delta_0.3", "a_g_0.4", "poly"],
+)
+def test_density_smooth_at_z0(a_g, p0, c, smooth):
+    # rho ~ |z - z0|^(2 beta) near z0 with beta = -(a_g + 2 p0 delta) / 2;
+    # smooth exactly when beta is a nonnegative integer and c is not poly.
+    assert _cfg(annulus(0.25), 0.5, p0=p0, a_g=a_g, c=c).density_smooth_at_z0() is smooth
