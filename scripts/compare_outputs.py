@@ -24,13 +24,14 @@ every exit code, under both BLAS thread counts.
 Each one that differs between the trees is printed with a diff, and a
 differing CSV file also with the size of the change: for each numeric
 column, the largest change divided by the column's largest |value| in
-PARENT_TREE.  The script exits 1 if any output differs or is missing,
+PARENT_TREE, where a pair re_X, im_X counts as one complex column X.  The script exits 1 if any output differs or is missing,
 and 0 if all are byte-identical.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import difflib
 import io
@@ -103,20 +104,33 @@ def show_difference(parent, change) -> None:
 
 
 def size_difference(parent: bytes, change: bytes) -> None:
-    """Print each numeric column's largest change, relative to the column's largest |value| in parent."""
+    """Print each numeric column's largest change, relative to the column's largest |value| in parent.
+
+    A pair of columns re_X and im_X is sized as the one complex column X:
+    the largest |change of X| over the largest |X|, so an imaginary part
+    that is roundoff alone does not read as a large change.
+    """
     (head, *old), (new_head, *new) = (list(csv.reader(io.StringIO(data.decode()))) for data in (parent, change))
     if head != new_head or len(old) != len(new):
         print("    not sized: the header or the row count differs")
         return
+    columns: dict[str, list[tuple[float, float]]] = {}
     for j, name in enumerate(head):
         try:
-            pairs = [(float(a[j]), float(b[j])) for a, b in zip(old, new)]
+            columns[name] = [(float(a[j]), float(b[j])) for a, b in zip(old, new)]
         except (ValueError, IndexError):
             continue  # not a numeric column
+    for name, pairs in columns.items():
+        if name.startswith("im_") and "re_" + name[3:] in columns:
+            continue  # sized with its real part
+        imag = columns.get("im_" + name[3:]) if name.startswith("re_") else None
+        if imag is not None:
+            pairs = [(complex(a, c), complex(b, d)) for (a, b), (c, d) in zip(pairs, imag)]
+            name = f"{name[3:]} (re_{name[3:]}, im_{name[3:]})"
         # A nan on both sides is no change; on one side only, the change is nan.
-        moved = [abs(a - b) for a, b in pairs if not (math.isnan(a) and math.isnan(b))]
+        moved = [abs(a - b) for a, b in pairs if not (cmath.isnan(a) and cmath.isnan(b))]
         largest = math.nan if any(map(math.isnan, moved)) else max(moved, default=0.0)
-        scale = max((abs(a) for a, _ in pairs if not math.isnan(a)), default=0.0)
+        scale = max((abs(a) for a, _ in pairs if not cmath.isnan(a)), default=0.0)
         if scale:
             print(f"    {name}: largest change {largest / scale:.2e} of the column's largest |value|")
         else:

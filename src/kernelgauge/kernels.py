@@ -226,8 +226,9 @@ def gram(basis: BasisDescriptor, measure: Measure) -> HermitianMatrix:
     (q/r)^|sigma| for sigma < 0), c_ij = s_sigma / (s_i s_j) <= 1 with s
     the basis scales, and F_r the DFT of ring r's weights read modulo
     n_theta -- the same discrete sum as the dense path, aliasing included.
-    mu is built once by one contraction of the power table with the
-    rings' spectra, and all nb^2 entries are read out of it.
+    sigma = delta (mod 2), so mu is built once by two contractions of the
+    power table with the rings' spectra, one per parity class, and all
+    nb^2 entries are read out of it.
 
     Other measures are assembled densely in blocks of _DENSE_CHUNK_NODES
     nodes, so large quadratures never materialize the full basis matrix.
@@ -246,49 +247,65 @@ def _moment_gram(
     pieces, if given, is (radii, angle, weights) of further nodes, node p
     at radii[p] * exp(i (theta0 + 2 pi angle[p] / n_theta)) on the grid's
     angle lines.  They are binned by angle into an (n_theta, n_sigma)
-    table of weighted powers, whose DFT adds into the same mu.  The power
-    table of the rings is built once per rule and basis order when memo
-    holds the rule.
+    table of weighted powers, whose DFT adds into the same mu.
+
+    sigma and delta = sigma - 2 e_i have the same parity, so each parity
+    class of sums is contracted only with the differences of its parity:
+    half the products of the full table, with the same sum for every
+    entry read.  The power table of the rings, its columns grouped by
+    parity, is built once per rule and basis order when memo holds the
+    rule.
     """
     n = rings.n_theta
     exps = basis.exponents
     with np.errstate(over="ignore"):  # only its powers are read; its scales q^-n may overflow
         doubled = BasisDescriptor.create(basis.domain, 2 * basis.n_max, basis.z0, basis.k)
+    ns = doubled.exponents.size
+    by_parity = np.argsort(doubled.exponents % 2, kind="stable")
+    n_even = ns - int(np.count_nonzero(doubled.exponents % 2))
     if memo is None:
-        powers = _powers(doubled, rings.radii)
+        powers = _powers(doubled, rings.radii, by_parity)
     else:
-        powers = memo.rule_table(rings, ("powers", doubled.n_max), lambda: _powers(doubled, rings.radii))
+        powers = memo.rule_table(rings, ("powers", doubled.n_max), lambda: _powers(doubled, rings.radii, by_parity))
     # F[delta] for delta = 0..span sits in rfft column min(m, n - m), m = delta
     # mod n, conjugated when m <= n / 2 (real weights: F[-d] = conj(F[d])).
     shift = np.arange(int(exps.max() - exps.min()) + 1) % n
     fold = np.minimum(shift, n - shift)
     sign = np.where(shift <= n // 2, -1.0, 1.0)
-    d = fold.size
-    moments = np.zeros((doubled.exponents.size, 2 * d))
+    # (power table columns, deltas) of each parity class of sums.
+    blocks = [(slice(0, n_even), np.arange(0, fold.size, 2)), (slice(n_even, ns), np.arange(1, fold.size, 2))]
+    moments = [np.zeros((rows.stop - rows.start, 2 * deltas.size)) for rows, deltas in blocks]
     step = max(1, _SPECTRA_CHUNK_BYTES // (16 * (n // 2 + 1)))
     for start in range(0, len(rings.radii), step):
         sl = slice(start, start + step)
-        spectra = np.fft.rfft(ring_weights[sl], axis=1)[:, fold]
-        # einsum on C-contiguous real arrays: on the annulus_matched 2x rule
-        # (803 rings x 512 angles, nb 65) this (129 x 803) . (803 x 130)
-        # product took 5.8 ms, against 32 ms through @ on OpenBLAS's two
-        # threads and 19 ms by einsum on the strided .real/.imag views.
-        stacked = np.concatenate([spectra.real, spectra.imag], axis=1)
-        moments += np.einsum("rs,rd->sd", powers[sl], stacked)
+        spectra = np.fft.rfft(ring_weights[sl], axis=1)
+        for (rows, deltas), acc in zip(blocks, moments):
+            # Each row's [Re F | Im F], C-contiguous: on the annulus_matched 2x
+            # rule (803 rings x 512 angles, nb 65) einsum on such arrays took
+            # 5.8 ms for the full (129 x 803) . (803 x 130) table, against
+            # 32 ms through @ on OpenBLAS's two threads and 19 ms on the
+            # strided .real/.imag views.  The power table's column slice is
+            # read one scalar at a time, so its stride costs nothing.
+            part = spectra[:, fold[deltas]]
+            acc += np.einsum("rs,rd->sd", powers[sl, rows], np.concatenate([part.real, part.imag], axis=1))
     if pieces is not None:
         radii, angle, weights = pieces
-        ns = doubled.exponents.size
         slots = (angle[:, None] * ns + np.arange(ns)).ravel()
-        binned = weights[:, None] * _powers(doubled, radii)
+        binned = weights[:, None] * _powers(doubled, radii, by_parity)
         table = np.bincount(slots, weights=binned.ravel(), minlength=n * ns).reshape(n, ns)
-        spectra = np.fft.rfft(table, axis=0)[fold]
-        moments[:, :d] += spectra.real.T
-        moments[:, d:] += spectra.imag.T
-    mu = moments[:, :d] + 1j * (sign * moments[:, d:])
-    # Column of each sum sigma in the doubled basis.
+        spectra = np.fft.rfft(table, axis=0)
+        for (rows, deltas), acc in zip(blocks, moments):
+            part = spectra[fold[deltas], rows].T
+            acc[:, : deltas.size] += part.real
+            acc[:, deltas.size :] += part.imag
+    # mu[column of sigma in the parity-grouped table, delta]; entries of
+    # mismatched parity are never read and stay 0.
+    mu = np.zeros((ns, fold.size), dtype=complex)
+    for (rows, deltas), acc in zip(blocks, moments):
+        mu[rows, deltas] = acc[:, : deltas.size] + 1j * (sign[deltas] * acc[:, deltas.size :])
     low = int(doubled.exponents.min())
     column = np.empty(int(doubled.exponents.max()) - low + 1, dtype=int)
-    column[doubled.exponents - low] = np.arange(doubled.exponents.size)
+    column[doubled.exponents[by_parity] - low] = np.arange(ns)
     sigma = exps[:, None] + exps[None, :]
     delta = exps[None, :] - exps[:, None]
     upper = mu[column[sigma - low], np.abs(delta)] * np.exp(1j * rings.theta0 * np.abs(delta))
@@ -296,13 +313,15 @@ def _moment_gram(
     return HermitianMatrix(np.where(delta < 0, upper.conj(), upper))
 
 
-def _powers(doubled: BasisDescriptor, radii: np.ndarray) -> np.ndarray:
-    """The doubled basis at real radii, each entry in [0, 1], subnormals set to 0.
+def _powers(doubled: BasisDescriptor, radii: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The doubled basis at real radii in the given column order, C-contiguous.
 
-    Disc ring radii reach 1e-9, whose high powers are subnormal; they
-    add nothing at double precision but slow every product they enter.
+    Each entry is in [0, 1], and subnormals are set to 0: disc ring radii
+    reach 1e-9, whose high powers are subnormal; they add nothing at double
+    precision but slow every product they enter.  (A column gather alone
+    gives a Fortran-ordered array, on which einsum sums in another order.)
     """
-    p = np.ascontiguousarray(doubled.matrix(radii).real)
+    p = np.ascontiguousarray(doubled.matrix(radii).real[:, columns])
     p[p < np.finfo(float).tiny] = 0.0
     return p
 

@@ -226,18 +226,10 @@ class PoleDerivative:
 
 @dataclass(frozen=True)
 class _OnNodes:
-    """A memoized rule's nodes with G there, and on a boundary rule its signs and dG/dnu."""
+    """A memoized rule's nodes, and on a boundary rule its normal signs."""
 
     nodes: np.ndarray
-    g: np.ndarray
     signs: np.ndarray | None = None
-    dg_dnu: np.ndarray | None = None
-
-
-def _read_only(*arrays: np.ndarray | None) -> None:
-    for a in arrays:
-        if a is not None:
-            a.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -245,14 +237,16 @@ class GreenFunctionRep:
     """Green function log|z - w| + correction, vanishing on the boundary.
 
     It keeps, for its lifetime, a memo of every rule built about its pole
-    by `area_rule` and `boundary_rule`, each with G (and on the boundary
-    dG/dnu) on its nodes, of tables built for those rules by `rule_table`,
-    and of its derivative series and character.  An
-    entry is built once, by whichever thread asks first, and its arrays
-    are read-only, so every configuration sharing this Green function
-    (the points of a sweep, an order-k configuration and its reduction)
-    reads the same values: `value` and `normal_derivative` return them
-    when given such a rule's own nodes (and signs) with its rings.
+    by `area_rule` and `boundary_rule`, of tables built for those rules by
+    `rule_table`, and of its derivative series and character.  G on a
+    memoized rule's nodes (and dG/dnu on a boundary rule's) is such a
+    table: `value` and `normal_derivative`, given that rule's own nodes
+    (and signs) with its rings, evaluate it on first read and return it
+    from then on, so a rule whose densities never read G never evaluates
+    it.  An entry is built once, by whichever thread asks first, and its
+    arrays are read-only, so every configuration sharing this Green
+    function (the points of a sweep, an order-k configuration and its
+    reduction) reads the same values.
     """
 
     domain: DomainSpec
@@ -272,7 +266,7 @@ class GreenFunctionRep:
         return entry[1]
 
     def _on_nodes(self, z, rings: RingGrid | None) -> _OnNodes | None:
-        """The memo's values when z are the nodes of a rule built here with these rings."""
+        """The memo's record of the rule built here with these rings, when z are its nodes."""
         if rings is None:
             return None
         with self._lock:
@@ -280,20 +274,21 @@ class GreenFunctionRep:
         return known if known is not None and z is known.nodes else None
 
     def _remember(self, rings: RingGrid, known: _OnNodes, *arrays: np.ndarray) -> None:
-        _read_only(rings.radii, known.nodes, known.g, known.signs, known.dg_dnu, *arrays)
+        for a in (rings.radii, known.nodes, known.signs, *arrays):
+            if a is not None:
+                a.flags.writeable = False
         with self._lock:
             self._known[id(rings)] = known
 
     def area_rule(self, radial_cells: int, angular_cells: int, patch_levels: int | None) -> AreaQuadrature:
-        """`geometry.area_quadrature` about the pole, with G on its nodes, built once.
+        """`geometry.area_quadrature` about the pole, built once.
 
         patch_levels None is the rule with no refinement ring.
         """
 
         def build():
             aq = area_quadrature(self.domain, self.pole, radial_cells, angular_cells, patch_levels=patch_levels)
-            known = _OnNodes(aq.nodes, self.value(aq.nodes, aq.rings))
-            self._remember(aq.rings, known, aq.weights, aq.inner, aq.outer, aq.angle_edges)
+            self._remember(aq.rings, _OnNodes(aq.nodes), aq.weights, aq.inner, aq.outer, aq.angle_edges)
             return aq
 
         return self._memoized(("area", radial_cells, angular_cells, patch_levels), build)
@@ -310,32 +305,28 @@ class GreenFunctionRep:
 
         def make():
             table = build()
-            _read_only(table)
+            table.flags.writeable = False
             return table
 
         return self._memoized(("table", id(rings), *key), make) if memoized else build()
 
     def boundary_rule(self, nodes_per_component: int) -> BoundaryQuadrature:
-        """`geometry.boundary_quadrature`, with G and dG/dnu on its nodes, built once."""
+        """`geometry.boundary_quadrature`, built once."""
 
         def build():
             bq = boundary_quadrature(self.domain, nodes_per_component)
-            known = _OnNodes(
-                bq.nodes,
-                self.value(bq.nodes, bq.rings),
-                bq.normal_signs,
-                self.normal_derivative(bq.nodes, bq.normal_signs, bq.rings),
-            )
-            self._remember(bq.rings, known, bq.weights)
+            self._remember(bq.rings, _OnNodes(bq.nodes, bq.normal_signs), bq.weights)
             return bq
 
         return self._memoized(("boundary", nodes_per_component), build)
 
     def value(self, z, rings: RingGrid | None = None):
-        """G at z; the memo's values when z are a memoized rule's nodes and rings its RingGrid."""
-        known = self._on_nodes(z, rings)
-        if known is not None:
-            return known.g
+        """G at z; the memo's table when z are a memoized rule's nodes and rings its RingGrid."""
+        if self._on_nodes(z, rings) is not None:
+            return self.rule_table(rings, ("g",), lambda: self._value(z, rings))
+        return self._value(z, rings)
+
+    def _value(self, z, rings: RingGrid | None):
         z = np.asarray(z, dtype=complex)
         # -inf at the pole itself is the correct value.
         with np.errstate(divide="ignore"):
@@ -359,12 +350,15 @@ class GreenFunctionRep:
     def normal_derivative(self, zeta, signs, rings: RingGrid | None = None):
         """dG/dnu at boundary points; signs +1 outer circle, -1 inner.
 
-        The memo's values when zeta and signs are a memoized boundary
+        The memo's table when zeta and signs are a memoized boundary
         rule's nodes and normal_signs and rings its RingGrid.
         """
         known = self._on_nodes(zeta, rings)
-        if known is not None and known.dg_dnu is not None and signs is known.signs:
-            return known.dg_dnu
+        if known is not None and known.signs is not None and signs is known.signs:
+            return self.rule_table(rings, ("dg_dnu",), lambda: self._normal_derivative(zeta, signs, rings))
+        return self._normal_derivative(zeta, signs, rings)
+
+    def _normal_derivative(self, zeta, signs, rings: RingGrid | None):
         zeta = np.asarray(zeta, dtype=complex)
         h = self.derivative()
         return np.asarray(signs, dtype=float) * np.real(zeta / np.abs(zeta) * h(zeta, rings))

@@ -200,10 +200,15 @@ class WeightConfig:
     # Every evaluator below takes the rule's RingGrid as `rings` when its
     # points are that rule's ring-major nodes; the Laurent parts are then
     # summed ring by ring (see potential.LaurentSeries).  On the nodes of a
-    # rule from green_rep's memo, G is read from the memo.
+    # rule from green_rep's memo, G is the memo's table, evaluated on its
+    # first read.
 
     def psi_value(self, z, rings: RingGrid | None = None):
-        val = self.psi.p0 * self.green_rep.value(z, rings)
+        return self._psi_from(z, self.green_rep.value(z, rings))
+
+    def _psi_from(self, z, g):
+        """psi at z from G there."""
+        val = self.psi.p0 * g
         if self.psi.eps:
             val = val + self.psi.eps * self.bump(z)
         return val
@@ -219,17 +224,32 @@ class WeightConfig:
         return val
 
     def phi_value(self, z, rings: RingGrid | None = None):
+        g = self.green_rep.value(z, rings) if self.phi.a_g != 0.0 else None
+        return self._phi_from(z, rings, g)
+
+    def _phi_from(self, z, rings: RingGrid | None, g):
+        """phi at z from G there, which is read only when a_g != 0."""
         val = np.zeros(np.shape(np.asarray(z)), dtype=float)
         if self.phi.a_g != 0.0:
-            val = val + self.phi.a_g * self.green_rep.value(z, rings)
+            val = val + self.phi.a_g * g
         val = val + 2.0 * self.phi.u.value(z, rings)
         return val
 
     # -- densities -----------------------------------------------------
 
     def rho(self, z, rings: RingGrid | None = None):
-        """Interior density exp(-phi) c(-2 psi)."""
-        return np.exp(-self.phi_value(z, rings)) * self.c.c(-self.two_psi(z, rings))
+        """Interior density exp(-phi) c(-2 psi).
+
+        G is evaluated (or read from the memo) at most once, and not at
+        all on constant_one with a_g = 0: c is exactly 1 there, so
+        c(-2 psi) is left out.
+        """
+        reads_psi = self.c.kind != "constant_one"
+        g = self.green_rep.value(z, rings) if reads_psi or self.phi.a_g != 0.0 else None
+        out = np.exp(-self._phi_from(z, rings, g))
+        if reads_psi:
+            out = out * self.c.c(-(2.0 * self._psi_from(z, g)))
+        return out
 
     def boundary_lambda(self, zeta, signs, rings: RingGrid | None = None):
         """Boundary density exp(-phi) c(0) / (dpsi/dnu)."""

@@ -52,7 +52,7 @@ FAST_ANNULUS = Resolution(
 
 def test_gram_disc_area_moments():
     basis = BasisDescriptor.create(disc(), 2, 0.0, 0)
-    aq = area_quadrature(disc(), 0.0, 16384, 48)
+    aq = area_quadrature(disc(), 0.0, 256, 48)
     m = gram(basis, area_measure(_cfg(disc(), 0.0), aq)).entries
     assert np.max(np.abs(m - np.diag([math.pi, math.pi / 2, math.pi / 3]))) < 1e-8
 
@@ -158,8 +158,8 @@ def test_power_table_built_once_per_rule_and_freed_with_green_function(monkeypat
     tables = []
     real = kernels_module._powers
 
-    def recorded(doubled, radii):
-        table = real(doubled, radii)
+    def recorded(doubled, radii, columns):
+        table = real(doubled, radii, columns)
         tables.append(weakref.ref(table))
         return table
 
@@ -215,10 +215,90 @@ def test_moment_gram_aliases_as_the_dense_sum(domain, n_theta):
     _assert_moment_gram_matches_dense(basis, boundary_measure(cfg, boundary_quadrature(domain, max(n_theta, 8))))
 
 
+def _full_table_gram(basis, rings, ring_weights, pieces=None):
+    """The moment Gram with the whole mu[sigma, delta] table contracted, parities mixed.
+
+    The reference for the parity-split `_moment_gram`: every sum sigma of
+    the doubled basis against every difference delta, one einsum per ring
+    chunk, then the same read-out.
+    """
+    import kernelgauge.kernels as kernels_module
+
+    n, exps = rings.n_theta, basis.exponents
+    with np.errstate(over="ignore"):
+        doubled = BasisDescriptor.create(basis.domain, 2 * basis.n_max, basis.z0, basis.k)
+
+    def powers(radii):
+        p = np.ascontiguousarray(doubled.matrix(radii).real)
+        p[p < np.finfo(float).tiny] = 0.0
+        return p
+
+    shift = np.arange(int(exps.max() - exps.min()) + 1) % n
+    fold = np.minimum(shift, n - shift)
+    d, ns = fold.size, doubled.exponents.size
+    table = powers(rings.radii)
+    moments = np.zeros((ns, 2 * d))
+    step = max(1, kernels_module._SPECTRA_CHUNK_BYTES // (16 * (n // 2 + 1)))
+    for start in range(0, len(rings.radii), step):
+        sl = slice(start, start + step)
+        spectra = np.fft.rfft(ring_weights[sl], axis=1)[:, fold]
+        moments += np.einsum("rs,rd->sd", table[sl], np.concatenate([spectra.real, spectra.imag], axis=1))
+    if pieces is not None:
+        radii, angle, weights = pieces
+        slots = (angle[:, None] * ns + np.arange(ns)).ravel()
+        binned = np.bincount(slots, weights=(weights[:, None] * powers(radii)).ravel(), minlength=n * ns)
+        spectra = np.fft.rfft(binned.reshape(n, ns), axis=0)[fold]
+        moments[:, :d] += spectra.real.T
+        moments[:, d:] += spectra.imag.T
+    mu = moments[:, :d] + 1j * (np.where(shift <= n // 2, -1.0, 1.0) * moments[:, d:])
+    low = int(doubled.exponents.min())
+    column = np.empty(int(doubled.exponents.max()) - low + 1, dtype=int)
+    column[doubled.exponents - low] = np.arange(ns)
+    sigma = exps[:, None] + exps[None, :]
+    delta = exps[None, :] - exps[:, None]
+    upper = mu[column[sigma - low], np.abs(delta)] * np.exp(1j * rings.theta0 * np.abs(delta))
+    upper = upper * kernels_module._coupling(basis, sigma)
+    return np.where(delta < 0, upper.conj(), upper)
+
+
+@pytest.mark.parametrize("n_max", [8, 16])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("side", ["bergman", "szego"])
+@pytest.mark.parametrize("domain,z0,u", RING_CASES, ids=["disc-center", "disc-off", "annulus", "annulus-off"])
+def test_parity_split_gram_is_the_full_table_gram(domain, z0, u, side, k, n_max):
+    # Contracting each parity class of sums with the differences of its
+    # parity only leaves every entry's sum as it was, bit for bit.  With
+    # n_max = 16 the differences alias modulo n_theta = 40.
+    cfg = _cfg(domain, z0, k=k, u=u, c=CProfile.exp_delta(-0.4))
+    measure = side_measure(cfg, side, RING_RES)
+    basis = BasisDescriptor.create(domain, n_max, z0, k)
+    ring_weights = measure.wdensity.reshape(len(measure.rings.radii), measure.rings.n_theta)
+    assert np.array_equal(gram(basis, measure).entries, _full_table_gram(basis, measure.rings, ring_weights))
+
+
+@pytest.mark.parametrize("domain,z0,u", RING_CASES[1:3], ids=["disc-off", "annulus"])
+def test_parity_split_masked_gram_is_the_full_table_gram(domain, z0, u):
+    # A masked rule's Gram adds its clipped pieces to the same parity classes.
+    from kernelgauge.gfunctional import _masked_gram, _sublevel_masks
+
+    cfg = _cfg(domain, z0, u=u, c=CProfile.exp_delta(-0.4))
+    aq = area_quadrature_for(cfg, RING_RES)
+    basis = BasisDescriptor.create(domain, RING_RES.n_max, z0, 0)
+    rho = cfg.rho(aq.nodes, aq.rings)
+    for masked in _sublevel_masks(cfg, aq, [0.4, 1.2], "below"):
+        assert masked.nodes.size > 0
+        whole = np.where(masked.kept, aq.weights * rho, 0.0).reshape(len(aq.rings.radii), aq.rings.n_theta)
+        pieces = (np.abs(masked.nodes), masked.angle, masked.weights * cfg.rho(masked.nodes))
+        expected = _full_table_gram(basis, aq.rings, whole, pieces)
+        assert np.array_equal(_masked_gram(cfg, basis, aq, rho, masked).entries, expected)
+
+
 def test_masked_rule_gram_is_dense_and_exact():
     # Clipping the disc to |z| < 0.6 leaves no ring structure; the dense
     # Gram of the clipped rule, its kept parent cells and then its pieces,
-    # reproduces the moments of the smaller disc.
+    # reproduces the moments of the smaller disc.  Masked rules are first
+    # order in the radial panel width, so this one keeps 2048 radial cells:
+    # at 512 the error is 1.2 times the bound, at 256 three times.
     rho = 0.6
     aq = area_quadrature(disc(), 0.0, 2048, 32)
     (masked,) = mask_quadrature(aq, lambda z, rings=None: np.log(np.abs(z)), [math.log(rho)])
@@ -350,7 +430,7 @@ def test_disc_szego_section_unit_weight():
 
 def test_disc_bergman_section():
     cfg = _cfg(disc(), 0.5)
-    res = Resolution(basis_schedule=(8, 16, 32), radial_cells=8192, angular_cells=160)
+    res = Resolution(basis_schedule=(8, 16, 32), radial_cells=256, angular_cells=160)
     sec = kernel_section(cfg, "bergman", res)
     grid = np.array([0.3 + 0.2j, -0.5, 0.1j])
     exact = (1 - 0.25) ** 2 / (1 - 0.5 * grid) ** 2
@@ -402,7 +482,7 @@ def test_reproducing_residual_builds_its_rule_once(monkeypatch):
 def test_sections_coincide_in_matched_configs():
     # In extremal-family configurations the normalized Hardy and Bergman
     # kernel sections are one and the same function.
-    res_d = Resolution(basis_schedule=(8, 16, 32), radial_cells=1024, angular_cells=160,
+    res_d = Resolution(basis_schedule=(8, 16, 32), radial_cells=256, angular_cells=160,
                        boundary_nodes=256)
     cfg_d = _cfg(disc(), 0.3)
     sec_k = kernel_section(cfg_d, "szego", res_d)

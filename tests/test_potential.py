@@ -387,6 +387,67 @@ def test_rule_memo_builds_once_across_threads(monkeypatch):
     assert all(rule is rules[0] for rule in rules)
 
 
+def _count_green_evaluations(monkeypatch, g):
+    """Lists that grow by one on each evaluation of G (its correction) and of dG/dnu (its derivative) on g's rules."""
+    import kernelgauge.potential as potential
+
+    values, fluxes = [], []
+    value, call = HarmonicFunctionRep.value, potential.PoleDerivative.__call__
+
+    def counted_value(self, z, rings=None):
+        if self is g.correction and rings is not None:
+            values.append(rings)
+        return value(self, z, rings)
+
+    def counted_call(self, z, rings=None):
+        if self is g.derivative() and rings is not None:
+            fluxes.append(rings)
+        return call(self, z, rings)
+
+    monkeypatch.setattr(HarmonicFunctionRep, "value", counted_value)
+    monkeypatch.setattr(potential.PoleDerivative, "__call__", counted_call)
+    return values, fluxes
+
+
+def test_rule_memo_evaluates_green_on_first_read(monkeypatch):
+    # Building a rule evaluates nothing on it; the first read of G (or of
+    # dG/dnu) on its nodes evaluates it once, and later reads return it.
+    g = green(annulus(0.25), 0.4 + 0.3j)
+    values, fluxes = _count_green_evaluations(monkeypatch, g)
+    aq = g.area_rule(48, 40, 12)
+    bq = g.boundary_rule(64)
+    assert values == [] and fluxes == []
+    on_area = g.value(aq.nodes, aq.rings)
+    assert values == [aq.rings]
+    assert g.value(aq.nodes, aq.rings) is on_area and values == [aq.rings]
+    flux = g.normal_derivative(bq.nodes, bq.normal_signs, bq.rings)
+    assert fluxes == [bq.rings] and values == [aq.rings]
+    assert g.normal_derivative(bq.nodes, bq.normal_signs, bq.rings) is flux and fluxes == [bq.rings]
+    assert g.value(bq.nodes, bq.rings) is g.value(bq.nodes, bq.rings)
+    assert values == [aq.rings, bq.rings]
+
+
+def test_rule_memo_reads_green_once_across_threads(monkeypatch):
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    g = green(annulus(0.25), -0.3 + 0.4j)
+    aq = g.area_rule(48, 40, 12)
+    values, _ = _count_green_evaluations(monkeypatch, g)
+    gate = threading.Barrier(4)
+
+    def read(_):
+        gate.wait()
+        return g.value(aq.nodes, aq.rings)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        tables = list(pool.map(read, range(4)))
+    assert values == [aq.rings]
+    assert all(table is tables[0] for table in tables)
+    with pytest.raises(ValueError):
+        tables[0][0] = 0.0
+
+
 def test_derivative_and_character_formed_once():
     g = green(annulus(0.25), 0.5)
     assert g.derivative() is g.derivative()

@@ -253,6 +253,59 @@ def test_superlevel_constant_evaluates_green_once(monkeypatch):
     assert calls == [area_quadrature(disc(), 0.2, 64, 48).nodes.size]
 
 
+def _green_evaluations_on_area_rules(monkeypatch, cfg):
+    """The RingGrid of each evaluation of cfg's Green correction on an area rule, in order."""
+    import kernelgauge.potential as potential
+
+    area_rings, calls = [], []
+    build, value = potential.area_quadrature, HarmonicFunctionRep.value
+
+    def recorded(*args, **kwargs):
+        aq = build(*args, **kwargs)
+        area_rings.append(aq.rings)
+        return aq
+
+    def counted(self, z, rings=None):
+        if self is cfg.green_rep.correction and any(rings is r for r in area_rings):
+            calls.append(rings)
+        return value(self, z, rings)
+
+    monkeypatch.setattr(potential, "area_quadrature", recorded)
+    monkeypatch.setattr(HarmonicFunctionRep, "value", counted)
+    return area_rings, calls
+
+
+def test_verify_constant_profile_evaluates_green_on_no_area_rule(monkeypatch):
+    # scenarios/annulus_strict.json: psi = G, phi = 0 and constant_one, so
+    # rho = exp(-phi) reads no G: neither the Bergman rules nor
+    # validate_config's area rule evaluate it.  The boundary rules still
+    # read dG/dnu.
+    from pathlib import Path
+
+    from kernelgauge.cli import build_config, build_resolution, load_scenario
+
+    doc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "annulus_strict.json")
+    cfg = build_config(doc)
+    area_rings, calls = _green_evaluations_on_area_rules(monkeypatch, cfg)
+    report = verify(cfg, build_resolution(doc, cfg.domain))
+    assert report.verdict == "pass"
+    assert len(area_rings) == 3  # validate_config's rule, the 1x and the 2x Bergman rules
+    assert calls == []
+
+
+def test_verify_exp_delta_evaluates_green_once_per_rule_read(monkeypatch):
+    # exp_delta reads c(-2 psi) on every area rule: G is evaluated once on
+    # each, and the order-zero reduction of this k = 1 configuration reads
+    # the same rules through the shared Green function.
+    cfg = _cfg(annulus(0.25), 0.3 + 0.4j, k=1, p0=1.5, a_g=1.0, c=CProfile.exp_delta(-0.3))
+    area_rings, calls = _green_evaluations_on_area_rules(monkeypatch, cfg)
+    report = verify(cfg, Resolution(basis_schedule=(8, 16), boundary_nodes=160, radial_cells=80,
+                                    angular_cells=80, patch_levels=12))
+    assert report.verdict == "pass"
+    assert len(area_rings) == 3
+    assert len(calls) == 3 and len({id(rings) for rings in calls}) == 3
+
+
 # ------------------------------------------------------ corpus invariants
 
 

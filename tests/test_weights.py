@@ -216,6 +216,39 @@ def test_densities_on_rings_match_pointwise(domain, z0, u, factor):
 
 
 @pytest.mark.parametrize(
+    "a_g,c,evaluations",
+    [
+        (0.5, CProfile.exp_delta(-0.4), 1),
+        (0.5, CProfile.poly(1.5), 1),
+        (0.0, CProfile.exp_delta(0.3), 1),
+        (0.5, CProfile.constant_one(), 1),
+        (0.0, CProfile.constant_one(), 0),
+    ],
+    ids=["a_g-exp_delta", "a_g-poly", "exp_delta", "a_g-constant_one", "constant_one"],
+)
+def test_scattered_rho_evaluates_green_at_most_once(monkeypatch, a_g, c, evaluations):
+    # rho at scattered points evaluates G once when phi (a_g != 0) or
+    # c(-2 psi) reads it, and not at all on constant_one with a_g = 0; the
+    # values are bit for bit exp(-phi) c(-2 psi) from phi and psi apart.
+    cfg = _cfg(annulus(0.25), -0.3 + 0.4j, eps=0.1, a_g=a_g,
+               u=HarmonicFunctionRep.from_coefficients(0.3, {1: 0.1, -1: 0.05j}), c=c)
+    z = np.array([0.6 + 0.1j, -0.35j, 0.8, -0.5 - 0.5j])
+    separate = np.exp(-cfg.phi_value(z)) * cfg.c.c(-cfg.two_psi(z))
+    calls = []
+    value = HarmonicFunctionRep.value
+
+    def counted(self, *args, **kwargs):
+        if self is cfg.green_rep.correction:
+            calls.append(args)
+        return value(self, *args, **kwargs)
+
+    monkeypatch.setattr(HarmonicFunctionRep, "value", counted)
+    got = cfg.rho(z)
+    assert len(calls) == evaluations
+    assert np.array_equal(got, separate)
+
+
+@pytest.mark.parametrize(
     "a_g,p0,c,smooth",
     [
         (0.0, 1.0, CProfile.constant_one(), True),
