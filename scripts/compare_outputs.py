@@ -9,7 +9,6 @@ temporary directory:
     kernelgauge verify scenarios/{disc_baseline,annulus_strict,annulus_matched}.json
     kernelgauge verify higher_order.json
     kernelgauge sweep scenarios/annulus_strict.json --param alpha_u --range=-0.4:0.5:9
-        (under KERNELGAUGE_THREADS=1 and =2)
     kernelgauge kernel-eval scenarios/<each of the three>.json --curve {boundary,radial}
     kernelgauge selftest
 
@@ -17,7 +16,7 @@ The three shipped scenarios are all k = 0, as kernel-eval requires;
 higher_order.json is a k = 1 annulus scenario that this script writes
 (HIGHER_ORDER), so the order-zero reduction is compared too.  Both trees
 read the same scenario files, CHANGE_TREE's shipped ones and the written
-one, so only the code differs.  That makes 60 outputs: every report.csv, report.md, sweep.csv
+one, so only the code differs.  That makes 56 outputs: every report.csv, report.md, sweep.csv
 and kernel_eval_*.csv, the selftest's stdout, which prints the sublevel
 checks (g_curve, shell identity, boundary limit, Hardy diagnostic), and
 every exit code, under both BLAS thread counts.
@@ -56,21 +55,20 @@ HIGHER_ORDER = {
 
 
 def commands(scenarios: Path, higher_order: Path):
-    """(name, CLI arguments, output files, extra environment) of every compared command.
+    """(name, CLI arguments, output files) of every compared command.
 
     A command with no output files is compared by its stdout.
     """
     for name in SCENARIOS:
-        yield name, ["verify", str(scenarios / f"{name}.json")], ("report.csv", "report.md"), {}
-    yield "higher_order", ["verify", str(higher_order)], ("report.csv", "report.md"), {}
+        yield name, ["verify", str(scenarios / f"{name}.json")], ("report.csv", "report.md")
+    yield "higher_order", ["verify", str(higher_order)], ("report.csv", "report.md")
     sweep = ["sweep", str(scenarios / "annulus_strict.json"), "--param", "alpha_u", "--range=-0.4:0.5:9"]
-    for workers in THREADS:
-        yield f"sweep_alpha_u_workers{workers}", sweep, ("sweep.csv",), {"KERNELGAUGE_THREADS": workers}
+    yield "sweep_alpha_u", sweep, ("sweep.csv",)
     for name in SCENARIOS:
         for curve in ("boundary", "radial"):
             args = ["kernel-eval", str(scenarios / f"{name}.json"), "--curve", curve]
-            yield f"{name}_kernel_eval_{curve}", args, (f"kernel_eval_{curve}.csv",), {}
-    yield "selftest", ["selftest"], (), {}
+            yield f"{name}_kernel_eval_{curve}", args, (f"kernel_eval_{curve}.csv",)
+    yield "selftest", ["selftest"], ()
 
 
 def run_tree(tree: Path, scenarios: Path, higher_order: Path, threads: str,
@@ -78,12 +76,12 @@ def run_tree(tree: Path, scenarios: Path, higher_order: Path, threads: str,
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS=threads,
                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     outputs: dict[str, bytes | int | None] = {}
-    for name, args, files, extra in commands(scenarios, higher_order):
+    for name, args, files in commands(scenarios, higher_order):
         out = work / name
         if files:
             args = [*args, "--out", str(out)]
         proc = subprocess.run([sys.executable, "-m", "kernelgauge.cli", *args],
-                              cwd=work, env={**env, **extra}, capture_output=True)
+                              cwd=work, env=env, capture_output=True)
         outputs[f"{name} exit code"] = proc.returncode
         if not files:
             outputs[f"{name} stdout"] = proc.stdout

@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -337,19 +335,6 @@ def _apply_param(doc: dict, param: str, value: float) -> dict:
     return out
 
 
-def _max_workers() -> int:
-    env = os.environ.get("KERNELGAUGE_THREADS", "")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ScenarioError(f"KERNELGAUGE_THREADS must be a positive integer, got {env!r}") from exc
-        if n < 1:
-            raise ScenarioError("KERNELGAUGE_THREADS must be a positive integer")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
 def cmd_sweep(args) -> int:
     doc = load_scenario(args.scenario)
     if args.param not in _SWEEP_PARAMS:
@@ -367,15 +352,11 @@ def cmd_sweep(args) -> int:
     # No swept parameter moves the domain or z0, so every point shares one
     # Green function and with it every rule and G on its nodes.
     shared = green(*_domain_and_point(doc))
-
-    def run_one(value: float) -> VerificationReport:
+    reports = []
+    for value in values:
         varied = _apply_param(doc, args.param, float(value))
         config = build_config(varied, shared)
-        res = build_resolution(varied, config.domain)
-        return verify(config, res, _tol_eq(varied))
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        reports = list(pool.map(run_one, values))
+        reports.append(verify(config, build_resolution(varied, config.domain), _tol_eq(varied)))
 
     out_dir = _output_dir(doc, args.out)
     csv_path = out_dir / "sweep.csv"

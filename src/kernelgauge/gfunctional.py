@@ -310,7 +310,7 @@ def shell_identity_check(
         f0 = f0_construct(config)
 
     def density(z, rings=None):
-        return f0.abs2(z, rings) * np.exp(-config.phi_value(z, rings)) * a_profile.c(-config.two_psi(z, rings))
+        return config._reweighted(a_profile, z, rings, f0.abs2(z, rings))
 
     ts = [t2, t1] if math.isfinite(t1) else [t2]
     integrals = _sublevel_integrals(config, res, density, ts, "below")

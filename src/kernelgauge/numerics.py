@@ -17,10 +17,8 @@ from .errors import InconsistentConstraints, NonConvergent, SingularGram
 # Relative diagonal jitter used in the single Cholesky retry.
 _JITTER = 1e-12
 # Largest order factored by one LAPACK potrf call.  OpenBLAS runs potrf of
-# order 64 and up on its thread pool, whose spinning workers starve the
-# other points of a threaded sweep (kgbench sweep batch on 2 cores: about
-# 0.58 s with one potrf call per Gram, 0.36 s with blocks below 64), and
-# whose result then depends on the thread count in the last bits.
+# order 64 and up on its thread pool, whose result then depends on the
+# thread count in the last bits; below that it runs on one thread.
 _CHOLESKY_BLOCK = 63
 # Relative residual allowed on the constraint equations of a minimizer.
 _CONSTRAINT_RTOL = 1e-10

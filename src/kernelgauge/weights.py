@@ -238,41 +238,53 @@ class WeightConfig:
     # -- densities -----------------------------------------------------
 
     def rho(self, z, rings: RingGrid | None = None):
-        """Interior density exp(-phi) c(-2 psi).
+        """Interior density exp(-phi) c(-2 psi)."""
+        return self._reweighted(self.c, z, rings)
+
+    def _reweighted(self, profile: CProfile, z, rings: RingGrid | None = None, factor=None):
+        """factor * exp(-phi) * profile.c(-2 psi), multiplied left to right (factor None: left out).
 
         G is evaluated (or read from the memo) at most once, and not at
         all on constant_one with a_g = 0: c is exactly 1 there, so
         c(-2 psi) is left out.
         """
-        reads_psi = self.c.kind != "constant_one"
+        reads_psi = profile.kind != "constant_one"
         g = self.green_rep.value(z, rings) if reads_psi or self.phi.a_g != 0.0 else None
         out = np.exp(-self._phi_from(z, rings, g))
+        if factor is not None:
+            out = factor * out
         if reads_psi:
-            out = out * self.c.c(-(2.0 * self._psi_from(z, g)))
+            out = out * profile.c(-(2.0 * self._psi_from(z, g)))
         return out
 
     def boundary_lambda(self, zeta, signs, rings: RingGrid | None = None):
         """Boundary density exp(-phi) c(0) / (dpsi/dnu)."""
         return np.exp(-self.phi_value(zeta, rings)) / self.dpsi_dnu(zeta, signs, rings)
 
+    def _z0_exponent(self) -> float:
+        """beta with rho = |z - z0|^(2 beta) times a factor bounded away from 0 and infinity near z0.
+
+        Near z0, G = log|z - z0| + smooth and c(-2 psi) = exp(-2 delta psi)
+        on exp_delta (delta = 0 on constant_one and poly), so beta = -(a_g +
+        2 p0 delta) / 2, snapped to an integer within 1e-12.  On poly the
+        factor also carries a negative power of log|z - z0|, which tends to 0.
+        """
+        delta = self.c.delta if self.c.kind == "exp_delta" else 0.0
+        beta = -0.5 * (self.phi.a_g + 2.0 * self.psi.p0 * delta)
+        nearest = round(beta)
+        return float(nearest) if abs(beta - nearest) <= 1e-12 else beta
+
     def density_smooth_at_z0(self) -> bool:
         """Whether rho is |z - z0|^(2 beta) times a smooth factor near z0, beta a nonnegative integer.
 
-        Near z0, G = log|z - z0| + smooth and c(-2 psi) = exp(-2 delta psi)
-        on exp_delta (delta = 0 on constant_one), so beta = -(a_g + 2 p0
-        delta) / 2, matched to an integer within 1e-12.  poly profiles carry
-        a power of log|z - z0| and are never smooth there.
+        poly profiles carry a power of log|z - z0| and are never smooth there.
         """
-        if self.c.kind == "poly":
-            return False
-        delta = self.c.delta if self.c.kind == "exp_delta" else 0.0
-        beta = -0.5 * (self.phi.a_g + 2.0 * self.psi.p0 * delta)
-        return beta > -1e-12 and abs(beta - round(beta)) <= 1e-12
+        beta = self._z0_exponent()
+        return self.c.kind != "poly" and beta >= 0.0 and beta.is_integer()
 
     def density_unbounded_at_z0(self) -> bool:
-        if self.phi.a_g > 0.0:
-            return True
-        return self.c.kind == "exp_delta" and self.c.delta > 0.0
+        """Whether rho grows without bound at z0: beta < 0."""
+        return self._z0_exponent() < 0.0
 
     # -- characters ------------------------------------------------------
 
@@ -325,17 +337,25 @@ def rho_lambda_eval(config: WeightConfig, z: complex) -> float:
     """Density at a single point: rho inside, lambda on the boundary.
 
     Boundary membership is detected by |z| matching a component radius to
-    1e-12.  Asking for rho exactly at z0 raises when the density is
-    unbounded there; quadrature nodes never coincide with z0.
+    1e-12.  Exactly at z0, where G = -inf, rho is its limit: asking for it
+    raises when the density is unbounded there (beta < 0), and gives 0 when
+    beta > 0 or the profile is poly; at beta = 0 the multiples of G cancel.
+    Quadrature nodes never coincide with z0.
     """
     r = abs(z)
     for comp_index, radius in enumerate(config.domain.component_radii):
         if abs(r - radius) < 1e-12:
             sign = 1.0 if comp_index == 0 else -1.0
             return float(config.boundary_lambda(np.array([z]), np.array([sign]))[0])
-    if z == config.z0 and config.density_unbounded_at_z0():
+    if z != config.z0:
+        return float(config.rho(np.array([z]))[0])
+    if config.density_unbounded_at_z0():
         raise EvaluationAtPole(f"density unbounded at z0={config.z0}")
-    return float(config.rho(np.array([z]))[0])
+    if config._z0_exponent() > 0.0 or config.c.kind == "poly":
+        return 0.0
+    # rho = exp(-2u) c(-2 eps s) there, once a_g G and 2 p0 delta G cancel.
+    at = np.array([z])
+    return float((np.exp(-2.0 * config.phi.u.value(at)) * config.c.c(-2.0 * config.psi.eps * config.bump(at)))[0])
 
 
 @dataclass(frozen=True)

@@ -294,16 +294,6 @@ def test_shipped_scenarios_parse():
         build_resolution(doc, config.domain)
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    from kernelgauge.cli import _max_workers
-
-    monkeypatch.setenv("KERNELGAUGE_THREADS", "2")
-    assert _max_workers() == 2
-    monkeypatch.setenv("KERNELGAUGE_THREADS", "zero")
-    path = _fast_disc(tmp_path, tmp_path / "o2")
-    assert main(["sweep", path, "--param", "eps", "--range", "0:0:1"]) == 2
-
-
 def test_verify_inconclusive_exit(tmp_path):
     # Density singular at an off-center point, evaluated coarsely: the
     # honest error estimate swamps the equality margin.
@@ -436,15 +426,13 @@ def test_sweep_points_equal_independent_verify_reports(tmp_path, monkeypatch):
             config = cli.build_config(varied)
             key = (config.psi.p0, config.phi.a_g, config.phi.u.alpha_log, config.c)
             independent[key] = real(config, cli.build_resolution(varied, config.domain), cli._tol_eq(varied))
-        for threads in ("1", "2"):
-            monkeypatch.setenv("KERNELGAUGE_THREADS", threads)
-            shared.clear()
-            main(["sweep", path, "--param", param, f"--range={spec}"])
-            assert sorted(shared, key=repr) == sorted(independent, key=repr)
-            greens = {id(green) for points in shared.values() for green, _ in points}
-            assert len(greens) == 1
-            for key, points in shared.items():
-                assert [report for _, report in points] == [independent[key]]
+        shared.clear()
+        main(["sweep", path, "--param", param, f"--range={spec}"])
+        assert sorted(shared, key=repr) == sorted(independent, key=repr)
+        greens = {id(green) for points in shared.values() for green, _ in points}
+        assert len(greens) == 1
+        for key, points in shared.items():
+            assert [report for _, report in points] == [independent[key]]
 
 
 def test_sweep_rules_built_once_per_command_and_released(tmp_path, monkeypatch):

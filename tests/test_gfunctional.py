@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -164,6 +165,36 @@ def test_green_evaluated_once_per_check(monkeypatch):
     for check in (curve, shell, boundary):
         check(cfg)
     assert calls == [nodes]
+
+
+def test_shell_density_reads_green_once(monkeypatch):
+    # With a_g != 0 the shell density exp(-phi) a(-2 psi) needs G for both
+    # factors; on the clipped pieces, where no memo holds G, it is evaluated
+    # once per set of points, and the shell integral is bit for bit the one
+    # of the two factors formed apart.
+    from kernelgauge.gfunctional import _sublevel_integrals
+
+    value = HarmonicFunctionRep.value
+    cfg = _cfg(annulus(0.25), 0.5, p0=0.75, a_g=0.5, u=MATCHED_U)
+    a_profile = CProfile.exp_delta(0.3)
+    evaluated = []
+
+    def counted(self, z, rings=None):
+        if self is cfg.green_rep.correction:
+            evaluated.append(np.asarray(z).tobytes())
+        return value(self, z, rings)
+
+    monkeypatch.setattr(HarmonicFunctionRep, "value", counted)
+    shell = shell_identity_check(cfg, a_profile, 0.6, 0.3, res=MASK_RES)
+    assert len(evaluated) > 2
+    assert [n for n in Counter(evaluated).values() if n > 1] == []
+    f0 = f0_construct(cfg)
+
+    def apart(z, rings=None):
+        return f0.abs2(z, rings) * np.exp(-cfg.phi_value(z, rings)) * a_profile.c(-cfg.two_psi(z, rings))
+
+    inner, outer = _sublevel_integrals(cfg, MASK_RES, apart, [0.3, 0.6], "below")
+    assert shell.lhs == inner - outer
 
 
 def test_masked_callers_keep_the_graded_rule(monkeypatch):

@@ -130,6 +130,43 @@ def test_evaluation_at_pole():
     assert rho_lambda_eval(smooth, 0.25 + 0j) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "p0,a_g,c,u,eps,expected,near",
+    [
+        (1.0, 0.4, CProfile.exp_delta(-0.5), None, 0.0, 0.0, 1e-5),
+        (2.0, -2.0, CProfile.exp_delta(0.3), None, 0.0, 0.0, 1e-5),
+        (1.0, -2.0, CProfile.constant_one(), None, 0.0, 0.0, 1e-5),
+        # poly's factor (1 - 2 G)^-m tends to 0 only like |log|z - z0||^-m.
+        (1.0, 0.0, CProfile.poly(2.0), None, 0.0, 0.0, 1e-3),
+        (1.0, -0.6, CProfile.exp_delta(0.3), HarmonicFunctionRep.from_coefficients(0.0, {1: 0.2 + 0.1j}), 0.5,
+         math.exp(-2.0 * 0.2 * 0.3 + 0.3 * -2.0 * 0.5 * (0.3**2 - 1.0)), 1e-5),
+    ],
+    ids=["beta_0.3_mixed", "beta_0.4_mixed", "reduced_k1", "poly", "beta_0_cancelled"],
+)
+def test_bounded_density_at_z0_is_its_limit(p0, a_g, c, u, eps, expected, near):
+    # rho ~ |z - z0|^(2 beta) with beta = -(a_g + 2 p0 delta) / 2 >= 0:
+    # bounded, so rho(z0) is its finite limit, never nan (rho itself would
+    # give inf * 0 there), and within `near` of rho at |z - z0| = 1e-12.
+    cfg = _cfg(disc(), 0.3, p0=p0, eps=eps, a_g=a_g, u=u, c=c)
+    assert not cfg.density_unbounded_at_z0()
+    value = rho_lambda_eval(cfg, 0.3 + 0j)
+    assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert value == pytest.approx(rho_lambda_eval(cfg, 0.3 + 1e-12j), rel=near, abs=near)
+
+
+@pytest.mark.parametrize(
+    "p0,a_g,c",
+    [(1.0, 0.4, CProfile.constant_one()), (1.0, 0.0, CProfile.exp_delta(0.3)), (2.0, 0.4, CProfile.poly(2.0)),
+     (1.0, -0.4, CProfile.exp_delta(0.3))],
+    ids=["a_g_0.4", "delta_0.3", "poly_a_g_0.4", "beta_-0.1_mixed"],
+)
+def test_unbounded_density_at_z0_raises(p0, a_g, c):
+    cfg = _cfg(disc(), 0.3, p0=p0, a_g=a_g, c=c)
+    assert cfg.density_unbounded_at_z0() and not cfg.density_smooth_at_z0()
+    with pytest.raises(EvaluationAtPole):
+        rho_lambda_eval(cfg, 0.3 + 0j)
+
+
 # ---------------------------------------------------------------- validation
 
 
