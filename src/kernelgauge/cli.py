@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidConfig, KernelGaugeError, ScenarioError
 from .geometry import DomainSpec
-from .kernels import KernelValue, Resolution, kernel_section
+from .kernels import Resolution, kernel_section
 from .potential import GreenFunctionRep, HarmonicFunctionRep, green
 from .selftest import run_selftest
 from .verifier import DEFAULT_TOL_EQ, VerificationReport, verify
@@ -42,7 +42,6 @@ _SCHEMA = {
         "radial_cells",
         "angular_cells",
         "patch_levels",
-        "refine_quadrature",
         "tol_eq",
         "output_dir",
         "curve_samples",
@@ -83,6 +82,23 @@ def _require_int(mapping: dict, key: str, path: str, default=None, minimum=1) ->
     return value
 
 
+# Each run-block value that no Resolution field holds is read here, with its
+# default; load_scenario reads them all once to reject a bad one up front.
+def _tol_eq(doc: dict) -> float:
+    return float(_require_number(doc.get("run", {}), "tol_eq", "run", DEFAULT_TOL_EQ))
+
+
+def _curve_samples(doc: dict) -> int:
+    return _require_int(doc.get("run", {}), "curve_samples", "run", 64)
+
+
+def _output_dir_setting(doc: dict) -> str:
+    out = doc.get("run", {}).get("output_dir", ".")
+    if not isinstance(out, str):
+        raise ScenarioError("'run.output_dir' must be a string")
+    return out
+
+
 def load_scenario(path: str | Path) -> dict:
     """Parse and validate a scenario file; raises ScenarioError with
     line diagnostics on malformed JSON and on schema violations."""
@@ -104,10 +120,9 @@ def load_scenario(path: str | Path) -> dict:
     if not isinstance(run, dict):
         raise ScenarioError("'run' must be an object")
     _reject_unknown(run, _SCHEMA["run"], "run")
-    _require_number(run, "tol_eq", "run", DEFAULT_TOL_EQ)
-    _require_int(run, "curve_samples", "run", 64)
-    if not isinstance(run.get("output_dir", "."), str):
-        raise ScenarioError("'run.output_dir' must be a string")
+    _tol_eq(doc)
+    _curve_samples(doc)
+    _output_dir_setting(doc)
     if "u" in doc["weight"]:
         if not isinstance(doc["weight"]["u"], dict):
             raise ScenarioError("'weight.u' must be an object")
@@ -208,23 +223,14 @@ def build_resolution(doc: dict, domain: DomainSpec) -> Resolution:
     for key in ("boundary_nodes", "radial_cells", "angular_cells", "patch_levels"):
         if key in run:
             kwargs[key] = _require_int(run, key, "run", minimum=0 if key == "patch_levels" else 1)
-    if "refine_quadrature" in run:
-        if not isinstance(run["refine_quadrature"], bool):
-            raise ScenarioError("'run.refine_quadrature' must be a boolean")
-        kwargs["refine_quadrature"] = run["refine_quadrature"]
     try:
         return Resolution(**{**base.__dict__, **kwargs})
     except TypeError as exc:
         raise ScenarioError(str(exc)) from exc
 
 
-def _tol_eq(doc: dict) -> float:
-    return float(doc.get("run", {}).get("tol_eq", DEFAULT_TOL_EQ))
-
-
 def _output_dir(doc: dict, override: str | None) -> Path:
-    run = doc.get("run", {})
-    out = Path(override or run.get("output_dir", "."))
+    out = Path(override or _output_dir_setting(doc))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -249,19 +255,14 @@ _REPORT_COLUMNS = [
 ]
 
 
-def _quad_cell(value: KernelValue) -> str:
-    quad = value.quadrature_estimate
-    return "nan" if quad is None else f"{quad:.6e}"
-
-
 def _report_row(report: VerificationReport) -> list[str]:
     return [
         f"{report.k_value.value:.12e}",
         f"{report.k_value.truncation_estimate:.6e}",
-        _quad_cell(report.k_value),
+        f"{report.k_value.quadrature_estimate:.6e}",
         f"{report.b_value.value:.12e}",
         f"{report.b_value.truncation_estimate:.6e}",
-        _quad_cell(report.b_value),
+        f"{report.b_value.quadrature_estimate:.6e}",
         f"{report.c_total:.12e}",
         f"{report.ratio:.12e}",
         f"{report.character_distance:.12e}",
@@ -378,7 +379,7 @@ def cmd_kernel_eval(args) -> int:
     if config.k != 0:
         raise ScenarioError("kernel-eval requires a k = 0 scenario")
     res = build_resolution(doc, config.domain)
-    samples = doc.get("run", {}).get("curve_samples", 64)
+    samples = _curve_samples(doc)
     sec_k = kernel_section(config, "szego", res)
     sec_b = kernel_section(config, "bergman", res)
     if args.curve == "boundary":

@@ -50,7 +50,6 @@ class Resolution:
     radial_cells: int = 256
     angular_cells: int = 256
     patch_levels: int = 48
-    refine_quadrature: bool = True
 
     @property
     def n_max(self) -> int:
@@ -346,15 +345,15 @@ def _dense_gram(basis: BasisDescriptor, measure: Measure) -> HermitianMatrix:
 
 @dataclass(frozen=True)
 class KernelValue:
-    """Kernel diagonal with error estimates; no quadrature estimate (None) if unrefined."""
+    """Kernel diagonal with its truncation and quadrature error estimates."""
 
     value: float
     truncation_estimate: float
-    quadrature_estimate: float | None
+    quadrature_estimate: float
 
     @property
     def total_estimate(self) -> float:
-        return self.truncation_estimate + (self.quadrature_estimate or 0.0)
+        return self.truncation_estimate + self.quadrature_estimate
 
 
 def _require_fine_enough(res: Resolution) -> None:
@@ -383,9 +382,9 @@ def kernel_diag(config: WeightConfig, side: Side, res: Resolution | None = None)
     """Kernel diagonal at z0 with order-k jet constraints.
 
     Truncation is estimated by sweeping the basis schedule; quadrature
-    error by recomputing at res.scaled(2), with doubled angle and boundary
-    counts and a doubled ring depth (the reported value is the refined
-    one), unless res.refine_quadrature is off.
+    error by the gap between that sweep at res and at res.scaled(2), with
+    doubled angle and boundary counts and a doubled ring depth.  The
+    value and truncation estimate reported are the refined level's.
     """
     if res is None:
         res = Resolution.for_domain(config.domain)
@@ -393,8 +392,6 @@ def kernel_diag(config: WeightConfig, side: Side, res: Resolution | None = None)
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
     constraints = basis.constraints()
     base = _sweep_over_schedule(config, side, res, basis, constraints)
-    if not res.refine_quadrature:
-        return KernelValue(base.value, base.error_estimate, None)
     fine = _sweep_over_schedule(config, side, res.scaled(2), basis, constraints)
     return KernelValue(fine.value, fine.error_estimate, abs(fine.value - base.value))
 

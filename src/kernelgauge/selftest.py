@@ -323,10 +323,7 @@ def check_sections_disc() -> tuple[bool, str]:
 
 def check_reproducing_residuals() -> tuple[bool, str]:
     cfg = WeightConfig(annulus(0.25), 0.5, 0, PsiSpec(1.0), PhiSpec(), CProfile.constant_one())
-    res = Resolution(
-        basis_schedule=(8, 16), boundary_nodes=256, radial_cells=192, angular_cells=128,
-        refine_quadrature=False,
-    )
+    res = Resolution(basis_schedule=(8, 16), boundary_nodes=256, radial_cells=192, angular_cells=128)
     worst = max(reproducing_residual(cfg, "szego", (-2, 0, 3), res))
     return worst < 1e-6, f"worst residual={worst:.2e}"
 
@@ -399,10 +396,7 @@ def check_verify_weighted() -> tuple[bool, str]:
 
 def check_verify_annulus_strict() -> tuple[bool, str]:
     cfg = WeightConfig(annulus(0.25), 0.5, 0, PsiSpec(1.0), PhiSpec(), CProfile.constant_one())
-    res = Resolution(
-        basis_schedule=(8, 16, 24), boundary_nodes=256, radial_cells=192, angular_cells=128,
-        refine_quadrature=False,
-    )
+    res = Resolution(basis_schedule=(8, 16, 24), boundary_nodes=256, radial_cells=192, angular_cells=128)
     report = verify(cfg, res)
     ok = report.verdict == "pass" and report.ratio > 1.003 and not report.expected_equality
     return ok, f"ratio={report.ratio:.8f}, char distance={report.character_distance:.4f}"

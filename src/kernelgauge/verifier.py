@@ -20,7 +20,7 @@ significantly below 1 is always a failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -104,8 +104,7 @@ class VerificationReport:
 
 
 def _estimates(value: KernelValue) -> str:
-    quad = "not checked" if value.quadrature_estimate is None else f"{value.quadrature_estimate:.2e}"
-    return f"trunc {value.truncation_estimate:.2e}, quad {quad}"
+    return f"trunc {value.truncation_estimate:.2e}, quad {value.quadrature_estimate:.2e}"
 
 
 def _reported(value: KernelValue) -> KernelValue:
@@ -116,12 +115,7 @@ def _reported(value: KernelValue) -> KernelValue:
     last bits between one and two threads), so reports print the floor.
     """
     floor = ROUNDOFF_REL * abs(value.value)
-    quad = value.quadrature_estimate
-    return replace(
-        value,
-        truncation_estimate=max(value.truncation_estimate, floor),
-        quadrature_estimate=None if quad is None else max(quad, floor),
-    )
+    return KernelValue(value.value, max(value.truncation_estimate, floor), max(value.quadrature_estimate, floor))
 
 
 def _decide(

@@ -238,8 +238,26 @@ class WeightConfig:
     # -- densities -----------------------------------------------------
 
     def rho(self, z, rings: RingGrid | None = None):
-        """Interior density exp(-phi) c(-2 psi)."""
-        return self._reweighted(self.c, z, rings)
+        """Interior density exp(-phi) c(-2 psi), and its limit at z0 itself (see `_limit_at_z0`)."""
+        # Where G is read, it is -inf at z0 and the two factors may give inf * 0.
+        reads_g = self.c.kind != "constant_one" or self.phi.a_g != 0.0
+        at_z0 = np.asarray(z) == self.z0 if reads_g else False
+        if not np.any(at_z0):
+            return self._reweighted(self.c, z, rings)
+        out = np.full(at_z0.shape, self._limit_at_z0())
+        out[~at_z0] = self._reweighted(self.c, np.asarray(z)[~at_z0])  # no rule's nodes: they never hit z0
+        return out
+
+    def _limit_at_z0(self) -> float:
+        """The limit of rho at z0: inf when beta < 0, 0 when beta > 0 or on poly, and
+        exp(-2u) c(-2 eps s) at beta = 0, where a_g G and 2 p0 delta G cancel."""
+        beta = self._z0_exponent()
+        if beta < 0.0:
+            return math.inf
+        if beta > 0.0 or self.c.kind == "poly":
+            return 0.0
+        at = np.array([self.z0])
+        return float((np.exp(-2.0 * self.phi.u.value(at)) * self.c.c(-2.0 * self.psi.eps * self.bump(at)))[0])
 
     def _reweighted(self, profile: CProfile, z, rings: RingGrid | None = None, factor=None):
         """factor * exp(-phi) * profile.c(-2 psi), multiplied left to right (factor None: left out).
@@ -337,25 +355,17 @@ def rho_lambda_eval(config: WeightConfig, z: complex) -> float:
     """Density at a single point: rho inside, lambda on the boundary.
 
     Boundary membership is detected by |z| matching a component radius to
-    1e-12.  Exactly at z0, where G = -inf, rho is its limit: asking for it
-    raises when the density is unbounded there (beta < 0), and gives 0 when
-    beta > 0 or the profile is poly; at beta = 0 the multiples of G cancel.
-    Quadrature nodes never coincide with z0.
+    1e-12.  Exactly at z0, rho is its limit there, and asking for it raises
+    when the density is unbounded there (beta < 0).
     """
     r = abs(z)
     for comp_index, radius in enumerate(config.domain.component_radii):
         if abs(r - radius) < 1e-12:
             sign = 1.0 if comp_index == 0 else -1.0
             return float(config.boundary_lambda(np.array([z]), np.array([sign]))[0])
-    if z != config.z0:
-        return float(config.rho(np.array([z]))[0])
-    if config.density_unbounded_at_z0():
+    if z == config.z0 and config.density_unbounded_at_z0():
         raise EvaluationAtPole(f"density unbounded at z0={config.z0}")
-    if config._z0_exponent() > 0.0 or config.c.kind == "poly":
-        return 0.0
-    # rho = exp(-2u) c(-2 eps s) there, once a_g G and 2 p0 delta G cancel.
-    at = np.array([z])
-    return float((np.exp(-2.0 * config.phi.u.value(at)) * config.c.c(-2.0 * config.psi.eps * config.bump(at)))[0])
+    return float(config.rho(np.array([z]))[0])
 
 
 @dataclass(frozen=True)

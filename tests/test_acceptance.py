@@ -218,11 +218,9 @@ def test_ac08_coarea_boundary_limit():
 def test_ac09_reproducing_suite():
     worst = 0.0
     detail = []
-    disc_res = Resolution(basis_schedule=(8, 16), radial_cells=256, angular_cells=128,
-                          boundary_nodes=256, refine_quadrature=False)
-    ann_res = Resolution(basis_schedule=(8, 16), boundary_nodes=512, radial_cells=256,
-                         angular_cells=256, patch_levels=32,
-                         refine_quadrature=False)
+    disc_res = Resolution(basis_schedule=(8, 16), radial_cells=256, angular_cells=128, boundary_nodes=256)
+    ann_res = Resolution(basis_schedule=(8, 16), boundary_nodes=512, radial_cells=256, angular_cells=256,
+                         patch_levels=32)
     for domain, z0, res, exponents in (
         (disc(), 0.5, disc_res, range(0, 9)),
         (annulus(0.25), 0.5, ann_res, range(-8, 9)),

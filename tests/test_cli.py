@@ -31,7 +31,6 @@ def _fast_disc(tmp_path, out_dir, **weight_extra):
             "boundary_nodes": 128,
             "radial_cells": 128,
             "angular_cells": 96,
-            "refine_quadrature": False,
             "output_dir": str(out_dir),
         },
     }
@@ -71,11 +70,13 @@ def test_verify_unknown_key(tmp_path, capsys):
         ({"weight": weight, "run": {"patch_panels": 16}}, "patch_panels"),
         # Every ring is a Gauss panel, so no run key switches the ring off.
         ({"weight": weight, "run": {"patch_radius": 0.0}}, "patch_radius"),
+        # Every kernel value is refined, so no run key switches refinement off.
+        ({"weight": weight, "run": {"refine_quadrature": False}}, "refine_quadrature"),
     ):
         doc = {"domain": {"kind": "disc"}, "point": {"z0": 0.0}, **extra}
         code = main(["verify", _write(tmp_path, doc)])
         assert code == 2
-        assert key in capsys.readouterr().err
+        assert key in _one_scenario_error(capsys)
 
 
 def test_verify_too_coarse_resolution(tmp_path, capsys):
@@ -190,7 +191,6 @@ def test_sweep_minimum_at_matched_character(tmp_path):
             "boundary_nodes": 256,
             "radial_cells": 160,
             "angular_cells": 128,
-            "refine_quadrature": False,
             "output_dir": str(out),
         },
     }
@@ -241,6 +241,14 @@ def test_reports_identical_across_blas_thread_counts(tmp_path):
         subprocess.run([sys.executable, "-c", script, str(SCENARIOS), *names], cwd=cwd, env=env,
                        check=True, capture_output=True, timeout=600)
         reports[threads] = [(cwd / name / "report.csv").read_bytes() for name in names]
+        for name in names:
+            # Every report carries measured quadrature estimates.
+            header, values = (cwd / name / "report.csv").read_text().strip().splitlines()
+            row = dict(zip(header.split(","), values.split(",")))
+            md = dict(line.strip("|").replace(" ", "").split("|")
+                      for line in (cwd / name / "report.md").read_text().splitlines() if line.startswith("| "))
+            for cells in (row, md):
+                assert all(math.isfinite(float(cells[col])) for col in ("K_quad", "B_quad"))
     assert reports["1"] == reports["2"]
 
 
@@ -325,7 +333,6 @@ def _k1_disc(out_dir):
             "boundary_nodes": 128,
             "radial_cells": 160,
             "angular_cells": 96,
-            "refine_quadrature": False,
             "output_dir": str(out_dir),
         },
     }
@@ -364,34 +371,12 @@ def test_reduced_route_mismatch(tmp_path, capsys, monkeypatch):
     assert "RouteMismatch" in capsys.readouterr().err
 
 
-def test_verify_unrefined_quadrature_reported_unchecked(tmp_path, capsys):
-    # With refinement off there is no quadrature estimate; reports say so
-    # instead of printing the roundoff floor as if it had been measured.
-    doc = json.loads((SCENARIOS / "disc_baseline.json").read_text())
-    out = tmp_path / "out"
-    doc["run"].update(refine_quadrature=False, output_dir=str(out))
-    assert main(["verify", _write(tmp_path, doc)]) == 0
-    summary = capsys.readouterr().out
-    assert "K = 1 (trunc 1.00e-12, quad not checked)" in summary
-    assert "(trunc 3.18e-13, quad not checked)" in summary
-    header, values = (out / "report.csv").read_text().strip().splitlines()
-    row = dict(zip(header.split(","), values.split(",")))
-    assert row["K_quad"] == row["B_quad"] == "nan"
-    # The truncation estimates, tol_ineq and the verdict are as with the
-    # missing estimate counted as 0.
-    assert row["K_trunc"] == "1.000000e-12"
-    assert row["tol_ineq"] == "3.000e-12"
-    assert row["verdict"] == "pass"
-    md = (out / "report.md").read_text()
-    assert "| K_quad | nan |" in md and "| B_quad | nan |" in md
-
-
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
 
 
 def _small_annulus_strict(out_dir):
-    """scenarios/annulus_strict.json on a coarser grid, quadrature refinement on."""
+    """scenarios/annulus_strict.json on a coarser grid."""
     doc = json.loads((SCENARIOS / "annulus_strict.json").read_text())
     doc["run"] = {"basis_schedule": [8, 16], "boundary_nodes": 160, "radial_cells": 80, "angular_cells": 80,
                   "patch_levels": 12, "output_dir": str(out_dir)}
@@ -469,7 +454,7 @@ def test_higher_order_verify_builds_each_rule_once(tmp_path, monkeypatch):
         monkeypatch.setattr(potential, name, lambda *a, real=real, name=name, **kw: builds.append((name, a, kw))
                             or real(*a, **kw))
     doc = _k1_disc(tmp_path / "o6")
-    doc["run"].update(boundary_nodes=160, refine_quadrature=True)
+    doc["run"].update(boundary_nodes=160)
     assert main(["verify", _write(tmp_path, doc)]) == 0
     names = [name for name, _, _ in builds]
     assert names.count("area_quadrature") == 3 and names.count("boundary_quadrature") == 3

@@ -42,8 +42,7 @@ def _cfg(domain, z0, k=0, p0=1.0, a_g=0.0, u=None, c=None):
 
 FAST_DISC = Resolution(basis_schedule=(8, 16), radial_cells=128, angular_cells=96, boundary_nodes=128)
 FAST_ANNULUS = Resolution(
-    basis_schedule=(8, 16), boundary_nodes=256, radial_cells=192, angular_cells=128,
-    patch_levels=32, refine_quadrature=False,
+    basis_schedule=(8, 16), boundary_nodes=256, radial_cells=192, angular_cells=128, patch_levels=32,
 )
 
 
@@ -450,8 +449,7 @@ def test_section_constant_at_center():
 
 def test_reproducing_residuals_disc():
     cfg = _cfg(disc(), 0.5)
-    res = Resolution(basis_schedule=(8, 16), radial_cells=192, angular_cells=96,
-                     boundary_nodes=160, refine_quadrature=False)
+    res = Resolution(basis_schedule=(8, 16), radial_cells=192, angular_cells=96, boundary_nodes=160)
     for side in ("szego", "bergman"):
         assert max(reproducing_residual(cfg, side, (0, 3), res)) < 1e-8
 
@@ -474,7 +472,7 @@ def test_reproducing_residual_builds_its_rule_once(monkeypatch):
 
     monkeypatch.setattr(potential_module, "area_quadrature", counting)
     cfg = _cfg(disc(), 0.5)
-    res = Resolution(basis_schedule=(8,), radial_cells=96, angular_cells=64, refine_quadrature=False)
+    res = Resolution(basis_schedule=(8,), radial_cells=96, angular_cells=64)
     assert max(reproducing_residual(cfg, "bergman", (0, 1, 2), res)) < 1e-8
     assert len(builds) == 1
 
@@ -512,7 +510,7 @@ def test_resolution_guard_covers_radii():
     res = Resolution(basis_schedule=(8, 16, 48), boundary_nodes=256, radial_cells=48, angular_cells=256)
     with pytest.raises(ResolutionTooCoarse):
         kernel_diag(cfg, "bergman", res)
-    kernel_diag(cfg, "bergman", dataclasses.replace(res, radial_cells=56, refine_quadrature=False))
+    kernel_diag(cfg, "bergman", dataclasses.replace(res, radial_cells=56))
 
 
 def test_deep_ring_off_center_kernel_is_finite():

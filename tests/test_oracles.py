@@ -18,6 +18,7 @@ from kernelgauge import (
     annulus,
     disc,
     green,
+    kernel_diag,
     verify,
 )
 from kernelgauge.potential import HarmonicFunctionRep
@@ -36,6 +37,28 @@ def test_off_centre_disc_meets_mobius_closed_forms(delta, b_rel):
     s = 1.0 - abs(z0) ** 2
     assert report.k_value.value == pytest.approx(s**-2, rel=1e-14, abs=0.0)
     assert report.b_value.value == pytest.approx((1.0 - delta) / (math.pi * s * s), rel=b_rel, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "k,p0,delta",
+    [(1, 2.0, 0.0), (1, 1.5, 0.0), (1, 2.0, -0.5), (2, 3.0, 0.0), (2, 2.0, -0.25), (1, 2.0, 0.3)],
+)
+def test_order_k_off_centre_disc_meets_mobius_closed_forms(k, p0, delta):
+    # The same Mobius map at order k: with u = 0, a_G = 0 and exp_delta,
+    # K^(k) = p0 s^(-2(k+1)) and B^(k) = (k + 1 - p0 delta) s^(-2(k+1)) / pi,
+    # s = 1 - |z0|^2.  Measured: both within 3.5e-15 relative where the
+    # density is bounded at z0 (beta = -p0 delta >= 0).  At delta = 0.3,
+    # beta = -0.6 and B is off by 2.0e-8, inside its total estimate of
+    # 2.5e-7.  kernel_diag, not verify: (1, 1.5, 0) and (2, 2, -0.25) lack
+    # the mass a_G + 2 p0 >= 2(k+1) that verify asks for.
+    z0 = 0.4 * cmath.exp(1.3j)
+    cfg = WeightConfig(disc(), z0, k, PsiSpec(p0), PhiSpec(0.0), CProfile.exp_delta(delta))
+    res = Resolution(basis_schedule=(8, 16, 32), boundary_nodes=256, radial_cells=192, angular_cells=160)
+    scale = (1.0 - abs(z0) ** 2) ** (-2 * (k + 1))
+    for side, exact in (("szego", p0 * scale), ("bergman", (k + 1 - p0 * delta) * scale / math.pi)):
+        got = kernel_diag(cfg, side, res)
+        bound = got.total_estimate if cfg.density_unbounded_at_z0() else 1e-13 * exact
+        assert abs(got.value - exact) <= bound, side
 
 
 def test_annulus_inversion_symmetry_at_sqrt_q():

@@ -340,8 +340,7 @@ def test_ratio_continuity_minimum_at_match():
     # Sweeping the log coefficient of u across the matched value yields a
     # ratio curve with its minimum at the match.
     res = Resolution(
-        basis_schedule=(8, 16), boundary_nodes=256, radial_cells=192, angular_cells=128,
-        patch_levels=32, refine_quadrature=False,
+        basis_schedule=(8, 16), boundary_nodes=256, radial_cells=192, angular_cells=128, patch_levels=32,
     )
     alphas = [0.1, 0.3, 0.5, 0.7, 0.9]
     ratios = []

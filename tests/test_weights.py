@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,10 +139,11 @@ def test_evaluation_at_pole():
         (1.0, -2.0, CProfile.constant_one(), None, 0.0, 0.0, 1e-5),
         # poly's factor (1 - 2 G)^-m tends to 0 only like |log|z - z0||^-m.
         (1.0, 0.0, CProfile.poly(2.0), None, 0.0, 0.0, 1e-3),
+        (1.0, -0.6, CProfile.exp_delta(0.3), None, 0.0, 1.0, 1e-5),
         (1.0, -0.6, CProfile.exp_delta(0.3), HarmonicFunctionRep.from_coefficients(0.0, {1: 0.2 + 0.1j}), 0.5,
          math.exp(-2.0 * 0.2 * 0.3 + 0.3 * -2.0 * 0.5 * (0.3**2 - 1.0)), 1e-5),
     ],
-    ids=["beta_0.3_mixed", "beta_0.4_mixed", "reduced_k1", "poly", "beta_0_cancelled"],
+    ids=["beta_0.3_mixed", "beta_0.4_mixed", "reduced_k1", "poly", "beta_0_mixed", "beta_0_cancelled"],
 )
 def test_bounded_density_at_z0_is_its_limit(p0, a_g, c, u, eps, expected, near):
     # rho ~ |z - z0|^(2 beta) with beta = -(a_g + 2 p0 delta) / 2 >= 0:
@@ -152,6 +154,14 @@ def test_bounded_density_at_z0_is_its_limit(p0, a_g, c, u, eps, expected, near):
     value = rho_lambda_eval(cfg, 0.3 + 0j)
     assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
     assert value == pytest.approx(rho_lambda_eval(cfg, 0.3 + 1e-12j), rel=near, abs=near)
+    # rho itself gives the same limit at z0, without a numpy warning, and
+    # its values elsewhere are those of the other points alone.
+    others = np.array([0.5j, -0.2 + 0.1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cfg.rho(np.array([others[0], 0.3, others[1]]))
+    assert got[1] == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert np.array_equal(got[[0, 2]], cfg.rho(others))
 
 
 @pytest.mark.parametrize(
@@ -165,6 +175,9 @@ def test_unbounded_density_at_z0_raises(p0, a_g, c):
     assert cfg.density_unbounded_at_z0() and not cfg.density_smooth_at_z0()
     with pytest.raises(EvaluationAtPole):
         rho_lambda_eval(cfg, 0.3 + 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cfg.rho(np.array([0.3 + 0j])).tolist() == [math.inf]
 
 
 # ---------------------------------------------------------------- validation
