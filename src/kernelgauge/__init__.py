@@ -1,7 +1,6 @@
 """Weighted Szego/Bergman kernel comparison on disc and annulus domains."""
 
 from .errors import (
-    BranchInconsistency,
     EmptySublevel,
     EvaluationAtPole,
     InconsistentConstraints,

@@ -223,10 +223,7 @@ def build_resolution(doc: dict, domain: DomainSpec) -> Resolution:
     for key in ("boundary_nodes", "radial_cells", "angular_cells", "patch_levels"):
         if key in run:
             kwargs[key] = _require_int(run, key, "run", minimum=0 if key == "patch_levels" else 1)
-    try:
-        return Resolution(**{**base.__dict__, **kwargs})
-    except TypeError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return Resolution(**{**base.__dict__, **kwargs})
 
 
 def _output_dir(doc: dict, override: str | None) -> Path:

@@ -41,10 +41,6 @@ class NotEqualityShape(KernelGaugeError):
     """Weight configuration lies outside the extremal-section family."""
 
 
-class BranchInconsistency(KernelGaugeError):
-    """Two integration paths disagree for a single-valued section."""
-
-
 class RouteMismatch(KernelGaugeError):
     """Direct and reduced kernel computations disagree beyond tolerance."""
 

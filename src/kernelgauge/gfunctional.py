@@ -7,16 +7,18 @@ makes every sample an upper bound for the true minimal integral; it is
 exact at t = 0 and, for configurations in the extremal family, on every
 sublevel set (the global minimizer restricts).
 
-The extremal section is assembled from single-valued derivative data:
+The extremal section is written in closed form:
 
     F0(z) = c0 * (z - z0)^k * [(z - z0) h'(z)] * exp(W(z)),
 
-where h' = 2 dG/dz has residue 1 at z0 and W is a primitive of the
-analytic derivative of (k+1) H + u (H the regular part of the Green
-function).  |F0| needs no path integration; complex values integrate W'
-along fixed radial-then-angular paths from a real base point.  The
-multiplier picked up by continuing exp(W) once around the hole measures
-the character mismatch; it equals 1 exactly in matched configurations.
+where h' = 2 dG/dz has residue 1 at z0 and W is the analytic completion
+of V = (k+1) H + u (H the regular part of the Green function).  V is
+stored as alpha log|z| + Re S(z) with S a Laurent series, so
+W = S + alpha Log z, taken on the principal branch of Log; c0 = exp(-W(z0)).
+|F0| reads V and is single valued.  Continuing exp(W) once around the
+hole multiplies it by exp(2 pi i alpha); the distance of that multiplier
+from 1 measures the character mismatch, and it is 0 in matched
+configurations up to the roundoff in alpha.
 """
 
 from __future__ import annotations
@@ -27,17 +29,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BranchInconsistency, EmptySublevel, NotEqualityShape
+from .errors import EmptySublevel, NotEqualityShape
 from .geometry import AreaQuadrature, MaskedQuadrature, RingGrid, mask_quadrature
 from .kernels import BasisDescriptor, Resolution, _moment_gram, area_quadrature_for, gram, side_measure
 from .numerics import HermitianMatrix, constrained_min
-from .potential import HarmonicFunctionRep, LaurentSeries, PoleDerivative
+from .potential import HarmonicFunctionRep, PoleDerivative
 from .weights import CProfile, WeightConfig
-
-_TWO_PI = 2.0 * np.pi
-_GAUSS_NODES = 48
-_MONODROMY_NODES = 1024
-_BRANCH_PROBES = 8  # points where the two continuation paths of F0 are compared
 
 
 def _sublevel_masks(config: WeightConfig, aq: AreaQuadrature, ts, keep: str) -> list[MaskedQuadrature]:
@@ -154,26 +151,6 @@ def g_curve(config: WeightConfig, t_grid, res: Resolution | None = None) -> GCur
     return GCurve(t_grid, values, r, linear_residual, concavity_defect)
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-
-
-def _gauss_segment(f, a: complex, b: complex) -> complex:
-    """Gauss-Legendre integral of f along the straight segment [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid + half * _GAUSS_X
-    return half * np.sum(_GAUSS_W * f(pts))
-
-
-def _gauss_arc(f, radius: float, th_a: float, th_b: float) -> complex:
-    """Gauss-Legendre integral of f along the circular arc r e^{i theta}."""
-    mid = 0.5 * (th_a + th_b)
-    half = 0.5 * (th_b - th_a)
-    th = mid + half * _GAUSS_X
-    pts = radius * np.exp(1j * th)
-    return half * np.sum(_GAUSS_W * f(pts) * 1j * pts)
-
-
 @dataclass(frozen=True)
 class ExtremalFunction:
     """Normalized extremal section of an equality-family configuration."""
@@ -181,14 +158,15 @@ class ExtremalFunction:
     config: WeightConfig
     pole_derivative: PoleDerivative       # h' with residue-1 pole at z0
     exponent_rep: HarmonicFunctionRep     # harmonic exponent V = (k+1) H + u
-    exponent_derivative: LaurentSeries    # W' = 2 dV/dz
-    base_point: complex
-    base_value: float                     # V at the base point
-    log_c0: complex                       # -log A(z0); normalizer
+    log_c0: complex                       # -W(z0); normalizer
     monodromy_defect: float
 
     def abs2(self, z, rings: RingGrid | None = None) -> np.ndarray:
-        """|F0|^2, computed without path integration."""
+        """|F0|^2 = |z - z0|^(2k) |(z - z0) h'|^2 exp(2V + 2 Re log_c0).
+
+        It reads V itself rather than Re W, so it is single valued and
+        takes the rule's rings; it equals |value(z)|^2.
+        """
         z = np.asarray(z, dtype=complex)
         k = self.config.k
         pf = self.pole_derivative.pole_factor(z, rings)
@@ -196,46 +174,27 @@ class ExtremalFunction:
         mod2 = np.abs(z - self.config.z0) ** (2 * k) * np.abs(pf) ** 2 * np.exp(2.0 * v)
         return mod2 * np.exp(2.0 * np.real(self.log_c0))
 
-    def _exp_primitive(self, z, order: str = "radial_first") -> np.ndarray:
-        """exp(W(z)) via the fixed base-point path, vectorized over z."""
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        rb = float(np.real(self.base_point))
-        for i, zi in enumerate(flat):
-            r = abs(zi)
-            th = float(np.angle(zi))
-            if order == "radial_first":
-                seg = _gauss_segment(self.exponent_derivative, rb, r)
-                arc = _gauss_arc(self.exponent_derivative, r, 0.0, th)
-            else:
-                arc = _gauss_arc(self.exponent_derivative, rb, 0.0, th)
-                seg = _gauss_segment(
-                    self.exponent_derivative, rb * np.exp(1j * th), r * np.exp(1j * th)
-                )
-            out[i] = np.exp(self.base_value + seg + arc)
-        return out.reshape(z.shape)
+    def _exponent(self, z) -> np.ndarray:
+        """W(z) = S(z) + alpha Log z, principal branch, cut along the negative axis."""
+        rep = self.exponent_rep
+        w = rep.series(z)
+        return w + rep.alpha_log * np.log(z) if rep.alpha_log != 0.0 else w
 
-    def value(self, z, order: str = "radial_first") -> np.ndarray:
-        """F0(z) including phase; path-integrated."""
+    def value(self, z) -> np.ndarray:
+        """F0(z) including phase, on the principal branch of Log z."""
         z = np.asarray(z, dtype=complex)
         k = self.config.k
         pf = self.pole_derivative.pole_factor(z)
-        return (
-            np.exp(self.log_c0)
-            * (z - self.config.z0) ** k
-            * pf
-            * self._exp_primitive(z, order)
-        )
+        return np.exp(self.log_c0 + self._exponent(z)) * (z - self.config.z0) ** k * pf
 
 
 def f0_construct(config: WeightConfig) -> ExtremalFunction:
-    """Assemble the extremal section and measure its loop multiplier.
+    """Assemble the extremal section and its loop multiplier.
 
     Requires the equality shape phi + 2 psi = 2(k+1) G + 2u with
-    psi = p0 G (character matching is reported, not required).  The
-    multiplier of exp(W) around |z| = sqrt(q) is measured by contour
-    quadrature; its distance from 1 is the monodromy defect.
+    psi = p0 G (character matching is reported, not required).  Around
+    the hole exp(W) picks up exp(2 pi i alpha), alpha the log-mode
+    coefficient of V; its distance from 1 is the monodromy defect.
     """
     if not config.has_equality_shape():
         raise NotEqualityShape(
@@ -243,46 +202,10 @@ def f0_construct(config: WeightConfig) -> ExtremalFunction:
             f"or eps = {config.psi.eps} != 0"
         )
     green_rep = config.green_rep
-    h_prime = green_rep.derivative()
     v_rep = green_rep.correction.scaled(float(config.k + 1)) + config.phi.u
-    w_prime = v_rep.analytic_derivative()
-
-    if config.domain.kind == "annulus":
-        base = complex(0.5 * (1.0 + config.domain.q))
-        s_c = math.sqrt(config.domain.q)
-        theta = _TWO_PI * np.arange(_MONODROMY_NODES) / _MONODROMY_NODES
-        zeta = s_c * np.exp(1j * theta)
-        loop = np.sum(w_prime(zeta) * 1j * zeta) * (_TWO_PI / _MONODROMY_NODES)
-        defect = float(abs(np.exp(loop) - 1.0))
-    else:
-        base = complex(0.5)
-        defect = 0.0
-
-    base_value = float(v_rep.value(base))
-    partial = ExtremalFunction(
-        config=config,
-        pole_derivative=h_prime,
-        exponent_rep=v_rep,
-        exponent_derivative=w_prime,
-        base_point=base,
-        base_value=base_value,
-        log_c0=0.0,
-        monodromy_defect=defect,
-    )
-    a_z0 = complex(partial._exp_primitive(np.array([config.z0]))[0])
-    f0 = replace(partial, log_c0=-np.log(a_z0))
-    if defect < 1e-8 and config.domain.kind == "annulus":
-        rng_t = np.linspace(0.3, 5.9, _BRANCH_PROBES)
-        radius = 0.5 * (math.sqrt(config.domain.q) + 1.0)
-        probes = radius * np.exp(1j * rng_t)
-        v1 = f0.value(probes, order="radial_first")
-        v2 = f0.value(probes, order="angular_first")
-        gap = float(np.max(np.abs(v1 - v2) / np.maximum(np.abs(v1), 1e-300)))
-        if gap > 1e-8:
-            raise BranchInconsistency(
-                f"single-valued section differs between paths by {gap:.3e}"
-            )
-    return f0
+    defect = float(abs(np.exp(2j * np.pi * v_rep.alpha_log) - 1.0))
+    f0 = ExtremalFunction(config, green_rep.derivative(), v_rep, 0.0, defect)
+    return replace(f0, log_c0=-complex(f0._exponent(np.array([config.z0]))[0]))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .geometry import (
 _TWO_PI = 2.0 * np.pi
 # Target for truncation tails when auto-sizing expansions.
 _TAIL_TOL = 1e-13
+_MIN_TERMS, _MAX_TERMS = 48, 6000  # bounds on an auto-sized expansion's order
 _FLUX_NODES = 512
 _RING_CHUNK_BYTES = 8 << 20  # bound on one ring chunk's (rings, terms) array
 
@@ -166,10 +167,6 @@ class HarmonicFunctionRep:
         for m, c in coeffs.items():
             arr[m - lo] = c
         return HarmonicFunctionRep(alpha_log, LaurentSeries(lo, arr))
-
-    @property
-    def truncation(self) -> int:
-        return max(self.series.m_max, -self.series.m_min)
 
     def value(self, z, rings: RingGrid | None = None):
         z = np.asarray(z, dtype=complex)
@@ -364,11 +361,11 @@ class GreenFunctionRep:
         return np.asarray(signs, dtype=float) * np.real(zeta / np.abs(zeta) * h(zeta, rings))
 
 
-def _auto_truncation(ratio: float, minimum: int = 48, maximum: int = 6000) -> int:
+def _auto_truncation(ratio: float) -> int:
     if ratio <= 0.0:
-        return minimum
+        return _MIN_TERMS
     need = int(np.ceil(np.log(_TAIL_TOL) / np.log(ratio))) + 8
-    return int(min(max(need, minimum), maximum))
+    return int(min(max(need, _MIN_TERMS), _MAX_TERMS))
 
 
 def green(domain: DomainSpec, w: complex) -> GreenFunctionRep:

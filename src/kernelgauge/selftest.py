@@ -348,7 +348,7 @@ def check_extremal_disc() -> tuple[bool, str]:
     zs = np.array([0.5 + 0.3j, -0.4, 0.0])
     exact = (1.0 - 0.04) ** 2 / (1.0 - 0.2 * zs) ** 2
     err = float(np.max(np.abs(f0.value(zs) - exact)))
-    return err < 1e-7, f"max err={err:.2e}"
+    return err < 1e-13, f"max err={err:.2e}"
 
 
 def check_extremal_monodromy() -> tuple[bool, str]:

@@ -310,7 +310,7 @@ def test_f0_disc_matches_bergman_section():
     f0 = f0_construct(_cfg(disc(), 0.2))
     zs = np.array([0.5 + 0.3j, -0.4, 0.6j, 0.0])
     exact = (1 - 0.04) ** 2 / (1 - 0.2 * zs) ** 2
-    assert np.max(np.abs(f0.value(zs) - exact)) < 1e-7
+    assert np.max(np.abs(f0.value(zs) - exact)) < 1e-13
 
 
 def test_f0_normalization():
@@ -325,6 +325,51 @@ def test_f0_monodromy_matched_and_mismatched():
     assert matched.monodromy_defect < 1e-8
     shifted = f0_construct(_cfg(annulus(0.25), 0.5, u=HarmonicFunctionRep.log_mode(-0.25)))
     assert shifted.monodromy_defect == pytest.approx(abs(np.exp(0.5j * PI) - 1.0), abs=1e-10)
+
+
+# Annulus sections whose exponent V has log mode alpha = -(k+1) log|z0| / log q + alpha_u.
+_BRANCH_CASES = {
+    "matched": (_cfg(annulus(0.25), 0.5, u=MATCHED_U), -1.0),
+    "shifted": (_cfg(annulus(0.25), 0.5, u=HarmonicFunctionRep.log_mode(-0.25)), -0.75),
+    "order_one": (
+        _cfg(annulus(0.3), math.sqrt(0.3) * np.exp(0.3j), k=1, a_g=2.0, u=HarmonicFunctionRep.log_mode(1.0)),
+        0.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BRANCH_CASES))
+def test_f0_jumps_by_its_multiplier_across_the_branch_cut(name):
+    # value takes Log z on its principal branch, cut along the negative
+    # axis; continuing F0 across the cut multiplies it by exp(2 pi i alpha),
+    # so just below the cut F0 is exp(-2 pi i alpha) times F0 just above.
+    # Differences, not ratios: F0 vanishes at the saddle z = -0.5.
+    config, alpha = _BRANCH_CASES[name]
+    f0 = f0_construct(config)
+    assert f0.exponent_rep.alpha_log == pytest.approx(alpha, abs=1e-14)
+    multiplier = np.exp(-2j * PI * f0.exponent_rep.alpha_log)
+    assert abs(multiplier - 1.0) == f0.monodromy_defect
+    angle = PI - 1e-9
+    radii = np.array([0.3, 0.5, 0.8])
+    above = f0.value(radii * np.exp(1j * angle))
+    below = f0.value(radii * np.exp(-1j * angle))
+    scale = max(np.max(np.abs(above)), np.max(np.abs(below)))
+    assert np.max(np.abs(below - multiplier * above)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize(
+    "config",
+    [_cfg(disc(), 0.2), *(config for config, _ in _BRANCH_CASES.values()),
+     _cfg(annulus(0.25), 0.7 * np.exp(1.1j),
+          u=HarmonicFunctionRep.from_coefficients(math.log(0.7) / math.log(0.25), {2: 0.05 - 0.03j}))],
+)
+def test_f0_value_modulus_matches_abs2(config):
+    # abs2 reads V, value reads W = S + alpha Log z; both carry log_c0.
+    f0 = f0_construct(config)
+    rng = np.random.default_rng(5)
+    q = config.domain.q if config.domain.kind == "annulus" else 0.0
+    zs = rng.uniform(q + 0.01, 0.99, 40) * np.exp(1j * rng.uniform(-PI, PI, 40))
+    np.testing.assert_allclose(np.abs(f0.value(zs)) ** 2, f0.abs2(zs), rtol=1e-12, atol=0.0)
 
 
 def test_f0_requires_equality_shape():
@@ -343,7 +388,7 @@ def test_f0_agrees_with_szego_section_on_boundary():
     for radius in (1.0, 0.25):
         zeta = radius * np.exp(1j * theta)
         gap = np.max(np.abs(f0_construct(cfg).value(zeta) - sec(zeta)))
-        assert gap < 1e-6, f"radius {radius}: gap {gap:.2e}"
+        assert gap < 1e-10, f"radius {radius}: gap {gap:.2e}"
 
 
 # ----------------------------------------------------------- identities

@@ -6,7 +6,9 @@ here compares the verifier's numbers with a fact it does not compute.
 
 import cmath
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kernelgauge import (
@@ -16,12 +18,19 @@ from kernelgauge import (
     Resolution,
     WeightConfig,
     annulus,
+    boundary_quadrature,
     disc,
+    f0_construct,
     green,
     kernel_diag,
     verify,
 )
+from kernelgauge.cli import build_config, build_resolution, load_scenario
 from kernelgauge.potential import HarmonicFunctionRep
+
+KGBENCH_RES = Resolution(basis_schedule=(8, 16, 32), boundary_nodes=256, radial_cells=160, angular_cells=192)
+DISC_RES = Resolution(basis_schedule=(8, 16, 32), boundary_nodes=256, radial_cells=192, angular_cells=160)
+
 
 @pytest.mark.parametrize("delta,b_rel", [(0.0, 1e-14), (-0.5, 1e-7)])
 def test_off_centre_disc_meets_mobius_closed_forms(delta, b_rel):
@@ -32,8 +41,7 @@ def test_off_centre_disc_meets_mobius_closed_forms(delta, b_rel):
     # |z - z0|^(-2 delta) is not smooth at z0.
     z0 = 0.4 * cmath.exp(1.3j)
     cfg = WeightConfig(disc(), z0, 0, PsiSpec(1.0), PhiSpec(0.0), CProfile.exp_delta(delta))
-    res = Resolution(basis_schedule=(8, 16, 32), boundary_nodes=256, radial_cells=192, angular_cells=160)
-    report = verify(cfg, res)
+    report = verify(cfg, DISC_RES)
     s = 1.0 - abs(z0) ** 2
     assert report.k_value.value == pytest.approx(s**-2, rel=1e-14, abs=0.0)
     assert report.b_value.value == pytest.approx((1.0 - delta) / (math.pi * s * s), rel=b_rel, abs=0.0)
@@ -53,10 +61,9 @@ def test_order_k_off_centre_disc_meets_mobius_closed_forms(k, p0, delta):
     # the mass a_G + 2 p0 >= 2(k+1) that verify asks for.
     z0 = 0.4 * cmath.exp(1.3j)
     cfg = WeightConfig(disc(), z0, k, PsiSpec(p0), PhiSpec(0.0), CProfile.exp_delta(delta))
-    res = Resolution(basis_schedule=(8, 16, 32), boundary_nodes=256, radial_cells=192, angular_cells=160)
     scale = (1.0 - abs(z0) ** 2) ** (-2 * (k + 1))
     for side, exact in (("szego", p0 * scale), ("bergman", (k + 1 - p0 * delta) * scale / math.pi)):
-        got = kernel_diag(cfg, side, res)
+        got = kernel_diag(cfg, side, DISC_RES)
         bound = got.total_estimate if cfg.density_unbounded_at_z0() else 1e-13 * exact
         assert abs(got.value - exact) <= bound, side
 
@@ -69,14 +76,69 @@ def test_annulus_inversion_symmetry_at_sqrt_q():
     # 1 - alpha_u.  Measured on kgbench's grid: equal to 1.1e-14, while K
     # and B each move by about 7%.
     domain, z0 = annulus(0.25), 0.5
-    res = Resolution(basis_schedule=(8, 16, 32), boundary_nodes=256, radial_cells=160, angular_cells=192)
     shared = green(domain, z0)
     ratios = []
     for alpha in (0.475, 0.525):
         u = HarmonicFunctionRep.log_mode(alpha)
         cfg = WeightConfig(domain, z0, 0, PsiSpec(1.0), PhiSpec(0.0, u), CProfile.constant_one(), shared)
-        report = verify(cfg, res)
+        report = verify(cfg, KGBENCH_RES)
         assert report.character_distance == pytest.approx(0.025, abs=1e-12)
         ratios.append(report.ratio)
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-12, abs=0.0)
     assert ratios[0] > 1.0 + 1e-5
+
+
+def _equality_case(domain, z0, k=0, p0=1.0, a_g=0.0, u=None, c=None):
+    u = u if u is not None else HarmonicFunctionRep.zero()
+    return WeightConfig(domain, z0, k, PsiSpec(p0), PhiSpec(a_g, u), c or CProfile.constant_one())
+
+
+def _shipped(name):
+    doc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json")
+    config = build_config(doc)
+    return config, build_resolution(doc, config.domain)
+
+
+_DISC_K1 = _equality_case(disc(), 0.4 * cmath.exp(1.3j), k=1, p0=2.0)
+_ANNULUS_K1 = _equality_case(annulus(0.3), math.sqrt(0.3) * cmath.exp(0.3j), k=1, a_g=2.0,
+                             u=HarmonicFunctionRep.log_mode(1.0))
+_EXP_DELTA = _equality_case(annulus(0.25), 0.5, p0=2.0, a_g=-2.0, u=HarmonicFunctionRep.log_mode(-0.5),
+                            c=CProfile.exp_delta(0.5))
+_OFF_AXIS = _equality_case(annulus(0.25), 0.7 * cmath.exp(1.1j), u=HarmonicFunctionRep.from_coefficients(
+    math.log(0.7) / math.log(0.25), {2: 0.05 - 0.03j, -1: 0.02j}))
+
+
+@pytest.mark.parametrize(
+    "config,res,reduced,rel",
+    [
+        pytest.param(*_shipped("annulus_matched"), False, 1e-12, id="annulus_matched"),
+        pytest.param(_EXP_DELTA, KGBENCH_RES, False, 1e-12, id="annulus_exp_delta"),
+        pytest.param(_DISC_K1, DISC_RES, False, 1e-12, id="disc_k1"),
+        pytest.param(_DISC_K1, DISC_RES, True, 1e-12, id="disc_k1_reduced"),
+        pytest.param(_ANNULUS_K1, KGBENCH_RES, False, 1e-10, id="annulus_k1"),
+        pytest.param(_ANNULUS_K1, KGBENCH_RES, True, 1e-10, id="annulus_k1_reduced"),
+        pytest.param(_OFF_AXIS, KGBENCH_RES, False, None, id="annulus_off_axis"),
+    ],
+)
+def test_equality_case_kernels_meet_extremal_section(config, res, reduced, rel):
+    # In an equality case the extremal section F0, normalized to jet
+    # coefficient 1 at z0 (kernel_diag's constraint), minimizes the
+    # boundary integral, so K^(k) = 2 pi / sum w lambda |F0|^2, and the
+    # case's equality K = I(c) pi B gives B.  This route shares only G and
+    # lambda with kernel_diag: no basis, Gram, Cholesky or Schur step.
+    # Going from 256 to 1024 boundary nodes moves K by 2e-16 relative.
+    # Measured gaps: within 4.3e-15 (K) and 6.8e-16 (B) on the first four
+    # cases, 3.1e-12 and 5.4e-14 on the k = 1 annulus, and 2.5e-8 and
+    # 9.6e-10 on the off-axis annulus, whose pole lies off the real axis
+    # and whose u has two Laurent modes; that last case is held to its
+    # own total estimate.  The reduced route moves |z - z0|^(2k) into the
+    # density, and must give the same K and B.
+    bq = boundary_quadrature(config.domain, 256)
+    lam = config.boundary_lambda(bq.nodes, bq.normal_signs)
+    k_exact = 2.0 * math.pi / float(np.sum(bq.weights * lam * f0_construct(config).abs2(bq.nodes)))
+    b_exact = k_exact / (config.c.total * math.pi)
+    routed = config.reduced() if reduced else config
+    for side, exact in (("szego", k_exact), ("bergman", b_exact)):
+        got = kernel_diag(routed, side, res)
+        bound = got.total_estimate if rel is None else rel * exact
+        assert abs(got.value - exact) <= bound, (side, got.value, exact)
