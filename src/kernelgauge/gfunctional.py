@@ -31,7 +31,15 @@ import numpy as np
 
 from .errors import EmptySublevel, NotEqualityShape
 from .geometry import AreaQuadrature, MaskedQuadrature, RingGrid, mask_quadrature
-from .kernels import BasisDescriptor, Resolution, _moment_gram, area_quadrature_for, gram, side_measure
+from .kernels import (
+    BasisDescriptor,
+    Resolution,
+    _jet_constraints,
+    _moment_gram,
+    area_quadrature_for,
+    gram,
+    side_measure,
+)
 from .numerics import HermitianMatrix, constrained_min
 from .potential import HarmonicFunctionRep, PoleDerivative
 from .weights import CProfile, WeightConfig
@@ -93,11 +101,12 @@ def _sublevel_minima(config: WeightConfig, ts, res: Resolution) -> list[float]:
     aq = area_quadrature_for(config, res)
     masks = _sublevel_masks(config, aq, ts, "below")
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
+    constraints = _jet_constraints(config, basis)
     rho = config.rho(aq.nodes, aq.rings)
     values = []
     while masks:  # each rule is dropped once its Gram is formed
         gram_t = _masked_gram(config, basis, aq, rho, masks.pop(0))
-        values.append(constrained_min(gram_t, basis.constraints()).value)
+        values.append(constrained_min(gram_t, constraints).value)
     return values
 
 

@@ -4,7 +4,8 @@ Kernels are computed by constrained minimization over a finite Laurent
 basis: the kernel diagonal at z0 is the reciprocal of the minimal squared
 norm among functions with a prescribed jet at z0.  Bases are nested
 (exponents ordered 0, 1, -1, 2, -2, ...) so one Gram assembly serves the
-whole truncation schedule via principal submatrices.
+whole truncation schedule via principal submatrices, and so does one
+Cholesky factor of it, whose leading blocks factor those submatrices.
 
 Normalization: the Szego side uses the reproducing convention with inner
 product (1/2pi) * contour integral of f conj(g) lambda |dz|, hence the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -251,65 +252,98 @@ def _moment_gram(
     sigma and delta = sigma - 2 e_i have the same parity, so each parity
     class of sums is contracted only with the differences of its parity:
     half the products of the full table, with the same sum for every
-    entry read.  The power table of the rings, its columns grouped by
-    parity, is built once per rule and basis order when memo holds the
-    rule.
+    entry read.  Everything but the weights' spectra depends only on the
+    basis order and the rings (`_RingTables`), and is built once per rule
+    and basis order when memo holds the rule.
     """
-    n = rings.n_theta
-    exps = basis.exponents
-    with np.errstate(over="ignore"):  # only its powers are read; its scales q^-n may overflow
-        doubled = BasisDescriptor.create(basis.domain, 2 * basis.n_max, basis.z0, basis.k)
-    ns = doubled.exponents.size
-    by_parity = np.argsort(doubled.exponents % 2, kind="stable")
-    n_even = ns - int(np.count_nonzero(doubled.exponents % 2))
     if memo is None:
-        powers = _powers(doubled, rings.radii, by_parity)
+        tables = _ring_tables(basis, rings)
     else:
-        powers = memo.rule_table(rings, ("powers", doubled.n_max), lambda: _powers(doubled, rings.radii, by_parity))
-    # F[delta] for delta = 0..span sits in rfft column min(m, n - m), m = delta
-    # mod n, conjugated when m <= n / 2 (real weights: F[-d] = conj(F[d])).
-    shift = np.arange(int(exps.max() - exps.min()) + 1) % n
-    fold = np.minimum(shift, n - shift)
-    sign = np.where(shift <= n // 2, -1.0, 1.0)
-    # (power table columns, deltas) of each parity class of sums.
-    blocks = [(slice(0, n_even), np.arange(0, fold.size, 2)), (slice(n_even, ns), np.arange(1, fold.size, 2))]
-    moments = [np.zeros((rows.stop - rows.start, 2 * deltas.size)) for rows, deltas in blocks]
+        tables = memo.rule_table(rings, ("gram", basis.n_max), lambda: _ring_tables(basis, rings))
+    n = rings.n_theta
+    moments = [np.zeros((rows.stop - rows.start, 2 * deltas.size)) for rows, deltas, _ in tables.blocks]
     step = max(1, _SPECTRA_CHUNK_BYTES // (16 * (n // 2 + 1)))
     for start in range(0, len(rings.radii), step):
         sl = slice(start, start + step)
         spectra = np.fft.rfft(ring_weights[sl], axis=1)
-        for (rows, deltas), acc in zip(blocks, moments):
+        for (rows, _, columns), acc in zip(tables.blocks, moments):
             # Each row's [Re F | Im F], C-contiguous: on the annulus_matched 2x
             # rule (803 rings x 512 angles, nb 65) einsum on such arrays took
             # 5.8 ms for the full (129 x 803) . (803 x 130) table, against
             # 32 ms through @ on OpenBLAS's two threads and 19 ms on the
             # strided .real/.imag views.  The power table's column slice is
             # read one scalar at a time, so its stride costs nothing.
-            part = spectra[:, fold[deltas]]
-            acc += np.einsum("rs,rd->sd", powers[sl, rows], np.concatenate([part.real, part.imag], axis=1))
+            part = spectra[:, columns]
+            acc += np.einsum("rs,rd->sd", tables.powers[sl, rows], np.concatenate([part.real, part.imag], axis=1))
     if pieces is not None:
         radii, angle, weights = pieces
+        ns = tables.doubled.exponents.size
         slots = (angle[:, None] * ns + np.arange(ns)).ravel()
-        binned = weights[:, None] * _powers(doubled, radii, by_parity)
+        binned = weights[:, None] * _powers(tables.doubled, radii, tables.by_parity)
         table = np.bincount(slots, weights=binned.ravel(), minlength=n * ns).reshape(n, ns)
         spectra = np.fft.rfft(table, axis=0)
-        for (rows, deltas), acc in zip(blocks, moments):
-            part = spectra[fold[deltas], rows].T
+        for (rows, deltas, columns), acc in zip(tables.blocks, moments):
+            part = spectra[columns, rows].T
             acc[:, : deltas.size] += part.real
             acc[:, deltas.size :] += part.imag
     # mu[column of sigma in the parity-grouped table, delta]; entries of
     # mismatched parity are never read and stay 0.
-    mu = np.zeros((ns, fold.size), dtype=complex)
-    for (rows, deltas), acc in zip(blocks, moments):
-        mu[rows, deltas] = acc[:, : deltas.size] + 1j * (sign[deltas] * acc[:, deltas.size :])
+    mu = np.zeros((tables.powers.shape[1], tables.sign.size), dtype=complex)
+    for (rows, deltas, _), acc in zip(tables.blocks, moments):
+        mu[rows, deltas] = acc[:, : deltas.size] + 1j * (tables.sign[deltas] * acc[:, deltas.size :])
+    upper = mu.ravel()[tables.entry] * tables.phase
+    upper = upper * tables.coupling
+    return HermitianMatrix(np.where(tables.lower, upper.conj(), upper))
+
+
+class _RingTables(NamedTuple):
+    """The parts of a ring Gram (`_moment_gram`) fixed by the basis order and the rings."""
+
+    doubled: BasisDescriptor  # the basis of order 2 n_max: its exponents are the sums sigma
+    by_parity: np.ndarray  # the doubled basis's columns, even exponents first
+    powers: np.ndarray  # _powers(doubled, radii, by_parity)
+    blocks: tuple  # per parity class: (its power table columns, its deltas, their rfft columns)
+    sign: np.ndarray  # per delta: -1 where its rfft column is read conjugated, else 1
+    entry: np.ndarray  # per Gram entry: the flat index of mu[column of sigma, |delta|]
+    phase: np.ndarray  # per Gram entry: exp(i theta0 |delta|)
+    coupling: np.ndarray | float  # per Gram entry: `_coupling`
+    lower: np.ndarray  # per Gram entry: delta < 0, read as the conjugate
+
+
+def _ring_tables(basis: BasisDescriptor, rings: RingGrid) -> _RingTables:
+    n = rings.n_theta
+    exps = basis.exponents
+    with np.errstate(over="ignore"):  # only its powers are read; its scales q^-n may overflow
+        doubled = BasisDescriptor.create(basis.domain, 2 * basis.n_max, basis.z0, basis.k)
+    doubled.exponents.flags.writeable = doubled.scales.flags.writeable = False  # shared through the memo
+    ns = doubled.exponents.size
+    by_parity = np.argsort(doubled.exponents % 2, kind="stable")
+    n_even = ns - int(np.count_nonzero(doubled.exponents % 2))
+    # F[delta] for delta = 0..span sits in rfft column min(m, n - m), m = delta
+    # mod n, conjugated when m <= n / 2 (real weights: F[-d] = conj(F[d])).
+    shift = np.arange(int(exps.max() - exps.min()) + 1) % n
+    fold = np.minimum(shift, n - shift)
+    sign = np.where(shift <= n // 2, -1.0, 1.0)
+    blocks = tuple(
+        (rows, deltas, fold[deltas])
+        for rows, deltas in [(slice(0, n_even), np.arange(0, fold.size, 2)), (slice(n_even, ns), np.arange(1, fold.size, 2))]
+    )
     low = int(doubled.exponents.min())
     column = np.empty(int(doubled.exponents.max()) - low + 1, dtype=int)
     column[doubled.exponents[by_parity] - low] = np.arange(ns)
     sigma = exps[:, None] + exps[None, :]
     delta = exps[None, :] - exps[:, None]
-    upper = mu[column[sigma - low], np.abs(delta)] * np.exp(1j * rings.theta0 * np.abs(delta))
-    upper = upper * _coupling(basis, sigma)
-    return HermitianMatrix(np.where(delta < 0, upper.conj(), upper))
+    return _RingTables(
+        doubled=doubled,
+        by_parity=by_parity,
+        powers=_powers(doubled, rings.radii, by_parity),
+        blocks=blocks,
+        sign=sign,
+        entry=column[sigma - low] * fold.size + np.abs(delta),
+        phase=np.exp(1j * rings.theta0 * np.abs(delta)),
+        coupling=_coupling(basis, sigma),
+        lower=delta < 0,
+    )
 
 
 def _powers(doubled: BasisDescriptor, radii: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -368,14 +402,22 @@ def _require_fine_enough(res: Resolution) -> None:
 def _sweep_over_schedule(
     config: WeightConfig, side: Side, res: Resolution, basis: BasisDescriptor, constraints: ConstraintSystem
 ):
+    """`richardson_sweep` of the kernel diagonal over the basis schedule, on one Gram.
+
+    The diagonal at each order n is the minimum over the nested prefix of
+    basis.size(n) elements, and one `constrained_min` call takes every
+    prefix's minimum from one Cholesky factor of the whole Gram.
+    """
     full = gram(basis, side_measure(config, side, res))
+    minima = constrained_min(full, constraints, [basis.size(n) for n in res.basis_schedule])
+    diagonal = {n: _SIDE_NORMALIZER[side] / result.value for n, result in zip(res.basis_schedule, minima)}
+    return richardson_sweep(diagonal.__getitem__, res.basis_schedule)
 
-    def diagonal_at(n: int) -> float:
-        m = basis.size(n)
-        result = constrained_min(full.principal(m), constraints.restricted(m))
-        return _SIDE_NORMALIZER[side] / result.value
 
-    return richardson_sweep(diagonal_at, res.basis_schedule)
+def _jet_constraints(config: WeightConfig, basis: BasisDescriptor) -> ConstraintSystem:
+    """basis.constraints() of a basis about config.z0, built once per (n_max, k) in the memo of the
+    config's Green function, whose pole is z0."""
+    return config.green_rep.pole_table(("jet", basis.n_max, basis.k), basis.constraints)
 
 
 def kernel_diag(config: WeightConfig, side: Side, res: Resolution | None = None) -> KernelValue:
@@ -390,7 +432,7 @@ def kernel_diag(config: WeightConfig, side: Side, res: Resolution | None = None)
         res = Resolution.for_domain(config.domain)
     _require_fine_enough(res)  # res.scaled(2) only adds angles and boundary nodes
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
-    constraints = basis.constraints()
+    constraints = _jet_constraints(config, basis)
     base = _sweep_over_schedule(config, side, res, basis, constraints)
     fine = _sweep_over_schedule(config, side, res.scaled(2), basis, constraints)
     return KernelValue(fine.value, fine.error_estimate, abs(fine.value - base.value))

@@ -121,11 +121,6 @@ def cho_factor(m: np.ndarray) -> np.ndarray:
     return factor
 
 
-def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs from the lower factor L of M = L L^H: two solves, L then L^H."""
-    return np.linalg.solve(factor.conj().T, np.linalg.solve(factor, rhs))
-
-
 def _cholesky_with_retry(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("array must not contain infs or NaNs")
@@ -142,19 +137,41 @@ def _cholesky_with_retry(m: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def constrained_min(matrix: HermitianMatrix, constraints: ConstraintSystem) -> MinimizationResult:
+def constrained_min(
+    matrix: HermitianMatrix, constraints: ConstraintSystem, sizes: Sequence[int] | None = None
+) -> MinimizationResult | tuple[MinimizationResult, ...]:
     """Minimize x^H M x subject to L x = b.
 
     Uses the Schur-complement formula value = b^H (L M^-1 L^H)^-1 b, which
     is cheap because constraint counts stay tiny compared to the basis.
+
+    With sizes, returns one result per size s: the minimum over the leading
+    s coefficients, under `constraints.restricted(s)`, of the principal
+    block `matrix.principal(s)`.  Every size reads one Cholesky factor F of
+    the whole matrix (jittered, if the whole needs the retry): F's leading
+    s x s block is the factor of that principal block, and the leading s
+    rows of F^-1 L^H are its own.  Each size's minimizer has its own
+    residual check.  A call without sizes is the single size
+    matrix.entries.shape[0], and returns its result alone.
     """
     m = matrix.entries
     rows = constraints.rows
-    b = constraints.target
     if rows.shape[1] != m.shape[0]:
         raise ValueError("constraint width does not match matrix dimension")
     factor = _cholesky_with_retry(m)
-    minv_lh = cho_solve(factor, rows.conj().T)
+    half = np.linalg.solve(factor, rows.conj().T)
+    if sizes is None:
+        return _minimum(factor, half, constraints)
+    if any(not 0 < s <= m.shape[0] for s in sizes):
+        raise ValueError(f"sizes must lie in 1..{m.shape[0]}")
+    return tuple(_minimum(factor[:s, :s], half[:s], constraints.restricted(s)) for s in sizes)
+
+
+def _minimum(factor: np.ndarray, half: np.ndarray, constraints: ConstraintSystem) -> MinimizationResult:
+    """The constrained minimum from the factor F of M and half = F^-1 L^H."""
+    rows = constraints.rows
+    b = constraints.target
+    minv_lh = np.linalg.solve(factor.conj().T, half)
     schur = rows @ minv_lh
     schur = 0.5 * (schur + schur.conj().T)
     try:

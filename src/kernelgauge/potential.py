@@ -169,11 +169,22 @@ class HarmonicFunctionRep:
         return HarmonicFunctionRep(alpha_log, LaurentSeries(lo, arr))
 
     def value(self, z, rings: RingGrid | None = None):
+        """u at z; pass the rule's rings when z are its ring-major nodes.
+
+        With rings, log|z| is read from the ring radii, and a series whose
+        coefficients are all 0 is not summed.
+        """
         z = np.asarray(z, dtype=complex)
-        out = np.real(self.series(z, rings))
+        if rings is None:
+            out = np.real(self.series(z))
+        elif self.series.coeffs.any():
+            out = np.real(self.series(z, rings)).reshape(rings.radii.size, rings.n_theta)
+        else:
+            out = np.zeros((rings.radii.size, rings.n_theta))
         if self.alpha_log != 0.0:
-            out = out + self.alpha_log * np.log(np.abs(z))
-        return out
+            log_r = np.log(np.abs(z)) if rings is None else np.log(rings.radii)[:, None]
+            out = out + self.alpha_log * log_r
+        return out.reshape(z.shape)
 
     def analytic_derivative(self) -> LaurentSeries:
         """Single-valued derivative w'(z) = 2 du/dz of the completion u + i*conj."""
@@ -235,7 +246,8 @@ class GreenFunctionRep:
 
     It keeps, for its lifetime, a memo of every rule built about its pole
     by `area_rule` and `boundary_rule`, of tables built for those rules by
-    `rule_table`, and of its derivative series and character.  G on a
+    `rule_table`, of tables fixed by the pole alone (`pole_table`), and of
+    its derivative series and character.  G on a
     memoized rule's nodes (and dG/dnu on a boundary rule's) is such a
     table: `value` and `normal_derivative`, given that rule's own nodes
     (and signs) with its rings, evaluate it on first read and return it
@@ -293,8 +305,9 @@ class GreenFunctionRep:
     def rule_table(self, rings: RingGrid, key: tuple, build):
         """build() for the memoized rule with these rings, made once per key and read-only.
 
-        The table lives in the memo, as long as its rule.  rings of a rule
-        not built here get a fresh build() on every call.
+        The table is an array or a tuple, whose arrays (in nested tuples
+        too) are made read-only.  It lives in the memo, as long as its rule.
+        rings of a rule not built here get a fresh build() on every call.
         """
         with self._lock:
             # A memoized rule stays alive, so no other live RingGrid has its id.
@@ -302,10 +315,14 @@ class GreenFunctionRep:
 
         def make():
             table = build()
-            table.flags.writeable = False
+            _freeze(table)
             return table
 
         return self._memoized(("table", id(rings), *key), make) if memoized else build()
+
+    def pole_table(self, key: tuple, build):
+        """build(), made once per key, for data fixed by the domain and the pole alone."""
+        return self._memoized(("pole", *key), build)
 
     def boundary_rule(self, nodes_per_component: int) -> BoundaryQuadrature:
         """`geometry.boundary_quadrature`, built once."""
@@ -359,6 +376,15 @@ class GreenFunctionRep:
         zeta = np.asarray(zeta, dtype=complex)
         h = self.derivative()
         return np.asarray(signs, dtype=float) * np.real(zeta / np.abs(zeta) * h(zeta, rings))
+
+
+def _freeze(table) -> None:
+    """Make an array, or every array in a (nested) tuple, read-only."""
+    if isinstance(table, np.ndarray):
+        table.flags.writeable = False
+    elif isinstance(table, tuple):
+        for item in table:
+            _freeze(item)
 
 
 def _auto_truncation(ratio: float) -> int:

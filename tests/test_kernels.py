@@ -177,6 +177,79 @@ def test_power_table_built_once_per_rule_and_freed_with_green_function(monkeypat
     assert all(ref() is None for ref in tables)
 
 
+def _arrays(table):
+    """Every array of a read-out table, nested tuples and the doubled basis included."""
+    if isinstance(table, np.ndarray):
+        yield table
+    elif isinstance(table, BasisDescriptor):
+        yield from (table.exponents, table.scales)
+    elif isinstance(table, tuple):
+        for item in table:
+            yield from _arrays(item)
+
+
+def test_read_out_tables_are_read_only_and_give_the_fresh_gram(monkeypatch):
+    # A rule in the memo keeps one set of read-out tables per basis order,
+    # shared by every Gram on it; a Gram that reads them equals one built
+    # with memo=None, bit for bit.
+    import kernelgauge.kernels as kernels_module
+
+    built = []
+    real = kernels_module._ring_tables
+
+    def recorded(basis, rings):
+        tables = real(basis, rings)
+        built.append(tables)
+        return tables
+
+    monkeypatch.setattr(kernels_module, "_ring_tables", recorded)
+    memoized = []
+    for domain, z0, u in RING_CASES:
+        cfg = _cfg(domain, z0, k=1, u=u, c=CProfile.exp_delta(-0.4))
+        basis = BasisDescriptor.create(domain, RING_RES.n_max, z0, 1)
+        for side in ("bergman", "szego"):
+            measure = side_measure(cfg, side, RING_RES)
+            weights = measure.wdensity.reshape(len(measure.rings.radii), measure.rings.n_theta)
+            fresh = kernels_module._moment_gram(basis, measure.rings, weights).entries
+            for _ in range(3):
+                assert np.array_equal(gram(basis, measure).entries, fresh)
+            memoized.append(built[-1])
+    assert len(built) == 2 * len(memoized)
+    for tables in memoized:
+        arrays = list(_arrays(tables))
+        assert len(arrays) >= 12
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.flat[0] = array.flat[0]
+
+
+def test_jet_rows_built_once_per_green_function(monkeypatch):
+    from kernelgauge.kernels import _jet_constraints
+    from kernelgauge.potential import green
+
+    calls = []
+    real = BasisDescriptor.constraints
+
+    def counted(self):
+        calls.append((self.n_max, self.k))
+        return real(self)
+
+    monkeypatch.setattr(BasisDescriptor, "constraints", counted)
+    shared = green(annulus(0.25), 0.3 + 0.4j)
+    res = Resolution(basis_schedule=(4, 8), boundary_nodes=64, radial_cells=48, angular_cells=40, patch_levels=12)
+    for alpha in (-0.2, 0.1, 0.3):
+        for k in (0, 1):
+            u = HarmonicFunctionRep.log_mode(alpha)
+            cfg = WeightConfig(annulus(0.25), 0.3 + 0.4j, k, PsiSpec(1.0), PhiSpec(0.0, u), CProfile.constant_one(), shared)
+            for side in ("szego", "bergman"):
+                kernel_diag(cfg, side, res)
+    assert sorted(calls) == [(8, 0), (8, 1)]
+    basis = BasisDescriptor.create(annulus(0.25), 8, 0.3 + 0.4j, 1)
+    memo = _jet_constraints(cfg, basis)
+    fresh = real(basis)
+    assert np.array_equal(memo.rows, fresh.rows) and np.array_equal(memo.target, fresh.target)
+
+
 def test_moment_gram_deep_annulus_stays_finite():
     # (r / sqrt(q))^sigma would overflow here (n_max ln(1/q) = 737); the
     # scaled power table and couplings c_ij <= 1 stay finite, although the
@@ -336,6 +409,37 @@ def test_graded_ring_closed_form(delta):
     cfg = _cfg(disc(), 0.0, c=CProfile.exp_delta(delta))
     got = kernel_diag(cfg, "bergman", Resolution(basis_schedule=(8, 16, 32), radial_cells=128, angular_cells=160))
     assert abs(math.pi * got.value / (1 - delta) - 1) < 3 * got.total_estimate / got.value
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("side", ["bergman", "szego"])
+@pytest.mark.parametrize("domain,z0,u", RING_CASES[1:3], ids=["disc", "annulus"])
+def test_schedule_minima_match_separate_prefix_solves(domain, z0, u, side, k):
+    # One factor of the whole Gram serves every prefix of the schedule.
+    cfg = _cfg(domain, z0, k=k, u=u)
+    res = dataclasses.replace(RING_RES, basis_schedule=(4, 8, 12, 16), boundary_nodes=80, angular_cells=80)
+    basis = BasisDescriptor.create(domain, res.n_max, z0, k)
+    full = gram(basis, side_measure(cfg, side, res))
+    constraints = basis.constraints()
+    sizes = [basis.size(n) for n in res.basis_schedule]
+    for s, result in zip(sizes, constrained_min(full, constraints, sizes)):
+        reference = constrained_min(full.principal(s), constraints.restricted(s))
+        assert abs(result.value - reference.value) <= 1e-13 * reference.value
+
+
+def test_kernel_diag_factors_one_gram_per_level(monkeypatch):
+    from kernelgauge import numerics
+
+    calls = []
+    real = numerics.cho_factor
+
+    def counted(matrix):
+        calls.append(matrix.shape[0])
+        return real(matrix)
+
+    monkeypatch.setattr(numerics, "cho_factor", counted)
+    kernel_diag(_cfg(annulus(0.25), 0.5), "szego", FAST_ANNULUS)
+    assert calls == [33, 33]
 
 
 def test_basis_growth_monotone():

@@ -124,9 +124,111 @@ def test_singular_psd_gram_recovers_by_jitter(monkeypatch):
     assert residual <= numerics._CONSTRAINT_RTOL * np.linalg.norm(constraints.target)
 
 
+def _random_problem(rng, n, k):
+    """A random Hermitian positive definite matrix of order n and k + 1 random constraint rows."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = HermitianMatrix(a.conj().T @ a / n + 0.05 * np.eye(n))
+    rows = rng.normal(size=(k + 1, n)) + 1j * rng.normal(size=(k + 1, n))
+    target = np.zeros(k + 1)
+    target[-1] = 1.0
+    return m, ConstraintSystem(rows, target)
+
+
+def _separate(m, constraints, sizes):
+    return [constrained_min(m.principal(s), constraints.restricted(s)) for s in sizes]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("n", [9, 65, 97])
+def test_schedule_minima_match_separate_prefix_solves(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    m, constraints = _random_problem(rng, n, k)
+    sizes = [k + 1, n // 4 + k, n // 2, n]
+    got = constrained_min(m, constraints, sizes)
+    assert len(got) == len(sizes)
+    for s, result, reference in zip(sizes, got, _separate(m, constraints, sizes)):
+        assert result.minimizer.shape == (s,)
+        assert abs(result.value - reference.value) <= 1e-13 * reference.value
+        restricted = constraints.restricted(s)
+        residual = np.linalg.norm(restricted.rows @ result.minimizer - restricted.target)
+        assert residual <= 1e-10
+
+
+def test_single_size_is_the_plain_call_bit_for_bit():
+    m, constraints = _random_problem(np.random.default_rng(7), 65, 1)
+    (whole,) = constrained_min(m, constraints, [65])
+    plain = constrained_min(m, constraints)
+    assert whole.value == plain.value
+    assert np.array_equal(whole.minimizer, plain.minimizer)
+
+
+def test_schedule_factors_the_whole_matrix_once(monkeypatch):
+    from kernelgauge import numerics
+
+    calls = []
+    factor = numerics.cho_factor
+
+    def counted(matrix):
+        calls.append(matrix.shape[0])
+        return factor(matrix)
+
+    monkeypatch.setattr(numerics, "cho_factor", counted)
+    m, constraints = _random_problem(np.random.default_rng(3), 33, 0)
+    constrained_min(m, constraints, [9, 17, 33])
+    assert calls == [33]
+
+
+def test_schedule_prefixes_read_the_jittered_factor(monkeypatch):
+    # The leading 24 x 24 block is well conditioned; the last row makes the
+    # whole indefinite by 1e-15 of its diagonal, so only the whole needs the
+    # jitter retry, and every prefix reads the jittered factor.
+    from kernelgauge import numerics
+
+    calls = []
+    factor = numerics.cho_factor
+
+    def counted(matrix):
+        calls.append(matrix.shape[0])
+        return factor(matrix)
+
+    rng = np.random.default_rng(11)
+    lead, constraints = _random_problem(rng, 24, 1)
+    a = lead.entries
+    v = rng.normal(size=24) + 1j * rng.normal(size=24)
+    column = a @ v
+    corner = float(np.real(np.vdot(v, column)))
+    whole = np.zeros((25, 25), dtype=complex)
+    whole[:24, :24] = a
+    whole[:24, 24] = column
+    whole[24, :24] = column.conj()
+    whole[24, 24] = corner * (1.0 - 1e-15)
+    rows = np.concatenate([constraints.rows, rng.normal(size=(2, 1))], axis=1)
+    extended = ConstraintSystem(rows, constraints.target)
+    sizes = [6, 12, 24]
+    unjittered = _separate(HermitianMatrix(whole), extended, sizes)
+    monkeypatch.setattr(numerics, "cho_factor", counted)
+    got = constrained_min(HermitianMatrix(whole), extended, sizes)
+    assert calls == [25, 25]
+    for result, reference in zip(got, unjittered):
+        assert abs(result.value - reference.value) <= 1e-10 * reference.value
+
+
+def test_schedule_prefix_with_fewer_elements_than_constraints_raises():
+    m, constraints = _random_problem(np.random.default_rng(5), 12, 2)
+    with pytest.raises(InconsistentConstraints):
+        constrained_min(m, constraints, [2, 12])
+
+
+@pytest.mark.parametrize("sizes", [[0, 12], [12, 13]])
+def test_schedule_sizes_outside_the_matrix_raise(sizes):
+    m, constraints = _random_problem(np.random.default_rng(5), 12, 0)
+    with pytest.raises(ValueError):
+        constrained_min(m, constraints, sizes)
+
+
 @pytest.mark.parametrize("n", [5, 63, 64, 65, 130])
 def test_blocked_cholesky_matches_lapack(n):
-    from kernelgauge.numerics import _CHOLESKY_BLOCK, cho_factor, cho_solve
+    from kernelgauge.numerics import _CHOLESKY_BLOCK, cho_factor
 
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -138,7 +240,8 @@ def test_blocked_cholesky_matches_lapack(n):
     np.testing.assert_allclose(factor, reference, rtol=0.0, atol=1e-13 * np.abs(reference).max())
     assert not np.any(np.triu(factor, 1))
     rhs = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    np.testing.assert_allclose(m @ cho_solve(factor, rhs), rhs, rtol=0.0, atol=1e-10 * np.abs(rhs).max())
+    solved = np.linalg.solve(factor.conj().T, np.linalg.solve(factor, rhs))
+    np.testing.assert_allclose(m @ solved, rhs, rtol=0.0, atol=1e-10 * np.abs(rhs).max())
 
 
 def test_blocked_cholesky_rejects_indefinite_trailing_block():

@@ -326,6 +326,36 @@ def test_ring_evaluation_near_pole_against_exact_sum():
             assert abs(ring[i] - exact) <= 1e-12 * np.max(np.abs(ring))
 
 
+@pytest.mark.parametrize(
+    "domain,pole,reps",
+    [
+        (disc(), 0.3 - 0.2j, [HarmonicFunctionRep.from_coefficients(0.5, {1: 0.2 + 0.1j}), HarmonicFunctionRep.log_mode(0.7)]),
+        (
+            annulus(0.25),
+            0.4 + 0.3j,
+            [HarmonicFunctionRep.from_coefficients(0.3, {1: 0.1, -1: 0.05j}), HarmonicFunctionRep.log_mode(-0.5)],
+        ),
+    ],
+    ids=["disc", "annulus"],
+)
+def test_harmonic_value_on_rings_matches_pointwise(domain, pole, reps):
+    # With rings, log|z| comes from the ring radii and an all-zero series
+    # is not summed; the pointwise path sums by Horner's rule and takes
+    # log|z| node by node.  A pure log mode vanishes on the unit circle,
+    # so it is compared on area rules only.
+    g = green(domain, pole)
+    reps = reps + [g.correction]
+    rules = [(g.area_rule(48, 40, 12), False), (g.area_rule(48, 40, None), False), (g.boundary_rule(64), True)]
+    for rule, boundary in rules:
+        for rep in reps:
+            if boundary and domain.kind == "disc" and not rep.series.coeffs.any():
+                continue
+            pointwise = rep.value(rule.nodes)
+            on_rings = rep.value(rule.nodes, rule.rings)
+            assert on_rings.shape == pointwise.shape
+            assert np.max(np.abs(on_rings - pointwise)) <= 1e-15 * np.max(np.abs(pointwise))
+
+
 # ------------------------------------------------------------ rule memo
 
 
