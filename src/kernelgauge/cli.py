@@ -307,6 +307,9 @@ def cmd_verify(args) -> int:
     return _verdict_exit([report.verdict])
 
 
+# The report columns a sweep row carries after the swept value.
+_SWEEP_COLUMNS = ["K", "B", "I_c", "ratio", "character_distance", "expected_equality", "verdict"]
+
 _SWEEP_PARAMS = {
     "alpha_u": ("weight", "u", "log"),
     "delta": ("weight", "c", "delta"),
@@ -359,13 +362,10 @@ def cmd_sweep(args) -> int:
     out_dir = _output_dir(doc, args.out)
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w") as fh:
-        fh.write("param,K,B,I_c,ratio,character_distance,expected_equality,verdict\n")
+        fh.write(",".join(["param", *_SWEEP_COLUMNS]) + "\n")
         for value, report in zip(values, reports):
-            fh.write(
-                f"{value:.12e},{report.k_value.value:.12e},{report.b_value.value:.12e},"
-                f"{report.c_total:.12e},{report.ratio:.12e},{report.character_distance:.12e},"
-                f"{str(report.expected_equality).lower()},{report.verdict}\n"
-            )
+            row = dict(zip(_REPORT_COLUMNS, _report_row(report)))
+            fh.write(",".join([f"{value:.12e}", *(row[col] for col in _SWEEP_COLUMNS)]) + "\n")
     print(f"wrote {csv_path} ({len(reports)} rows)")
     return _verdict_exit([r.verdict for r in reports])
 

@@ -37,7 +37,6 @@ from .kernels import (
     _jet_constraints,
     _moment_gram,
     area_quadrature_for,
-    gram,
     side_measure,
 )
 from .numerics import HermitianMatrix, constrained_min
@@ -298,23 +297,3 @@ def boundary_limit_check(
         extrapolated = ratios[-1]
     gap = abs(float(extrapolated) - boundary_value)
     return BoundaryLimit(r_values, ratios, boundary_value, gap)
-
-
-def minimizer_orthogonality_residual(
-    config: WeightConfig,
-    competitor_coeffs: np.ndarray,
-    res: Resolution | None = None,
-) -> float:
-    """Pythagoras check: the t=0 minimizer F is orthogonal to f - F for
-    any competitor f with the same jet; returns the normalized residual."""
-    if res is None:
-        res = Resolution.for_domain(config.domain)
-    basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
-    matrix = gram(basis, side_measure(config, "bergman", res))
-    result = constrained_min(matrix, basis.constraints())
-    c_f = result.minimizer
-    c_d = np.asarray(competitor_coeffs, dtype=complex) - c_f
-    inner = complex(c_d.conj() @ (matrix.entries @ c_f))
-    norm_f = math.sqrt(max(float(np.real(c_f.conj() @ (matrix.entries @ c_f))), 1e-300))
-    norm_d = math.sqrt(max(float(np.real(c_d.conj() @ (matrix.entries @ c_d))), 1e-300))
-    return abs(inner) / (norm_f * norm_d)

@@ -12,10 +12,11 @@ series, scaled so no intermediate quantity overflows.  The disc Green
 function uses the same representation with coefficients conj(w)^n / n,
 which sums to the familiar Moebius closed form.
 
-Characters of the annulus fundamental group are measured, never derived
-symbolically: the exponent is the conjugate-period flux (1/2pi) * contour
-integral of dh/dr along a mid-circle traversed counterclockwise, reduced
-mod 1.
+Characters of the annulus fundamental group are read from the stored log
+mode, not measured.  The exponent is the conjugate-period flux (1/2pi) *
+contour integral of dh/dr around the hole, mod 1: Re S(z) adds nothing to
+it and alpha_log * log|z| adds alpha_log, so the exponent is alpha_log.
+A Green function's log|z - w| adds 0 or 1, which is 0 mod 1.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ _TWO_PI = 2.0 * np.pi
 # Target for truncation tails when auto-sizing expansions.
 _TAIL_TOL = 1e-13
 _MIN_TERMS, _MAX_TERMS = 48, 6000  # bounds on an auto-sized expansion's order
-_FLUX_NODES = 512
 _RING_CHUNK_BYTES = 8 << 20  # bound on one ring chunk's (rings, terms) array
 
 
@@ -247,15 +247,14 @@ class GreenFunctionRep:
     It keeps, for its lifetime, a memo of every rule built about its pole
     by `area_rule` and `boundary_rule`, of tables built for those rules by
     `rule_table`, of tables fixed by the pole alone (`pole_table`), and of
-    its derivative series and character.  G on a
-    memoized rule's nodes (and dG/dnu on a boundary rule's) is such a
-    table: `value` and `normal_derivative`, given that rule's own nodes
-    (and signs) with its rings, evaluate it on first read and return it
-    from then on, so a rule whose densities never read G never evaluates
-    it.  An entry is built once, by whichever thread asks first, and its
-    arrays are read-only, so every configuration sharing this Green
-    function (the points of a sweep, an order-k configuration and its
-    reduction) reads the same values.
+    its derivative series.  G on a memoized rule's nodes (and dG/dnu on
+    a boundary rule's) is such a table: `value` and `normal_derivative`,
+    given that rule's own nodes (and signs) with its rings, evaluate it
+    on first read and return it from then on, so a rule whose densities
+    never read G never evaluates it.  An entry is built once, by
+    whichever thread asks first, and its arrays are read-only, so every
+    configuration sharing this Green function (the points of a sweep, an
+    order-k configuration and its reduction) reads the same values.
     """
 
     domain: DomainSpec
@@ -356,10 +355,6 @@ class GreenFunctionRep:
         return self._memoized(
             ("derivative",), lambda: PoleDerivative(self.pole, self.correction.analytic_derivative())
         )
-
-    def character(self) -> Character:
-        """`character_exponent` of this Green function, measured once."""
-        return self._memoized(("character",), lambda: character_exponent(self.domain, self))
 
     def normal_derivative(self, zeta, signs, rings: RingGrid | None = None):
         """dG/dnu at boundary points; signs +1 outer circle, -1 inner.
@@ -486,31 +481,13 @@ def dirichlet_solve(domain: DomainSpec, boundary_data, m_max: int | None = None)
     return rep
 
 
-def _flux_circle_radius(domain: DomainSpec, avoid_radius: float | None) -> float:
-    s = np.sqrt(domain.q)
-    if avoid_radius is not None and abs(s - avoid_radius) < 0.05 * (1.0 - domain.q):
-        s = float(np.exp(0.5 * (np.log(domain.q) + np.log(avoid_radius))))
-    return float(s)
-
-
 def character_exponent(domain: DomainSpec, h) -> Character:
-    """Conjugate-period exponent of h around the hole, measured by flux.
+    """Conjugate-period exponent of h around the hole: its stored log mode.
 
-    h may be a HarmonicFunctionRep or a GreenFunctionRep.  The flux
-    (1/2pi) * integral of dh/dr over a mid-circle is radius independent
-    mod 1, so the circle is only adjusted to keep clear of a Green pole.
-    On the disc the character group is trivial.
+    h may be a HarmonicFunctionRep or a GreenFunctionRep, whose exponent
+    is that of its correction.  On the disc the character group is trivial.
     """
     if domain.kind == "disc":
         return Character(0.0)
-    if isinstance(h, GreenFunctionRep):
-        s = _flux_circle_radius(domain, abs(h.pole))
-        deriv = h.derivative()
-    else:
-        s = _flux_circle_radius(domain, None)
-        deriv = h.analytic_derivative()
-    theta = _TWO_PI * np.arange(_FLUX_NODES) / _FLUX_NODES
-    zeta = s * np.exp(1j * theta)
-    d_dr = np.real(zeta / s * deriv(zeta))
-    flux = float(np.sum(d_dr) * s * (_TWO_PI / _FLUX_NODES) / _TWO_PI)
-    return Character(flux)
+    rep = h.correction if isinstance(h, GreenFunctionRep) else h
+    return Character(rep.alpha_log)

@@ -308,7 +308,7 @@ class WeightConfig:
 
     @property
     def alpha_z0(self) -> Character:
-        return self.green_rep.character()
+        return character_exponent(self.domain, self.green_rep)
 
     @property
     def alpha_u(self) -> Character:

@@ -23,8 +23,9 @@ from kernelgauge import (
     kernel_section,
     shell_identity_check,
 )
-from kernelgauge.gfunctional import _masked_gram, _sublevel_masks, minimizer_orthogonality_residual
-from kernelgauge.kernels import BasisDescriptor, Measure, _dense_gram, area_quadrature_for
+from kernelgauge.gfunctional import _masked_gram, _sublevel_masks
+from kernelgauge.kernels import BasisDescriptor, Measure, _dense_gram, area_quadrature_for, gram, side_measure
+from kernelgauge.numerics import constrained_min
 from kernelgauge.potential import HarmonicFunctionRep
 
 PI = math.pi
@@ -285,15 +286,22 @@ def test_g_curve_detects_strong_concavity():
 
 
 def test_minimizer_orthogonality():
+    # Pythagoras: the t = 0 minimizer F is orthogonal to f - F for every
+    # competitor f with the same jet.
     cfg = _cfg(disc(), 0.3)
     rng = np.random.default_rng(2)
     basis = BasisDescriptor.create(disc(), DISC_RES.n_max, 0.3, 0)
     rows = basis.constraints().rows[0]
+    g = gram(basis, side_measure(cfg, "bergman", DISC_RES))
+    matrix = g.entries
+    c_f = constrained_min(g, basis.constraints()).minimizer
+    norm_f = math.sqrt(np.real(c_f.conj() @ matrix @ c_f))
     for _ in range(3):
         coeffs = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
         coeffs = coeffs / (rows @ coeffs)  # competitor with value 1 at z0
-        resid = minimizer_orthogonality_residual(cfg, coeffs, DISC_RES)
-        assert resid < 1e-8
+        c_d = coeffs - c_f
+        norm_d = math.sqrt(np.real(c_d.conj() @ matrix @ c_d))
+        assert abs(c_d.conj() @ matrix @ c_f) / (norm_f * norm_d) < 1e-8
 
 
 # ------------------------------------------------------------- extremal
@@ -325,6 +333,17 @@ def test_f0_monodromy_matched_and_mismatched():
     assert matched.monodromy_defect < 1e-8
     shifted = f0_construct(_cfg(annulus(0.25), 0.5, u=HarmonicFunctionRep.log_mode(-0.25)))
     assert shifted.monodromy_defect == pytest.approx(abs(np.exp(0.5j * PI) - 1.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("z0,alpha_u", [(0.5, 0.0), (0.5, -0.25), (0.7 * np.exp(1.1j), 0.3), (-0.3 + 0.2j, -1.6)])
+def test_f0_monodromy_defect_is_the_character_mismatch(k, z0, alpha_u):
+    # |exp(2 pi i alpha) - 1| = 2 sin(pi d), d the distance of alpha to Z.
+    # The defect rounds 2 pi alpha with |alpha| up to 3, the mismatch
+    # reduces mod 1 first: the two agree to a few ulps of 2, not to the last.
+    cfg = _cfg(annulus(0.2), z0, k=k, p0=k + 1.0, u=HarmonicFunctionRep.log_mode(alpha_u))
+    expected = 2.0 * math.sin(PI * cfg.character_mismatch())
+    assert abs(f0_construct(cfg).monodromy_defect - expected) < 4e-15
 
 
 # Annulus sections whose exponent V has log mode alpha = -(k+1) log|z0| / log q + alpha_u.

@@ -18,6 +18,7 @@ from kernelgauge import (
     green,
     log_capacity,
 )
+from kernelgauge.potential import GreenFunctionRep
 from kernelgauge.selftest import green_image_series, robin_image_series
 
 TWO_PI = 2.0 * math.pi
@@ -197,6 +198,51 @@ def test_character_additivity():
     combo = h1.scaled(2.0) + h2.scaled(3.0)
     a_combo = character_exponent(dom, combo).exponent
     assert character_distance(a_combo, 2 * a1 + 3 * a2) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "q,w",
+    [(0.25, 0.5), (0.2, 0.5), (0.25, 0.2515), (0.25, 0.9985), (0.25, 0.7 * np.exp(1.1j)), (0.5, -0.6 + 0.2j)],
+)
+def test_character_of_green_is_its_harmonic_measure_exactly(q, w):
+    # The exponent is minus the inner circle's harmonic measure log|w| / log q;
+    # at q = 0.2, w = 0.5 the two signs differ (0.569 against 0.431).
+    exact = (-np.log(abs(w)) / np.log(q)) % 1.0
+    assert character_exponent(annulus(q), green(annulus(q), w)).exponent == exact
+
+
+def _mid_circle_flux(domain, h, nodes=512):
+    """(1/2pi) * integral of dh/dr over a mid-circle by the trapezoid rule, mod 1.
+
+    The circle has radius sqrt(q), moved to the geometric mean of q and
+    |pole| when that lies within 0.05 (1 - q) of a Green pole.
+    """
+    s = math.sqrt(domain.q)
+    if isinstance(h, GreenFunctionRep):
+        if abs(s - abs(h.pole)) < 0.05 * (1.0 - domain.q):
+            s = math.sqrt(domain.q * abs(h.pole))
+        deriv = h.derivative()
+    else:
+        deriv = h.analytic_derivative()
+    zeta = s * np.exp(1j * TWO_PI * np.arange(nodes) / nodes)
+    d_dr = np.real(zeta / s * deriv(zeta))
+    return float(np.sum(d_dr) * s / nodes) % 1.0
+
+
+@pytest.mark.parametrize(
+    "q,h",
+    [
+        (0.25, green(annulus(0.25), 0.5)),
+        (0.2, green(annulus(0.2), 0.5)),
+        (0.25, green(annulus(0.25), 0.7 * np.exp(1.1j))),
+        (0.5, green(annulus(0.5), -0.6 + 0.2j)),
+        (0.25, HarmonicFunctionRep.from_coefficients(0.45, {1: 0.2, -2: 0.1j})),
+        (0.3, HarmonicFunctionRep.from_coefficients(-1.3, {-3: 0.05 - 0.02j, 2: 0.4, 5: -0.1j})),
+    ],
+)
+def test_character_matches_mid_circle_flux(q, h):
+    alpha = character_exponent(annulus(q), h).exponent
+    assert character_distance(alpha, _mid_circle_flux(annulus(q), h)) < 1e-13
 
 
 def test_character_distance_range():
@@ -478,11 +524,9 @@ def test_rule_memo_reads_green_once_across_threads(monkeypatch):
         tables[0][0] = 0.0
 
 
-def test_derivative_and_character_formed_once():
+def test_derivative_formed_once():
     g = green(annulus(0.25), 0.5)
     assert g.derivative() is g.derivative()
-    assert g.character() is g.character()
-    assert g.character().exponent == character_exponent(annulus(0.25), g).exponent
 
 
 def test_analytic_derivative_vectorized_matches_term_loop():

@@ -235,6 +235,15 @@ def test_character_mismatch_arithmetic():
     assert _cfg(annulus(0.25), 0.5, k=1, p0=2.0).character_mismatch() < 1e-10
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("z0,alpha_u", [(0.5, 0.3), (0.7 * np.exp(1.1j), -0.45), (-0.3 + 0.2j, 1.7)])
+def test_reduction_keeps_character_mismatch(k, z0, alpha_u):
+    # Reducing moves k copies of the Green correction into u, and with
+    # them k of the k + 1 multiples of alpha_z0.
+    cfg = _cfg(annulus(0.2), z0, k=k, p0=k + 1.0, u=HarmonicFunctionRep.log_mode(alpha_u))
+    assert abs(cfg.character_mismatch() - cfg.reduced().character_mismatch()) < 1e-15
+
+
 # --------------------------------------------------- densities on rings
 
 
