@@ -17,8 +17,9 @@ stored as alpha log|z| + Re S(z) with S a Laurent series, so
 W = S + alpha Log z, taken on the principal branch of Log; c0 = exp(-W(z0)).
 |F0| reads V and is single valued.  Continuing exp(W) once around the
 hole multiplies it by exp(2 pi i alpha); the distance of that multiplier
-from 1 measures the character mismatch, and it is 0 in matched
-configurations up to the roundoff in alpha.
+from 1, 2 sin(pi d) with d the distance of alpha to the nearest integer,
+measures the character mismatch.  It is taken from d, so it rounds as d
+does and is 0 in matched configurations whenever d is.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ from .geometry import AreaQuadrature, MaskedQuadrature, RingGrid, mask_quadratur
 from .kernels import (
     BasisDescriptor,
     Resolution,
-    _jet_constraints,
     _moment_gram,
     area_quadrature_for,
     side_measure,
 )
 from .numerics import HermitianMatrix, constrained_min
-from .potential import HarmonicFunctionRep, PoleDerivative
+from .potential import HarmonicFunctionRep, PoleDerivative, character_distance
 from .weights import CProfile, WeightConfig
 
 
@@ -100,7 +100,7 @@ def _sublevel_minima(config: WeightConfig, ts, res: Resolution) -> list[float]:
     aq = area_quadrature_for(config, res)
     masks = _sublevel_masks(config, aq, ts, "below")
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
-    constraints = _jet_constraints(config, basis)
+    constraints = basis.constraints()
     rho = config.rho(aq.nodes, aq.rings)
     values = []
     while masks:  # each rule is dropped once its Gram is formed
@@ -202,7 +202,8 @@ def f0_construct(config: WeightConfig) -> ExtremalFunction:
     Requires the equality shape phi + 2 psi = 2(k+1) G + 2u with
     psi = p0 G (character matching is reported, not required).  Around
     the hole exp(W) picks up exp(2 pi i alpha), alpha the log-mode
-    coefficient of V; its distance from 1 is the monodromy defect.
+    coefficient of V; its distance from 1 is the monodromy defect,
+    2 sin(pi d) with d the distance of alpha to the nearest integer.
     """
     if not config.has_equality_shape():
         raise NotEqualityShape(
@@ -211,7 +212,8 @@ def f0_construct(config: WeightConfig) -> ExtremalFunction:
         )
     green_rep = config.green_rep
     v_rep = green_rep.correction.scaled(float(config.k + 1)) + config.phi.u
-    defect = float(abs(np.exp(2j * np.pi * v_rep.alpha_log) - 1.0))
+    # Reduced mod 1 first: exp(2 pi i alpha) would round 2 pi alpha, and |alpha| reaches 3.5.
+    defect = 2.0 * math.sin(math.pi * character_distance(v_rep.alpha_log))
     f0 = ExtremalFunction(config, green_rep.derivative(), v_rep, 0.0, defect)
     return replace(f0, log_c0=-complex(f0._exponent(np.array([config.z0]))[0]))
 

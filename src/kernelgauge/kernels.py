@@ -142,15 +142,15 @@ class BasisDescriptor:
 
     def constraints(self) -> ConstraintSystem:
         """Jet rows f^(j)(z0)/j! for j = 0..k with target (0,...,0,1)."""
-        rows = np.zeros((self.k + 1, len(self.exponents)), dtype=complex)
+        n = self.exponents
+        rows = np.zeros((self.k + 1, len(n)), dtype=complex)
+        ff = np.ones(len(n))  # falling factorial n (n-1) ... (n-j+1)
         for j in range(self.k + 1):
-            for i, n in enumerate(self.exponents):
-                ff = 1.0
-                for step in range(j):
-                    ff *= n - step
-                if ff == 0.0:
-                    continue
-                rows[j, i] = ff / math.factorial(j) * self.z0 ** (n - j) / self.scales[i]
+            if j:
+                ff = ff * (n - (j - 1))
+            # Where it is 0 the row is 0, and z0^(n-j) may be 0 to a negative power.
+            keep = ff != 0.0
+            rows[j, keep] = ff[keep] / math.factorial(j) * self.z0 ** (n[keep] - j) / self.scales[keep]
         target = np.zeros(self.k + 1)
         target[-1] = 1.0
         return ConstraintSystem(rows, target)
@@ -414,12 +414,6 @@ def _sweep_over_schedule(
     return richardson_sweep(diagonal.__getitem__, res.basis_schedule)
 
 
-def _jet_constraints(config: WeightConfig, basis: BasisDescriptor) -> ConstraintSystem:
-    """basis.constraints() of a basis about config.z0, built once per (n_max, k) in the memo of the
-    config's Green function, whose pole is z0."""
-    return config.green_rep.pole_table(("jet", basis.n_max, basis.k), basis.constraints)
-
-
 def kernel_diag(config: WeightConfig, side: Side, res: Resolution | None = None) -> KernelValue:
     """Kernel diagonal at z0 with order-k jet constraints.
 
@@ -432,7 +426,7 @@ def kernel_diag(config: WeightConfig, side: Side, res: Resolution | None = None)
         res = Resolution.for_domain(config.domain)
     _require_fine_enough(res)  # res.scaled(2) only adds angles and boundary nodes
     basis = BasisDescriptor.create(config.domain, res.n_max, config.z0, config.k)
-    constraints = _jet_constraints(config, basis)
+    constraints = basis.constraints()
     base = _sweep_over_schedule(config, side, res, basis, constraints)
     fine = _sweep_over_schedule(config, side, res.scaled(2), basis, constraints)
     return KernelValue(fine.value, fine.error_estimate, abs(fine.value - base.value))

@@ -22,7 +22,7 @@ A Green function's log|z - w| adds 0 or 1, which is 0 mod 1.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -233,22 +233,13 @@ class PoleDerivative:
 
 
 @dataclass(frozen=True)
-class _OnNodes:
-    """A memoized rule's nodes, and on a boundary rule its normal signs."""
-
-    nodes: np.ndarray
-    signs: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class GreenFunctionRep:
     """Green function log|z - w| + correction, vanishing on the boundary.
 
     It keeps, for its lifetime, a memo of every rule built about its pole
-    by `area_rule` and `boundary_rule`, of tables built for those rules by
-    `rule_table`, of tables fixed by the pole alone (`pole_table`), and of
-    its derivative series.  G on a memoized rule's nodes (and dG/dnu on
-    a boundary rule's) is such a table: `value` and `normal_derivative`,
+    by `area_rule` and `boundary_rule`, and of tables built for those rules
+    by `rule_table`.  G on a memoized rule's nodes (and dG/dnu on a
+    boundary rule's) is such a table: `value` and `normal_derivative`,
     given that rule's own nodes (and signs) with its rings, evaluate it
     on first read and return it from then on, so a rule whose densities
     never read G never evaluates it.  An entry is built once, by
@@ -261,7 +252,7 @@ class GreenFunctionRep:
     pole: complex
     correction: HarmonicFunctionRep
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _known: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # id(rings) -> _OnNodes
+    _known: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # id(rings) -> rule
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def _memoized(self, key: tuple, build):
@@ -273,20 +264,23 @@ class GreenFunctionRep:
                 entry[1] = build()
         return entry[1]
 
-    def _on_nodes(self, z, rings: RingGrid | None) -> _OnNodes | None:
-        """The memo's record of the rule built here with these rings, when z are its nodes."""
+    def _rule_on(self, z, rings: RingGrid | None) -> AreaQuadrature | BoundaryQuadrature | None:
+        """The rule built here with these rings, when z are its nodes."""
         if rings is None:
             return None
         with self._lock:
-            known = self._known.get(id(rings))
-        return known if known is not None and z is known.nodes else None
+            rule = self._known.get(id(rings))
+        return rule if rule is not None and z is rule.nodes else None
 
-    def _remember(self, rings: RingGrid, known: _OnNodes, *arrays: np.ndarray) -> None:
-        for a in (rings.radii, known.nodes, known.signs, *arrays):
-            if a is not None:
-                a.flags.writeable = False
+    def _remember(self, rule: AreaQuadrature | BoundaryQuadrature) -> None:
+        """Make the rule's radii and array fields read-only, and know it by its rings."""
+        rule.rings.radii.flags.writeable = False
+        for f in fields(rule):
+            array = getattr(rule, f.name)
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
         with self._lock:
-            self._known[id(rings)] = known
+            self._known[id(rule.rings)] = rule
 
     def area_rule(self, radial_cells: int, angular_cells: int, patch_levels: int | None) -> AreaQuadrature:
         """`geometry.area_quadrature` about the pole, built once.
@@ -296,7 +290,7 @@ class GreenFunctionRep:
 
         def build():
             aq = area_quadrature(self.domain, self.pole, radial_cells, angular_cells, patch_levels=patch_levels)
-            self._remember(aq.rings, _OnNodes(aq.nodes), aq.weights, aq.inner, aq.outer, aq.angle_edges)
+            self._remember(aq)
             return aq
 
         return self._memoized(("area", radial_cells, angular_cells, patch_levels), build)
@@ -319,23 +313,19 @@ class GreenFunctionRep:
 
         return self._memoized(("table", id(rings), *key), make) if memoized else build()
 
-    def pole_table(self, key: tuple, build):
-        """build(), made once per key, for data fixed by the domain and the pole alone."""
-        return self._memoized(("pole", *key), build)
-
     def boundary_rule(self, nodes_per_component: int) -> BoundaryQuadrature:
         """`geometry.boundary_quadrature`, built once."""
 
         def build():
             bq = boundary_quadrature(self.domain, nodes_per_component)
-            self._remember(bq.rings, _OnNodes(bq.nodes, bq.normal_signs), bq.weights)
+            self._remember(bq)
             return bq
 
         return self._memoized(("boundary", nodes_per_component), build)
 
     def value(self, z, rings: RingGrid | None = None):
         """G at z; the memo's table when z are a memoized rule's nodes and rings its RingGrid."""
-        if self._on_nodes(z, rings) is not None:
+        if self._rule_on(z, rings) is not None:
             return self.rule_table(rings, ("g",), lambda: self._value(z, rings))
         return self._value(z, rings)
 
@@ -351,10 +341,8 @@ class GreenFunctionRep:
         return float(self.correction.value(self.pole))
 
     def derivative(self) -> PoleDerivative:
-        """2 dG/dz, formed once."""
-        return self._memoized(
-            ("derivative",), lambda: PoleDerivative(self.pole, self.correction.analytic_derivative())
-        )
+        """2 dG/dz."""
+        return PoleDerivative(self.pole, self.correction.analytic_derivative())
 
     def normal_derivative(self, zeta, signs, rings: RingGrid | None = None):
         """dG/dnu at boundary points; signs +1 outer circle, -1 inner.
@@ -362,8 +350,8 @@ class GreenFunctionRep:
         The memo's table when zeta and signs are a memoized boundary
         rule's nodes and normal_signs and rings its RingGrid.
         """
-        known = self._on_nodes(zeta, rings)
-        if known is not None and known.signs is not None and signs is known.signs:
+        rule = self._rule_on(zeta, rings)
+        if isinstance(rule, BoundaryQuadrature) and signs is rule.normal_signs:
             return self.rule_table(rings, ("dg_dnu",), lambda: self._normal_derivative(zeta, signs, rings))
         return self._normal_derivative(zeta, signs, rings)
 

@@ -24,6 +24,7 @@ from .gfunctional import (
 )
 from .kernels import (
     BasisDescriptor,
+    Measure,
     Resolution,
     area_measure,
     boundary_measure,
@@ -285,9 +286,7 @@ def check_gram_annulus_boundary() -> tuple[bool, str]:
     q = 0.5
     basis = BasisDescriptor.create(annulus(q), 1, 0.5, 0)
     bq = boundary_quadrature(annulus(q), 128)
-    lam = np.ones_like(bq.weights)
-    phi = basis.matrix(bq.nodes)
-    m = (phi.conj().T * (bq.weights * lam)) @ phi
+    m = gram(basis, Measure(bq.nodes, bq.weights, bq.rings)).entries
     err = 0.0
     for i, n in enumerate(basis.exponents):
         expected = 2.0 * math.pi * (1.0 + q ** (2 * int(n) + 1)) / basis.scales[i] ** 2

@@ -346,6 +346,29 @@ def test_f0_monodromy_defect_is_the_character_mismatch(k, z0, alpha_u):
     assert abs(f0_construct(cfg).monodromy_defect - expected) < 4e-15
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize(
+    "q,z0,alpha_u",
+    [
+        (0.2, -0.3 + 0.2j, -1.6),  # k = 1: alpha = -2.8677, where exp(2 pi i alpha) missed by 1.4e-15
+        (0.2, 0.5, -0.25),
+        (0.2, 0.7 * np.exp(1.1j), 0.3),
+        (0.25, 0.5, -0.5),
+        (0.25, 0.5, -0.25),
+        (0.3, math.sqrt(0.3) * np.exp(0.3j), 1.0),
+    ],
+)
+def test_f0_monodromy_defect_matches_a_40_digit_multiplier(k, q, z0, alpha_u):
+    # The defect is |exp(2 pi i alpha) - 1| at the stored alpha, to within
+    # a few ulps of its size, however large |alpha| is.
+    mpmath = pytest.importorskip("mpmath")
+    f0 = f0_construct(_cfg(annulus(q), z0, k=k, p0=k + 1.0, u=HarmonicFunctionRep.log_mode(alpha_u)))
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(f0.exponent_rep.alpha_log)
+        exact = float(abs(mpmath.exp(2j * mpmath.pi * alpha) - 1))
+    assert abs(f0.monodromy_defect - exact) <= 5e-16
+
+
 # Annulus sections whose exponent V has log mode alpha = -(k+1) log|z0| / log q + alpha_u.
 _BRANCH_CASES = {
     "matched": (_cfg(annulus(0.25), 0.5, u=MATCHED_U), -1.0),
@@ -367,7 +390,6 @@ def test_f0_jumps_by_its_multiplier_across_the_branch_cut(name):
     f0 = f0_construct(config)
     assert f0.exponent_rep.alpha_log == pytest.approx(alpha, abs=1e-14)
     multiplier = np.exp(-2j * PI * f0.exponent_rep.alpha_log)
-    assert abs(multiplier - 1.0) == f0.monodromy_defect
     angle = PI - 1e-9
     radii = np.array([0.3, 0.5, 0.8])
     above = f0.value(radii * np.exp(1j * angle))

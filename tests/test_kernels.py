@@ -223,31 +223,38 @@ def test_read_out_tables_are_read_only_and_give_the_fresh_gram(monkeypatch):
                 array.flat[0] = array.flat[0]
 
 
-def test_jet_rows_built_once_per_green_function(monkeypatch):
-    from kernelgauge.kernels import _jet_constraints
-    from kernelgauge.potential import green
+def _jet_rows_by_loop(basis):
+    """The jet rows term by term: f^(j)(z0)/j! of each scaled monomial, its falling factorial taken afresh."""
+    rows = np.zeros((basis.k + 1, len(basis.exponents)), dtype=complex)
+    for j in range(basis.k + 1):
+        for i, n in enumerate(basis.exponents):
+            ff = 1.0
+            for step in range(j):
+                ff *= n - step
+            if ff == 0.0:
+                continue
+            rows[j, i] = ff / math.factorial(j) * basis.z0 ** (n - j) / basis.scales[i]
+    return rows
 
-    calls = []
-    real = BasisDescriptor.constraints
 
-    def counted(self):
-        calls.append((self.n_max, self.k))
-        return real(self)
+_JET_CASES = [
+    (domain, z0)
+    for domain in (disc(), annulus(0.25))
+    for z0 in (0.0, 0.5, 0.4 * np.exp(1.3j), -0.3 + 0.2j)
+    if domain.contains(z0)  # z0 = 0 lies in the annulus's hole
+]
 
-    monkeypatch.setattr(BasisDescriptor, "constraints", counted)
-    shared = green(annulus(0.25), 0.3 + 0.4j)
-    res = Resolution(basis_schedule=(4, 8), boundary_nodes=64, radial_cells=48, angular_cells=40, patch_levels=12)
-    for alpha in (-0.2, 0.1, 0.3):
-        for k in (0, 1):
-            u = HarmonicFunctionRep.log_mode(alpha)
-            cfg = WeightConfig(annulus(0.25), 0.3 + 0.4j, k, PsiSpec(1.0), PhiSpec(0.0, u), CProfile.constant_one(), shared)
-            for side in ("szego", "bergman"):
-                kernel_diag(cfg, side, res)
-    assert sorted(calls) == [(8, 0), (8, 1)]
-    basis = BasisDescriptor.create(annulus(0.25), 8, 0.3 + 0.4j, 1)
-    memo = _jet_constraints(cfg, basis)
-    fresh = real(basis)
-    assert np.array_equal(memo.rows, fresh.rows) and np.array_equal(memo.target, fresh.target)
+
+@pytest.mark.parametrize("domain,z0", _JET_CASES)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("n_max", [8, 48])
+def test_jet_rows_match_the_term_loop_bit_for_bit(domain, z0, k, n_max):
+    basis = BasisDescriptor.create(domain, n_max, z0, k)
+    system = basis.constraints()
+    reference = _jet_rows_by_loop(basis)
+    assert system.rows.dtype == reference.dtype and system.rows.shape == reference.shape
+    assert np.array_equal(system.rows.view(np.uint8), reference.view(np.uint8))
+    assert np.array_equal(system.target, np.eye(k + 1)[-1])
 
 
 def test_moment_gram_deep_annulus_stays_finite():
