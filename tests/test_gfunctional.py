@@ -339,8 +339,9 @@ def test_f0_monodromy_matched_and_mismatched():
 @pytest.mark.parametrize("z0,alpha_u", [(0.5, 0.0), (0.5, -0.25), (0.7 * np.exp(1.1j), 0.3), (-0.3 + 0.2j, -1.6)])
 def test_f0_monodromy_defect_is_the_character_mismatch(k, z0, alpha_u):
     # |exp(2 pi i alpha) - 1| = 2 sin(pi d), d the distance of alpha to Z.
-    # The defect rounds 2 pi alpha with |alpha| up to 3.5, the mismatch
-    # reduces mod 1 first: the two agree to a few ulps of 2, not to the last.
+    # The defect reduces the summed alpha of V mod 1, the mismatch reduces
+    # each character before summing (k + 1) of one and one of the other:
+    # the two agree to a few ulps of 2, not to the last.
     cfg = _cfg(annulus(0.2), z0, k=k, p0=k + 1.0, u=HarmonicFunctionRep.log_mode(alpha_u))
     expected = 2.0 * math.sin(PI * cfg.character_mismatch())
     assert abs(f0_construct(cfg).monodromy_defect - expected) < 4e-15
