@@ -13,9 +13,11 @@ parent at the first seed, the change at the second, and so on), so a
 drift of the host over the session does not favour one side.
 
 The output file holds every run's end-to-end metrics, failed and
-attempted operation counts, exit code and source record, and per workload
-and metric the two medians, the parent's interquartile range and the
-number of pairs in which the change was better.  An existing output file of the same two trees and run length is updated
+attempted operation counts, exit code, source record and `minflt` (the
+minor page faults of the run's processes, from the change of
+RUSAGE_CHILDREN's ru_minflt across it), and per workload and metric the
+two medians, the parent's interquartile range and the number of pairs in
+which the change was better, and per side the median `minflt`.  An existing output file of the same two trees and run length is updated
 workload by workload, so workloads can be run with different seeds.
 Standard library only.
 """
@@ -26,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -49,8 +52,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "kgbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     start = time.perf_counter()
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    record = {"exit": proc.returncode, "elapsed_s": round(time.perf_counter() - start, 3)}
+    record = {"exit": proc.returncode, "elapsed_s": round(time.perf_counter() - start, 3),
+              "minflt": resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults}
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -125,9 +130,11 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = run_once(trees[side], workload, seed, seconds)
                 print(f"{workload} seed {seed} {side}: wall_s {pair[side].get('wall_s')} "
-                      f"exit {pair[side]['exit']}", flush=True)
+                      f"minflt {pair[side]['minflt']} exit {pair[side]['exit']}", flush=True)
             pairs.append(pair)
-        report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, metrics)}
+        minflt = {side: statistics.median(p[side]["minflt"] for p in pairs) for side in SIDES}
+        print(f"{workload} median minflt: parent {minflt['parent']}, change {minflt['change']}", flush=True)
+        report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, metrics), "minflt_median": minflt}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     failed = any(p[s]["exit"] != 0 for w in report["workloads"].values() for p in w["pairs"] for s in SIDES)
     return 1 if failed else 0

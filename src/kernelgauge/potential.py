@@ -63,11 +63,14 @@ class LaurentSeries:
         """Values at z; pass the rule's rings when z are its ring-major nodes.
 
         Without rings the series is summed by Horner's rule point by point.
-        With rings, ring r's values are n * ifft(b_r) with
+        With rings, ring r's values are the unscaled inverse DFT of b_r,
         b_r[k] = sum over m = k (mod n) of c_m radii[r]^m exp(i m theta0):
         the same sum, aliasing included, at O(M + n log n) per ring.  Each
-        term is exp(log c_m + m log r), so r^m is never formed on its own
-        (q^-m overflows long before c_m q^-m does).
+        term is one real exponential exp(log|c_m| + m log r) times its
+        phase exp(i (arg c_m + m theta0)), taken from a table of M values,
+        so r^m is never formed on its own (q^-m overflows long before
+        |c_m| q^-m does).  The terms go straight into their DFT slots of
+        one (rings, n) spectrum, which is transformed once.
         """
         z = np.asarray(z, dtype=complex)
         if rings is not None:
@@ -102,24 +105,33 @@ class LaurentSeries:
         nonzero = np.flatnonzero(self.coeffs)
         if nonzero.size == 0:
             return np.zeros_like(z)
+        c = self.coeffs[nonzero]
         m = self.m_min + nonzero
-        log_c = np.log(self.coeffs[nonzero]) + 1j * rings.theta0 * m
-        # Slot s holds exponent m with s = m (mod n), so folding the padded
-        # row into (blocks, n) and summing the blocks aliases it as the DFT does.
-        slot = m - m[0] + m[0] % n
-        width = n * -(-(int(slot[-1]) + 1) // n)
-        step = max(1, _RING_CHUNK_BYTES // (16 * width))
-        out = np.empty((radii.size, n), dtype=complex)
+        log_abs = np.log(np.abs(c))
+        phase = np.exp(1j * (np.angle(c) + rings.theta0 * m))
+        slot = m % n
+        # Run j holds exponents m[0] + j n to m[0] + (j + 1) n - 1, whose slots
+        # differ: run 0 is assigned and each later run added, aliasing as the DFT does.
+        edges = np.searchsorted(m, m[0] + n * np.arange(1, (m[-1] - m[0]) // n + 1))
+        runs = [(lo, hi) for lo, hi in zip([0, *edges], [*edges, m.size]) if lo < hi]
+        step = max(1, _RING_CHUNK_BYTES // (16 * m.size))
+        spectrum = np.zeros((radii.size, n), dtype=complex)
         for start in range(0, radii.size, step):
             # A ring of radius 0 (a disc's corner grid) takes log r = -1e300
             # for -inf, so r^0 = 1 there rather than NaN, and r^m = 0 for m > 0.
-            log_r = np.log(radii[start : start + step])
+            with np.errstate(divide="ignore"):
+                log_r = np.log(radii[start : start + step])
             np.maximum(log_r, -1e300, out=log_r)
-            terms = np.zeros((log_r.size, width), dtype=complex)
-            terms[:, slot] = np.exp(log_c + np.multiply.outer(log_r, m))
-            folded = terms.reshape(log_r.size, -1, n).sum(axis=1)
-            out[start : start + step] = n * np.fft.ifft(folded, axis=1)
-        return out.reshape(z.shape)
+            terms = np.multiply.outer(log_r, m)
+            terms += log_abs
+            np.exp(terms, out=terms)
+            terms = terms * phase
+            block = spectrum[start : start + step]
+            lo, hi = runs[0]
+            block[:, slot[lo:hi]] = terms[:, lo:hi]
+            for lo, hi in runs[1:]:
+                block[:, slot[lo:hi]] += terms[:, lo:hi]
+        return np.fft.ifft(spectrum, axis=1, norm="forward").reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -183,7 +195,7 @@ class HarmonicFunctionRep:
             out = np.zeros((rings.radii.size, rings.n_theta))
         if self.alpha_log != 0.0:
             log_r = np.log(np.abs(z)) if rings is None else np.log(rings.radii)[:, None]
-            out = out + self.alpha_log * log_r
+            out += self.alpha_log * log_r
         return out.reshape(z.shape)
 
     def analytic_derivative(self) -> LaurentSeries:
@@ -331,9 +343,12 @@ class GreenFunctionRep:
 
     def _value(self, z, rings: RingGrid | None):
         z = np.asarray(z, dtype=complex)
+        g = np.abs(z - self.pole)
         # -inf at the pole itself is the correct value.
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(z - self.pole)) + self.correction.value(z, rings)
+            g = np.log(g, out=_writable(g))
+            g += self.correction.value(z, rings)
+        return g
 
     @property
     def robin_constant(self) -> float:
@@ -359,6 +374,11 @@ class GreenFunctionRep:
         zeta = np.asarray(zeta, dtype=complex)
         h = self.derivative()
         return np.asarray(signs, dtype=float) * np.real(zeta / np.abs(zeta) * h(zeta, rings))
+
+
+def _writable(x):
+    """x as the out= of an in-place ufunc, or None for a 0-d value (numpy scalars take no out=)."""
+    return x if np.ndim(x) else None
 
 
 def _freeze(table) -> None:

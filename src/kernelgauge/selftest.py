@@ -27,7 +27,6 @@ from .kernels import (
     Measure,
     Resolution,
     area_measure,
-    boundary_measure,
     gram,
     kernel_diag,
     kernel_section,

@@ -29,6 +29,7 @@ from .potential import (
     Character,
     GreenFunctionRep,
     HarmonicFunctionRep,
+    _writable,
     character_distance,
     character_exponent,
     green,
@@ -229,10 +230,10 @@ class WeightConfig:
 
     def _phi_from(self, z, rings: RingGrid | None, g):
         """phi at z from G there, which is read only when a_g != 0."""
-        val = np.zeros(np.shape(np.asarray(z)), dtype=float)
+        val = self.phi.u.value(z, rings)
+        val *= 2.0
         if self.phi.a_g != 0.0:
-            val = val + self.phi.a_g * g
-        val = val + 2.0 * self.phi.u.value(z, rings)
+            val += self.phi.a_g * g
         return val
 
     # -- densities -----------------------------------------------------
@@ -268,11 +269,13 @@ class WeightConfig:
         """
         reads_psi = profile.kind != "constant_one"
         g = self.green_rep.value(z, rings) if reads_psi or self.phi.a_g != 0.0 else None
-        out = np.exp(-self._phi_from(z, rings, g))
+        out = self._phi_from(z, rings, g)
+        out = np.negative(out, out=_writable(out))
+        out = np.exp(out, out=_writable(out))
         if factor is not None:
-            out = factor * out
+            out *= factor
         if reads_psi:
-            out = out * profile.c(-(2.0 * self._psi_from(z, g)))
+            out *= profile.c(-(2.0 * self._psi_from(z, g)))
         return out
 
     def boundary_lambda(self, zeta, signs, rings: RingGrid | None = None):

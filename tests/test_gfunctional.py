@@ -14,7 +14,6 @@ from kernelgauge import (
     WeightConfig,
     annulus,
     boundary_limit_check,
-    boundary_quadrature,
     disc,
     f0_construct,
     g_curve,

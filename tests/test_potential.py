@@ -18,7 +18,9 @@ from kernelgauge import (
     green,
     log_capacity,
 )
-from kernelgauge.potential import GreenFunctionRep
+from kernelgauge import potential
+from kernelgauge.geometry import RingGrid
+from kernelgauge.potential import GreenFunctionRep, LaurentSeries
 from kernelgauge.selftest import green_image_series, robin_image_series
 
 TWO_PI = 2.0 * math.pi
@@ -343,6 +345,74 @@ def test_ring_evaluation_aliases_long_series():
     horner = series(bq.nodes)
     ring = series(bq.nodes, bq.rings)
     assert np.max(np.abs(ring - horner)) <= 1e-13 * np.max(np.abs(horner))
+
+
+def _ring_nodes(rings):
+    """The ring-major nodes of a RingGrid."""
+    theta = rings.theta0 + TWO_PI * np.arange(rings.n_theta) / rings.n_theta
+    return (rings.radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
+
+
+def _assert_matches_horner(series, z, rings):
+    horner = series(z)
+    ring = series(z, rings)
+    assert np.all(np.isfinite(ring))
+    assert np.max(np.abs(ring - horner)) <= 1e-13 * np.max(np.abs(horner))
+    return ring
+
+
+def test_ring_evaluation_in_row_chunks_is_bit_identical(monkeypatch):
+    # A chunk bound below one row's exponent block gives one row per chunk.
+    domain = annulus(0.25)
+    series = green(domain, 0.5).correction.series
+    aq = area_quadrature(domain, 0.5, 48, 40, patch_levels=12)
+    assert aq.rings.radii.size >= 3
+    monkeypatch.setattr(potential, "_RING_CHUNK_BYTES", 1 << 40)
+    whole = _assert_matches_horner(series, aq.nodes, aq.rings)
+    monkeypatch.setattr(potential, "_RING_CHUNK_BYTES", 1)
+    assert np.array_equal(series(aq.nodes, aq.rings), whole)
+
+
+def test_ring_evaluation_aliases_on_both_sides_of_zero():
+    # Exponents -52..52 on 16 angles: seven runs of slots, negative and
+    # positive exponents aliasing onto the same slots.
+    domain = annulus(0.25)
+    series = green(domain, 0.5).correction.series
+    bq = boundary_quadrature(domain, 16)
+    assert len(series.coeffs) == 105 and series.m_min < -2 * bq.rings.n_theta
+    _assert_matches_horner(series, bq.nodes, bq.rings)
+
+
+def test_ring_evaluation_of_sparse_series():
+    # Zero coefficients take no slot; the gapped series spans 45 exponents
+    # on 16 angles, so its runs alias.
+    domain = annulus(0.25)
+    aq = area_quadrature(domain, 0.5, 24, 16, patch_levels=None)
+    gapped = np.zeros(45, dtype=complex)
+    for m, c in {-3: 0.02 - 0.01j, 0: 1.0, 2: 0.3j, 7: -0.1, 19: 0.05 + 0.02j, 41: 0.2}.items():
+        gapped[m + 3] = c
+    for series in (LaurentSeries(-3, gapped), LaurentSeries(-2, [0.01 + 0.02j])):
+        _assert_matches_horner(series, aq.nodes, aq.rings)
+
+
+def test_ring_evaluation_at_radius_zero():
+    # A disc's corner grid has a ring at r = 0: r^0 = 1 and r^m = 0 for
+    # m > 0 there, so that ring reads c_0 on every angle, with no NaN.
+    # c_0 = 1 is read exactly; another c_0 is read as
+    # exp(log|c_0|) exp(i arg c_0), to rounding.  Exponents 0..11 on 8
+    # angles alias on the ring at r = 0.5.
+    rings = RingGrid(np.array([0.0, 0.5]), 8, 0.0)
+    z = _ring_nodes(rings)
+    tail = 0.3 * (0.8 - 0.4j) ** np.arange(1, 12)
+    for c0 in (1.0, -0.7 + 0.45j):
+        series = LaurentSeries(0, np.concatenate([[c0], tail]))
+        ring = series(z, rings).reshape(2, 8)
+        assert not np.any(np.isnan(ring))
+        if c0 == 1.0:
+            assert np.array_equal(ring[0], np.full(8, c0))
+        assert np.max(np.abs(ring[0] - c0)) <= 4e-16 * abs(c0)
+        horner = series(z[8:])
+        assert np.max(np.abs(ring[1] - horner)) <= 1e-13 * np.max(np.abs(horner))
 
 
 def test_ring_evaluation_checks_node_count():

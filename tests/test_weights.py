@@ -274,6 +274,24 @@ def test_densities_on_rings_match_pointwise(domain, z0, u, factor):
         assert np.max(np.abs(ring - pointwise)) <= 1e-13 * np.max(np.abs(pointwise))
 
 
+def test_rho_on_a_memoized_rule_is_assembled_without_touching_g():
+    # rho is assembled in place on its own arrays: the same bytes on every
+    # call, bit for bit exp(-phi) c(-2 psi) from phi and psi apart, and the
+    # memo's G table is read, never written.
+    cfg = _cfg(annulus(0.25), 0.4 + 0.3j, eps=0.1, a_g=0.5,
+               u=HarmonicFunctionRep.from_coefficients(0.3, {1: 0.1, -1: 0.05j}), c=CProfile.exp_delta(-0.4))
+    aq = cfg.green_rep.area_rule(48, 40, 12)
+    g_table = cfg.green_rep.value(aq.nodes, aq.rings)
+    g_bytes = g_table.tobytes()
+    first = cfg.rho(aq.nodes, aq.rings)
+    second = cfg.rho(aq.nodes, aq.rings)
+    assert first.tobytes() == second.tobytes()
+    separate = np.exp(-cfg.phi_value(aq.nodes, aq.rings)) * cfg.c.c(-cfg.two_psi(aq.nodes, aq.rings))
+    assert first.tobytes() == separate.tobytes()
+    assert cfg.green_rep.value(aq.nodes, aq.rings) is g_table
+    assert g_table.tobytes() == g_bytes and not g_table.flags.writeable
+
+
 @pytest.mark.parametrize(
     "a_g,c,evaluations",
     [
