@@ -56,7 +56,6 @@ from .numerics import (
     richardson_sweep,
 )
 from .potential import (
-    Character,
     GreenFunctionRep,
     HarmonicFunctionRep,
     LaurentSeries,

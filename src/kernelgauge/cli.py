@@ -21,7 +21,6 @@ from .errors import InvalidConfig, KernelGaugeError, ScenarioError
 from .geometry import DomainSpec
 from .kernels import Resolution, kernel_section
 from .potential import GreenFunctionRep, HarmonicFunctionRep, green
-from .selftest import run_selftest
 from .verifier import DEFAULT_TOL_EQ, VerificationReport, verify
 from .weights import CProfile, PhiSpec, PsiSpec, WeightConfig
 
@@ -29,6 +28,8 @@ _EXIT_PASS = 0
 _EXIT_FAIL = 1
 _EXIT_CONFIG = 2
 _EXIT_INCONCLUSIVE = 3
+
+_KERNEL_EVAL_SAMPLES = 64  # points kernel-eval samples along its curve
 
 _SCHEMA = {
     "domain": {"kind", "q"},
@@ -44,7 +45,6 @@ _SCHEMA = {
         "patch_levels",
         "tol_eq",
         "output_dir",
-        "curve_samples",
     },
 }
 _TOP_KEYS = {"domain", "point", "weight", "run", "k"}
@@ -88,10 +88,6 @@ def _tol_eq(doc: dict) -> float:
     return float(_require_number(doc.get("run", {}), "tol_eq", "run", DEFAULT_TOL_EQ))
 
 
-def _curve_samples(doc: dict) -> int:
-    return _require_int(doc.get("run", {}), "curve_samples", "run", 64)
-
-
 def _output_dir_setting(doc: dict) -> str:
     out = doc.get("run", {}).get("output_dir", ".")
     if not isinstance(out, str):
@@ -121,7 +117,6 @@ def load_scenario(path: str | Path) -> dict:
         raise ScenarioError("'run' must be an object")
     _reject_unknown(run, _SCHEMA["run"], "run")
     _tol_eq(doc)
-    _curve_samples(doc)
     _output_dir_setting(doc)
     if "u" in doc["weight"]:
         if not isinstance(doc["weight"]["u"], dict):
@@ -376,17 +371,16 @@ def cmd_kernel_eval(args) -> int:
     if config.k != 0:
         raise ScenarioError("kernel-eval requires a k = 0 scenario")
     res = build_resolution(doc, config.domain)
-    samples = _curve_samples(doc)
     sec_k = kernel_section(config, "szego", res)
     sec_b = kernel_section(config, "bergman", res)
     if args.curve == "boundary":
-        theta = 2.0 * math.pi * np.arange(samples) / samples
+        theta = 2.0 * math.pi * np.arange(_KERNEL_EVAL_SAMPLES) / _KERNEL_EVAL_SAMPLES
         zs = np.exp(1j * theta)
     else:
         z0 = config.z0
         direction = np.exp(1j * np.angle(z0)) if abs(z0) > 0 else 1.0
         outer = 0.97 * direction
-        ts = np.linspace(0.0, 1.0, samples)
+        ts = np.linspace(0.0, 1.0, _KERNEL_EVAL_SAMPLES)
         zs = z0 + ts * (outer - z0)
     kv = sec_k.two_point(zs)
     bv = sec_b.two_point(zs)
@@ -404,6 +398,8 @@ def cmd_kernel_eval(args) -> int:
 
 
 def cmd_selftest(_args) -> int:
+    from .selftest import run_selftest  # loaded only here: no other command needs it
+
     results = run_selftest()
     return _EXIT_PASS if all(r.passed for r in results) else _EXIT_FAIL
 

@@ -43,6 +43,9 @@ from .numerics import HermitianMatrix, constrained_min
 from .potential import HarmonicFunctionRep, PoleDerivative, character_distance
 from .weights import CProfile, WeightConfig
 
+# The radii r of the shell checks' superlevel sets, approaching the boundary.
+SHELL_RADII = (0.9, 0.95, 0.975, 0.99)
+
 
 def _sublevel_masks(config: WeightConfig, aq: AreaQuadrature, ts, keep: str) -> list[MaskedQuadrature]:
     """aq masked to {2 psi < -t} (keep "above": {2 psi >= -t}), one rule per t, by one mask call.
@@ -266,20 +269,21 @@ class BoundaryLimit:
 def boundary_limit_check(
     config: WeightConfig,
     f_abs2: Callable[..., np.ndarray],
-    r_values=(0.9, 0.95, 0.975, 0.99),
     res: Resolution | None = None,
 ) -> BoundaryLimit:
     """Shell averages of |F|^2 rho against the boundary quantity.
 
     ratio(r) = integral over {2 psi >= log r} of |F|^2 rho, divided by
-    the integral of c(t) e^-t over [0, -log r]; as r -> 1 this tends to
-    (1/2) * contour integral of |F|^2 exp(-phi) / (dpsi/dnu).  The gap is
-    measured after linear extrapolation in (1 - r).  f_abs2 is called as
-    f_abs2(z, rings) with the level-field protocol of `mask_quadrature`.
+    the integral of c(t) e^-t over [0, -log r], at each r of SHELL_RADII;
+    as r -> 1 this tends to (1/2) * contour integral of
+    |F|^2 exp(-phi) / (dpsi/dnu).  The gap is measured after linear
+    extrapolation in (1 - r) through the two largest radii.  f_abs2 is
+    called as f_abs2(z, rings) with the level-field protocol of
+    `mask_quadrature`.
     """
     if res is None:
         res = Resolution.for_domain(config.domain)
-    r_values = np.asarray(list(r_values), dtype=float)
+    r_values = np.array(SHELL_RADII)
     ts = [-math.log(r) for r in r_values]
 
     def density(z, rings=None):
@@ -291,11 +295,8 @@ def boundary_limit_check(
     ])
     boundary = side_measure(config, "szego", res)
     boundary_value = 0.5 * float(np.sum(boundary.wdensity * f_abs2(boundary.points, boundary.rings)))
-    if len(ratios) >= 2:
-        x = 1.0 - r_values
-        slope = (ratios[-1] - ratios[-2]) / (x[-1] - x[-2])
-        extrapolated = ratios[-1] - slope * x[-1]
-    else:
-        extrapolated = ratios[-1]
+    x = 1.0 - r_values
+    slope = (ratios[-1] - ratios[-2]) / (x[-1] - x[-2])
+    extrapolated = ratios[-1] - slope * x[-1]
     gap = abs(float(extrapolated) - boundary_value)
     return BoundaryLimit(r_values, ratios, boundary_value, gap)

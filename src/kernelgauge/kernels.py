@@ -76,8 +76,9 @@ class Resolution:
         if domain.kind == "annulus":
             # Annulus base points sit off-center, where every ring of the
             # refinement band costs a full angle grid; a shallower band
-            # suffices (densities from the weight families are smooth there
-            # unless a_g > 0).
+            # suffices.  Only densities singular at z0 use the band (see
+            # `WeightConfig.density_smooth_at_z0`): a poly profile always
+            # makes them so, and a_g != 0 or exp_delta with delta != 0 can.
             return Resolution(
                 boundary_nodes=512,
                 radial_cells=320,

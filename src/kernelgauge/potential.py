@@ -134,19 +134,6 @@ class LaurentSeries:
         return np.fft.ifft(spectrum, axis=1, norm="forward").reshape(z.shape)
 
 
-@dataclass(frozen=True)
-class Character:
-    """Unimodular character exp(2pi i alpha) of the annulus loop group."""
-
-    exponent: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", float(self.exponent) % 1.0)
-
-    def distance(self, other: "Character") -> float:
-        return character_distance(self.exponent, other.exponent)
-
-
 def character_distance(a: float, b: float = 0.0) -> float:
     """Distance of a - b to the nearest integer, in [0, 1/2]."""
     d = (a - b) % 1.0
@@ -489,13 +476,14 @@ def dirichlet_solve(domain: DomainSpec, boundary_data, m_max: int | None = None)
     return rep
 
 
-def character_exponent(domain: DomainSpec, h) -> Character:
-    """Conjugate-period exponent of h around the hole: its stored log mode.
+def character_exponent(domain: DomainSpec, h) -> float:
+    """Conjugate-period exponent of h around the hole, in [0, 1): its stored log mode mod 1.
 
-    h may be a HarmonicFunctionRep or a GreenFunctionRep, whose exponent
-    is that of its correction.  On the disc the character group is trivial.
+    It is alpha of the loop group's character exp(2 pi i alpha).  h may be
+    a HarmonicFunctionRep or a GreenFunctionRep, whose exponent is that of
+    its correction.  On the disc the character group is trivial.
     """
     if domain.kind == "disc":
-        return Character(0.0)
+        return 0.0
     rep = h.correction if isinstance(h, GreenFunctionRep) else h
-    return Character(rep.alpha_log)
+    return float(rep.alpha_log) % 1.0

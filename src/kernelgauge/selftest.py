@@ -215,8 +215,8 @@ def _inner_flux_exponent(q: float, w: complex, nodes: int = 512) -> float:
 
 
 def check_character_flux() -> tuple[bool, str]:
-    a1 = character_exponent(annulus(0.25), green(annulus(0.25), 0.5)).exponent
-    a2 = character_exponent(annulus(0.2), green(annulus(0.2), 0.5)).exponent
+    a1 = character_exponent(annulus(0.25), green(annulus(0.25), 0.5))
+    a2 = character_exponent(annulus(0.2), green(annulus(0.2), 0.5))
     ok1 = character_distance(a1, _inner_flux_exponent(0.25, 0.5)) < 1e-10
     ok2 = character_distance(a2, _inner_flux_exponent(0.2, 0.5)) < 1e-10
     return ok1 and ok2, f"alpha(q=0.25)={a1:.8f}, alpha(q=0.2)={a2:.8f}"

@@ -27,13 +27,17 @@ import numpy as np
 
 from .errors import InvalidConfig, RouteMismatch
 from .geometry import DomainSpec
-from .gfunctional import _sublevel_integrals
+from .gfunctional import SHELL_RADII, _sublevel_integrals
 from .kernels import KernelValue, Resolution, area_quadrature_for, kernel_diag
 from .numerics import ROUNDOFF_REL
 from .weights import CProfile, PhiSpec, PsiSpec, WeightConfig, validate_config
 
 DEFAULT_TOL_EQ = 1e-4
 _ESTIMATE_CUSHION = 3.0
+_CHARACTER_TOL = 1e-8      # character distance below which the characters match
+_SUITA_TOL_EQ = 1e-6       # relative tolerance of the disc's Suita equalities
+_SUPERLEVEL_T0 = 0.25      # largest t of the superlevel constant
+_SUPERLEVEL_POINTS = 8     # t samples of the superlevel constant, evenly up to its t0
 
 
 @dataclass(frozen=True)
@@ -56,13 +60,13 @@ class EqualityPrediction:
     character_distance: float
 
 
-def equality_predicate(config: WeightConfig, char_tol: float = 1e-8) -> EqualityPrediction:
+def equality_predicate(config: WeightConfig) -> EqualityPrediction:
     """Purely structural evaluation of the equality conditions."""
     dist = config.character_mismatch()
     flags = ConditionFlags(
         green_mass_matches=abs(config.green_mass() - 2.0 * (config.k + 1)) < 1e-12,
         psi_is_green_multiple=config.psi.eps == 0.0,
-        characters_match=dist < char_tol,
+        characters_match=dist < _CHARACTER_TOL,
     )
     return EqualityPrediction(flags.all_hold, flags, dist)
 
@@ -223,12 +227,11 @@ def verify_suita(
     domain: DomainSpec,
     z0: complex,
     res: Resolution | None = None,
-    tol_eq: float = 1e-6,
 ) -> SuitaReport:
     """Evaluate the comparison chain for the unweighted configuration.
 
-    On the disc the three quantities coincide; on the annulus both
-    inequalities are strict.
+    On the disc the three quantities coincide (to _SUITA_TOL_EQ relative);
+    on the annulus both inequalities are strict.
     """
     config = WeightConfig(domain, z0, 0, PsiSpec(1.0), PhiSpec(), CProfile.constant_one())
     cbeta = float(np.exp(config.green_rep.robin_constant))
@@ -246,7 +249,7 @@ def verify_suita(
         verdict = "pass" if ok else ("inconclusive" if left > 0 and right > 0 else "fail")
     else:
         scale = max(pi_b, 1.0)
-        ok = abs(left) <= tol_eq * scale and abs(right) <= tol_eq * scale
+        ok = abs(left) <= _SUITA_TOL_EQ * scale and abs(right) <= _SUITA_TOL_EQ * scale
         verdict = "pass" if ok else "fail"
     return SuitaReport(cbeta**2, pi_b, k_hat.value, left, right, combined, strict, verdict)
 
@@ -261,20 +264,20 @@ class HardyDiagnostic:
 def hardy_diagnostic(
     f_abs2: Callable[..., np.ndarray],
     config: WeightConfig,
-    r_values=(0.9, 0.95, 0.975, 0.99),
     res: Resolution | None = None,
 ) -> HardyDiagnostic:
     """Shell-average growth proxy for Hardy-class membership.
 
-    Samples r -> integral of |F|^2 over {psi >= log r} divided by (1-r).
-    A bounded trend indicates square-integrable boundary behavior; the
-    classification doubles as the verdict (growth by more than 2x across
-    the sample set reports `increasing`).  f_abs2 is called as
-    f_abs2(z, rings) with the level-field protocol of `mask_quadrature`.
+    Samples r -> integral of |F|^2 over {psi >= log r} divided by (1-r),
+    at each r of `gfunctional.SHELL_RADII`.  A bounded trend indicates
+    square-integrable boundary behavior; the classification doubles as
+    the verdict (growth by more than 2x across the sample set reports
+    `increasing`).  f_abs2 is called as f_abs2(z, rings) with the
+    level-field protocol of `mask_quadrature`.
     """
     if res is None:
         res = Resolution.for_domain(config.domain)
-    r_values = np.asarray(list(r_values), dtype=float)
+    r_values = np.array(SHELL_RADII)
     # {psi >= log r} is {2 psi >= 2 log r}: doubling is exact, so the masks are too.
     integrals = _sublevel_integrals(config, res, f_abs2, [-2.0 * math.log(r) for r in r_values], "above")
     ratios = np.array([integral / (1.0 - r) for integral, r in zip(integrals, r_values)])
@@ -290,11 +293,9 @@ class SuperlevelConstant:
 
 def superlevel_constant(
     config: WeightConfig,
-    t0: float = 0.25,
-    grid_points: int = 8,
     res: Resolution | None = None,
 ) -> SuperlevelConstant:
-    """Smallest C with {G >= -t} inside {psi >= -C t} for t up to t0.
+    """Smallest C with {G >= -t} inside {psi >= -C t} at 8 evenly spaced t up to 0.25.
 
     Evaluated on area-quadrature nodes; for psi = p0 G the constant is
     p0 up to grid resolution.
@@ -305,8 +306,8 @@ def superlevel_constant(
     gvals = config.green_rep.value(aq.nodes, aq.rings)
     pvals = config.psi_value(aq.nodes, aq.rings)
     best = 0.0
-    for t in np.linspace(t0 / grid_points, t0, grid_points):
+    for t in np.linspace(_SUPERLEVEL_T0 / _SUPERLEVEL_POINTS, _SUPERLEVEL_T0, _SUPERLEVEL_POINTS):
         sel = gvals >= -t
         if np.any(sel):
             best = max(best, float(np.max(-pvals[sel]) / t))
-    return SuperlevelConstant(t0, best)
+    return SuperlevelConstant(_SUPERLEVEL_T0, best)

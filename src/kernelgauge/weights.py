@@ -26,7 +26,6 @@ import numpy as np
 from .errors import EvaluationAtPole, InvalidProfile
 from .geometry import DomainSpec, RingGrid
 from .potential import (
-    Character,
     GreenFunctionRep,
     HarmonicFunctionRep,
     _writable,
@@ -310,16 +309,16 @@ class WeightConfig:
     # -- characters ------------------------------------------------------
 
     @property
-    def alpha_z0(self) -> Character:
+    def alpha_z0(self) -> float:
         return character_exponent(self.domain, self.green_rep)
 
     @property
-    def alpha_u(self) -> Character:
+    def alpha_u(self) -> float:
         return character_exponent(self.domain, self.phi.u)
 
     def character_mismatch(self) -> float:
         """Distance of (k+1) alpha_z0 + alpha_u from 0 mod 1."""
-        total = (self.k + 1) * self.alpha_z0.exponent + self.alpha_u.exponent
+        total = (self.k + 1) * self.alpha_z0 + self.alpha_u
         return character_distance(total)
 
     # -- shape predicates and reduction -----------------------------------

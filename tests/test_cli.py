@@ -72,6 +72,8 @@ def test_verify_unknown_key(tmp_path, capsys):
         ({"weight": weight, "run": {"patch_radius": 0.0}}, "patch_radius"),
         # Every kernel value is refined, so no run key switches refinement off.
         ({"weight": weight, "run": {"refine_quadrature": False}}, "refine_quadrature"),
+        # kernel-eval always samples 64 points, so no run key sets the count.
+        ({"weight": weight, "run": {"curve_samples": 64}}, "curve_samples"),
     ):
         doc = {"domain": {"kind": "disc"}, "point": {"z0": 0.0}, **extra}
         code = main(["verify", _write(tmp_path, doc)])
@@ -132,11 +134,9 @@ def test_verify_rejects_bad_resolution(tmp_path, capsys, run):
         ("verify", "tol_eq", [1e-4]),
         ("verify", "output_dir", 5),
         ("verify", "u", {"coeffs": [[1, "a", 0]]}),
-        ("kernel-eval", "curve_samples", "x"),
         ("kernel-eval", "angular_cells", 0),
     ],
-    ids=["string_tol_eq", "list_tol_eq", "numeric_output_dir", "string_coefficient", "string_curve_samples",
-         "zero_angular_cells"],
+    ids=["string_tol_eq", "list_tol_eq", "numeric_output_dir", "string_coefficient", "zero_angular_cells"],
 )
 def test_untyped_scenario_values_rejected(tmp_path, capsys, command, key, value):
     doc = json.loads(Path(_fast_disc(tmp_path, tmp_path / "out")).read_text())
@@ -252,6 +252,13 @@ def test_reports_identical_across_blas_thread_counts(tmp_path):
     assert reports["1"] == reports["2"]
 
 
+def _run_python(script: str, *args: str, cwd: Path) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env, check=True, capture_output=True,
+                   timeout=600)
+
+
 def test_runtime_path_imports_no_scipy(tmp_path):
     script = (
         "import sys\n"
@@ -262,11 +269,36 @@ def test_runtime_path_imports_no_scipy(tmp_path):
         "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", script, str(SCENARIOS / "disc_baseline.json"), str(tmp_path / "out")],
-                   cwd=tmp_path, env=env, check=True, capture_output=True, timeout=600)
+    _run_python(script, str(SCENARIOS / "disc_baseline.json"), str(tmp_path / "out"), cwd=tmp_path)
     assert (tmp_path / "out" / "report.csv").exists()
+
+
+def test_runtime_runs_with_scipy_and_mpmath_unimportable(tmp_path):
+    # The runtime needs numpy alone: verify and selftest both exit 0 when
+    # every import of scipy or mpmath fails.
+    script = (
+        "import sys\n"
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] in ('scipy', 'mpmath'):\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, Block())\n"
+        "from kernelgauge import cli\n"
+        "assert cli.main(['verify', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert cli.main(['selftest']) == 0\n"
+    )
+    _run_python(script, str(SCENARIOS / "disc_baseline.json"), str(tmp_path / "out"), cwd=tmp_path)
+    assert (tmp_path / "out" / "report.csv").exists()
+
+
+def test_cli_import_leaves_selftest_unloaded(tmp_path):
+    # Only the selftest command loads the oracle suite.
+    script = (
+        "import sys\n"
+        "import kernelgauge.cli\n"
+        "assert 'kernelgauge.selftest' not in sys.modules\n"
+    )
+    _run_python(script, cwd=tmp_path)
 
 
 def test_kernel_eval_radial_baseline(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kernelgauge import (
-    Character,
     HarmonicFunctionRep,
     PoleTooCloseToBoundary,
     TruncationInsufficient,
@@ -171,34 +170,37 @@ def test_dirichlet_truncation_insufficient():
 
 def test_character_green_harmonic_measure():
     alpha = character_exponent(annulus(0.25), green(annulus(0.25), 0.5))
-    assert alpha.exponent == pytest.approx(0.5, abs=1e-10)
+    assert alpha == pytest.approx(0.5, abs=1e-10)
     # q = 0.2: the exponent agrees with the harmonic-measure weight
     # log 0.5 / log 0.2 up to the generator orientation.
     alpha2 = character_exponent(annulus(0.2), green(annulus(0.2), 0.5))
     omega = math.log(0.5) / math.log(0.2)
     assert min(
-        character_distance(alpha2.exponent, omega),
-        character_distance(-alpha2.exponent, omega),
+        character_distance(alpha2, omega),
+        character_distance(-alpha2, omega),
     ) < 1e-10
 
 
 def test_character_log_mode():
     alpha = character_exponent(annulus(0.25), HarmonicFunctionRep.log_mode(0.3))
-    assert alpha.exponent == pytest.approx(0.3, abs=1e-12)
+    assert alpha == pytest.approx(0.3, abs=1e-12)
+    # The exponent is a float reduced into [0, 1).
+    alpha = character_exponent(annulus(0.25), HarmonicFunctionRep.log_mode(-1.3))
+    assert type(alpha) is float and alpha == pytest.approx(0.7, abs=1e-12)
 
 
 def test_character_disc_trivial():
-    assert character_exponent(disc(), HarmonicFunctionRep.zero()).exponent == 0.0
+    assert character_exponent(disc(), HarmonicFunctionRep.zero()) == 0.0
 
 
 def test_character_additivity():
     dom = annulus(0.25)
     h1 = HarmonicFunctionRep.log_mode(0.3)
     h2 = HarmonicFunctionRep.from_coefficients(0.45, {1: 0.2, -2: 0.1j})
-    a1 = character_exponent(dom, h1).exponent
-    a2 = character_exponent(dom, h2).exponent
+    a1 = character_exponent(dom, h1)
+    a2 = character_exponent(dom, h2)
     combo = h1.scaled(2.0) + h2.scaled(3.0)
-    a_combo = character_exponent(dom, combo).exponent
+    a_combo = character_exponent(dom, combo)
     assert character_distance(a_combo, 2 * a1 + 3 * a2) < 1e-10
 
 
@@ -210,7 +212,7 @@ def test_character_of_green_is_its_harmonic_measure_exactly(q, w):
     # The exponent is minus the inner circle's harmonic measure log|w| / log q;
     # at q = 0.2, w = 0.5 the two signs differ (0.569 against 0.431).
     exact = (-np.log(abs(w)) / np.log(q)) % 1.0
-    assert character_exponent(annulus(q), green(annulus(q), w)).exponent == exact
+    assert character_exponent(annulus(q), green(annulus(q), w)) == exact
 
 
 def _mid_circle_flux(domain, h, nodes=512):
@@ -243,13 +245,13 @@ def _mid_circle_flux(domain, h, nodes=512):
     ],
 )
 def test_character_matches_mid_circle_flux(q, h):
-    alpha = character_exponent(annulus(q), h).exponent
+    alpha = character_exponent(annulus(q), h)
     assert character_distance(alpha, _mid_circle_flux(annulus(q), h)) < 1e-13
 
 
 def test_character_distance_range():
-    assert Character(0.1).distance(Character(0.9)) == pytest.approx(0.2, abs=1e-14)
-    assert Character(0.25).distance(Character(0.75)) == pytest.approx(0.5, abs=1e-14)
+    assert character_distance(0.1, 0.9) == pytest.approx(0.2, abs=1e-14)
+    assert character_distance(0.25, 0.75) == pytest.approx(0.5, abs=1e-14)
 
 
 # --------------------------------------------------- analytic derivatives
@@ -285,7 +287,7 @@ def test_harmonic_derivative_formulas():
     u2 = HarmonicFunctionRep.log_mode(0.4)
     w2 = u2.analytic_derivative()
     assert np.max(np.abs(w2(zs) - 0.4 / zs)) < 1e-14
-    assert character_exponent(annulus(0.25), u2).exponent == pytest.approx(0.4)
+    assert character_exponent(annulus(0.25), u2) == pytest.approx(0.4)
 
     u3 = HarmonicFunctionRep.from_coefficients(0.3, {2: 1.0})  # Re z^2 + 0.3 log|z|
     w3 = u3.analytic_derivative()
