@@ -30,12 +30,15 @@ from .gfunctional import (
     BoundaryLimit,
     ExtremalFunction,
     GCurve,
+    HardyDiagnostic,
     ShellIdentity,
     boundary_limit_check,
     f0_construct,
     g_curve,
     g_of_t,
+    hardy_diagnostic,
     shell_identity_check,
+    superlevel_constant,
 )
 from .kernels import (
     BasisDescriptor,
@@ -67,12 +70,9 @@ from .potential import (
 )
 from .verifier import (
     EqualityPrediction,
-    HardyDiagnostic,
     SuitaReport,
     VerificationReport,
     equality_predicate,
-    hardy_diagnostic,
-    superlevel_constant,
     verify,
     verify_suita,
 )

@@ -14,6 +14,7 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -227,58 +228,42 @@ def _output_dir(doc: dict, override: str | None) -> Path:
     return out
 
 
-_REPORT_COLUMNS = [
-    "K",
-    "K_trunc",
-    "K_quad",
-    "B",
-    "B_trunc",
-    "B_quad",
-    "I_c",
-    "ratio",
-    "character_distance",
-    "expected_equality",
-    "cond_mass",
-    "cond_psi",
-    "cond_character",
-    "tol_eq",
-    "tol_ineq",
-    "verdict",
-]
+def _flag(value: bool) -> str:
+    return str(value).lower()
 
 
-def _report_row(report: VerificationReport) -> list[str]:
-    return [
-        f"{report.k_value.value:.12e}",
-        f"{report.k_value.truncation_estimate:.6e}",
-        f"{report.k_value.quadrature_estimate:.6e}",
-        f"{report.b_value.value:.12e}",
-        f"{report.b_value.truncation_estimate:.6e}",
-        f"{report.b_value.quadrature_estimate:.6e}",
-        f"{report.c_total:.12e}",
-        f"{report.ratio:.12e}",
-        f"{report.character_distance:.12e}",
-        str(report.expected_equality).lower(),
-        str(report.flags.green_mass_matches).lower(),
-        str(report.flags.psi_is_green_multiple).lower(),
-        str(report.flags.characters_match).lower(),
-        f"{report.tol_eq:.3e}",
-        f"{report.tol_ineq:.3e}",
-        report.verdict,
-    ]
+# The report's columns, each with the formatter of its value.
+_REPORT_TABLE: tuple[tuple[str, Callable[[VerificationReport], str]], ...] = (
+    ("K", lambda r: f"{r.k_value.value:.12e}"),
+    ("K_trunc", lambda r: f"{r.k_value.truncation_estimate:.6e}"),
+    ("K_quad", lambda r: f"{r.k_value.quadrature_estimate:.6e}"),
+    ("B", lambda r: f"{r.b_value.value:.12e}"),
+    ("B_trunc", lambda r: f"{r.b_value.truncation_estimate:.6e}"),
+    ("B_quad", lambda r: f"{r.b_value.quadrature_estimate:.6e}"),
+    ("I_c", lambda r: f"{r.c_total:.12e}"),
+    ("ratio", lambda r: f"{r.ratio:.12e}"),
+    ("character_distance", lambda r: f"{r.character_distance:.12e}"),
+    ("expected_equality", lambda r: _flag(r.expected_equality)),
+    ("cond_mass", lambda r: _flag(r.flags.green_mass_matches)),
+    ("cond_psi", lambda r: _flag(r.flags.psi_is_green_multiple)),
+    ("cond_character", lambda r: _flag(r.flags.characters_match)),
+    ("tol_eq", lambda r: f"{r.tol_eq:.3e}"),
+    ("tol_ineq", lambda r: f"{r.tol_ineq:.3e}"),
+    ("verdict", lambda r: r.verdict),
+)
 
 
 def write_verify_outputs(report: VerificationReport, out_dir: Path) -> None:
     csv_path = out_dir / "report.csv"
     with open(csv_path, "w") as fh:
-        fh.write(",".join(_REPORT_COLUMNS) + "\n")
-        fh.write(",".join(_report_row(report)) + "\n")
+        fh.write(",".join(col for col, _ in _REPORT_TABLE) + "\n")
+        fh.write(",".join(fmt(report) for _, fmt in _REPORT_TABLE) + "\n")
     md_path = out_dir / "report.md"
     with open(md_path, "w") as fh:
         fh.write("# Verification report\n\n")
         fh.write("| quantity | value |\n|---|---|\n")
-        for col, val in zip(_REPORT_COLUMNS, _report_row(report)):
-            fh.write(f"| {col} | {val} |\n")
+        for col, fmt in _REPORT_TABLE:
+            fh.write(f"| {col} | {fmt(report)} |\n")
 
 
 def _verdict_exit(verdicts: list[str]) -> int:
@@ -303,7 +288,11 @@ def cmd_verify(args) -> int:
 
 
 # The report columns a sweep row carries after the swept value.
-_SWEEP_COLUMNS = ["K", "B", "I_c", "ratio", "character_distance", "expected_equality", "verdict"]
+_SWEEP_COLUMNS = tuple(
+    (col, fmt)
+    for col, fmt in _REPORT_TABLE
+    if col in ("K", "B", "I_c", "ratio", "character_distance", "expected_equality", "verdict")
+)
 
 _SWEEP_PARAMS = {
     "alpha_u": ("weight", "u", "log"),
@@ -357,10 +346,9 @@ def cmd_sweep(args) -> int:
     out_dir = _output_dir(doc, args.out)
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w") as fh:
-        fh.write(",".join(["param", *_SWEEP_COLUMNS]) + "\n")
+        fh.write(",".join(["param", *(col for col, _ in _SWEEP_COLUMNS)]) + "\n")
         for value, report in zip(values, reports):
-            row = dict(zip(_REPORT_COLUMNS, _report_row(report)))
-            fh.write(",".join([f"{value:.12e}", *(row[col] for col in _SWEEP_COLUMNS)]) + "\n")
+            fh.write(",".join([f"{value:.12e}", *(fmt(report) for _, fmt in _SWEEP_COLUMNS)]) + "\n")
     print(f"wrote {csv_path} ({len(reports)} rows)")
     return _verdict_exit([r.verdict for r in reports])
 

@@ -1,4 +1,4 @@
-"""Minimal L2 integrals on sublevel regions and the extremal section.
+"""Minimal L2 integrals on sublevel regions, the extremal section and level-set diagnostics.
 
 The curve t -> G_up(t) is the minimum of the weighted square integral
 over the sublevel region {2 psi < -t} among Laurent-basis functions with
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -45,6 +45,8 @@ from .weights import CProfile, WeightConfig
 
 # The radii r of the shell checks' superlevel sets, approaching the boundary.
 SHELL_RADII = (0.9, 0.95, 0.975, 0.99)
+_SUPERLEVEL_T0 = 0.25      # largest t of the superlevel constant
+_SUPERLEVEL_POINTS = 8     # t samples of the superlevel constant, evenly up to its t0
 
 
 def _sublevel_masks(config: WeightConfig, aq: AreaQuadrature, ts, keep: str) -> list[MaskedQuadrature]:
@@ -260,7 +262,6 @@ def shell_identity_check(
 
 @dataclass(frozen=True)
 class BoundaryLimit:
-    r_values: np.ndarray
     shell_ratios: np.ndarray
     boundary_value: float
     extrapolated_gap: float
@@ -283,8 +284,7 @@ def boundary_limit_check(
     """
     if res is None:
         res = Resolution.for_domain(config.domain)
-    r_values = np.array(SHELL_RADII)
-    ts = [-math.log(r) for r in r_values]
+    ts = [-math.log(r) for r in SHELL_RADII]
 
     def density(z, rings=None):
         return f_abs2(z, rings) * config.rho(z, rings)
@@ -295,8 +295,56 @@ def boundary_limit_check(
     ])
     boundary = side_measure(config, "szego", res)
     boundary_value = 0.5 * float(np.sum(boundary.wdensity * f_abs2(boundary.points, boundary.rings)))
-    x = 1.0 - r_values
+    x = 1.0 - np.array(SHELL_RADII)
     slope = (ratios[-1] - ratios[-2]) / (x[-1] - x[-2])
     extrapolated = ratios[-1] - slope * x[-1]
     gap = abs(float(extrapolated) - boundary_value)
-    return BoundaryLimit(r_values, ratios, boundary_value, gap)
+    return BoundaryLimit(ratios, boundary_value, gap)
+
+
+@dataclass(frozen=True)
+class HardyDiagnostic:
+    ratios: np.ndarray
+    trend: Literal["bounded", "increasing"]
+
+
+def hardy_diagnostic(
+    f_abs2: Callable[..., np.ndarray],
+    config: WeightConfig,
+    res: Resolution | None = None,
+) -> HardyDiagnostic:
+    """Shell-average growth proxy for Hardy-class membership.
+
+    Samples r -> integral of |F|^2 over {psi >= log r} divided by (1-r),
+    at each r of SHELL_RADII.  A bounded trend indicates
+    square-integrable boundary behavior; the classification doubles as
+    the verdict (growth by more than 2x across the sample set reports
+    `increasing`).  f_abs2 is called as f_abs2(z, rings) with the
+    level-field protocol of `mask_quadrature`.
+    """
+    if res is None:
+        res = Resolution.for_domain(config.domain)
+    # {psi >= log r} is {2 psi >= 2 log r}: doubling is exact, so the masks are too.
+    integrals = _sublevel_integrals(config, res, f_abs2, [-2.0 * math.log(r) for r in SHELL_RADII], "above")
+    ratios = np.array([integral / (1.0 - r) for integral, r in zip(integrals, SHELL_RADII)])
+    trend = "increasing" if ratios[-1] > 2.0 * ratios[0] else "bounded"
+    return HardyDiagnostic(ratios, trend)
+
+
+def superlevel_constant(config: WeightConfig, res: Resolution | None = None) -> float:
+    """Smallest C with {G >= -t} inside {psi >= -C t} at 8 evenly spaced t up to 0.25.
+
+    Evaluated on area-quadrature nodes; for psi = p0 G the constant is
+    p0 up to grid resolution.
+    """
+    if res is None:
+        res = Resolution.for_domain(config.domain)
+    aq = area_quadrature_for(config, res)
+    gvals = config.green_rep.value(aq.nodes, aq.rings)
+    pvals = config.psi_value(aq.nodes, aq.rings)
+    best = 0.0
+    for t in np.linspace(_SUPERLEVEL_T0 / _SUPERLEVEL_POINTS, _SUPERLEVEL_T0, _SUPERLEVEL_POINTS):
+        sel = gvals >= -t
+        if np.any(sel):
+            best = max(best, float(np.max(-pvals[sel]) / t))
+    return best

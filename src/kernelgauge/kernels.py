@@ -34,7 +34,7 @@ from .numerics import (
     constrained_min,
     richardson_sweep,
 )
-from .potential import GreenFunctionRep
+from .potential import GreenFunctionRep, LaurentSeries
 from .weights import WeightConfig
 
 _TWO_PI = 2.0 * np.pi
@@ -439,16 +439,11 @@ class KernelSection:
 
     side: Side
     z0: complex
-    exponents: np.ndarray
-    coefficients: np.ndarray  # monomial coefficients of M
-    diagonal: float           # K(z0, conj(z0)) in the 1/2pi convention
+    series: LaurentSeries  # M in monomials
+    diagonal: float        # K(z0, conj(z0)) in the 1/2pi convention
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for n, c in zip(self.exponents, self.coefficients):
-            out = out + c * z ** int(n)
-        return out
+        return self.series(z)
 
     def two_point(self, z):
         """K(z, conj(z0)) reconstructed from diagonal times section."""
@@ -476,8 +471,7 @@ def _section_on(config: WeightConfig, side: Side, res: Resolution, measure: Meas
     return KernelSection(
         side=side,
         z0=config.z0,
-        exponents=basis.exponents.copy(),
-        coefficients=basis.to_monomial(result.minimizer),
+        series=LaurentSeries.from_terms(basis.exponents, basis.to_monomial(result.minimizer)),
         diagonal=_SIDE_NORMALIZER[side] / result.value,
     )
 

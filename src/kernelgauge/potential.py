@@ -7,10 +7,12 @@ finite Laurent expansion of their analytic completion:
 
 The annulus Green function with pole w is log|z - w| plus such a
 correction, obtained by matching the Fourier data of -log|zeta - w| on
-both boundary circles; the matching coefficients are explicit geometric
-series, scaled so no intermediate quantity overflows.  The disc Green
-function uses the same representation with coefficients conj(w)^n / n,
-which sums to the familiar Moebius closed form.
+both boundary circles, the same matching that `dirichlet_solve` applies
+to the FFT modes of sampled data; the matching coefficients are explicit
+geometric series, scaled so no intermediate quantity overflows.  The disc
+Green function uses the same representation with coefficients
+conj(w)^n / n, which sums to the familiar Moebius closed form.  Every
+series is built by `LaurentSeries.from_terms`.
 
 Characters of the annulus fundamental group are read from the stored log
 mode, not measured.  The exponent is the conjugate-period flux (1/2pi) *
@@ -55,9 +57,35 @@ class LaurentSeries:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
+    @staticmethod
+    def from_terms(powers, values) -> "LaurentSeries":
+        """sum_i values[i] z^powers[i]; repeated powers add.
+
+        The series spans exactly min(powers) to max(powers), or z^0 alone
+        when no power is given.
+        """
+        powers = np.asarray(powers, dtype=int)
+        if powers.size == 0:
+            return LaurentSeries(0, np.zeros(1))
+        lo = int(powers.min())
+        slots = powers - lo
+        coeffs = np.zeros(int(powers.max()) - lo + 1, dtype=complex)
+        # Distinct powers are assigned, which keeps each value's bits (adding
+        # -0.0 to 0.0 gives 0.0) and is faster than np.add.at.
+        if np.bincount(slots).max() > 1:
+            np.add.at(coeffs, slots, values)
+        else:
+            coeffs[slots] = values
+        return LaurentSeries(lo, coeffs)
+
     @property
     def m_max(self) -> int:
         return self.m_min + len(self.coeffs) - 1
+
+    @property
+    def powers(self) -> np.ndarray:
+        """The power of z that each coefficient multiplies."""
+        return np.arange(self.m_min, self.m_max + 1)
 
     def __call__(self, z, rings: RingGrid | None = None):
         """Values at z; pass the rule's rings when z are its ring-major nodes.
@@ -149,23 +177,17 @@ class HarmonicFunctionRep:
 
     @staticmethod
     def zero() -> "HarmonicFunctionRep":
-        return HarmonicFunctionRep(0.0, LaurentSeries(0, np.zeros(1)))
+        return HarmonicFunctionRep.log_mode(0.0)
 
     @staticmethod
     def log_mode(alpha: float) -> "HarmonicFunctionRep":
-        return HarmonicFunctionRep(alpha, LaurentSeries(0, np.zeros(1)))
+        return HarmonicFunctionRep(alpha, LaurentSeries.from_terms([], []))
 
     @staticmethod
     def from_coefficients(alpha_log: float, coeffs: dict[int, complex]) -> "HarmonicFunctionRep":
-        if coeffs:
-            lo = min(min(coeffs), 0)
-            hi = max(max(coeffs), 0)
-        else:
-            lo = hi = 0
-        arr = np.zeros(hi - lo + 1, dtype=complex)
-        for m, c in coeffs.items():
-            arr[m - lo] = c
-        return HarmonicFunctionRep(alpha_log, LaurentSeries(lo, arr))
+        """alpha_log log|z| + Re sum_m coeffs[m] z^m; the series spans z^0 too."""
+        terms = {0: 0.0, **coeffs}
+        return HarmonicFunctionRep(alpha_log, LaurentSeries.from_terms(list(terms), list(terms.values())))
 
     def value(self, z, rings: RingGrid | None = None):
         """u at z; pass the rule's rings when z are its ring-major nodes.
@@ -188,29 +210,22 @@ class HarmonicFunctionRep:
     def analytic_derivative(self) -> LaurentSeries:
         """Single-valued derivative w'(z) = 2 du/dz of the completion u + i*conj."""
         s = self.series
-        m = np.arange(s.m_min, s.m_max + 1)
+        m = s.powers
         keep = (m != 0) & (s.coeffs != 0.0)
         powers, terms = m[keep] - 1, m[keep] * s.coeffs[keep]
         if self.alpha_log != 0.0:
             # Power -1 would come from m = 0 alone, which the series drops.
             powers, terms = np.append(powers, -1), np.append(terms, self.alpha_log)
-        lo = int(powers.min()) if powers.size else 0
-        hi = int(powers.max()) if powers.size else 0
-        arr = np.zeros(hi - lo + 1, dtype=complex)
-        arr[powers - lo] = terms
-        return LaurentSeries(lo, arr)
+        return LaurentSeries.from_terms(powers, terms)
 
     def __add__(self, other: "HarmonicFunctionRep") -> "HarmonicFunctionRep":
-        lo = min(self.series.m_min, other.series.m_min)
-        hi = max(self.series.m_max, other.series.m_max)
-        arr = np.zeros(hi - lo + 1, dtype=complex)
-        arr[self.series.m_min - lo : self.series.m_max - lo + 1] += self.series.coeffs
-        arr[other.series.m_min - lo : other.series.m_max - lo + 1] += other.series.coeffs
-        return HarmonicFunctionRep(self.alpha_log + other.alpha_log, LaurentSeries(lo, arr))
+        a, b = self.series, other.series
+        series = LaurentSeries.from_terms(np.append(a.powers, b.powers), np.append(a.coeffs, b.coeffs))
+        return HarmonicFunctionRep(self.alpha_log + other.alpha_log, series)
 
     def scaled(self, factor: float) -> "HarmonicFunctionRep":
         return HarmonicFunctionRep(
-            factor * self.alpha_log, LaurentSeries(self.series.m_min, factor * self.series.coeffs)
+            factor * self.alpha_log, LaurentSeries.from_terms(self.series.powers, factor * self.series.coeffs)
         )
 
 
@@ -393,29 +408,39 @@ def green(domain: DomainSpec, w: complex) -> GreenFunctionRep:
         raise PoleTooCloseToBoundary(
             f"pole {w} within 1e-3 of the boundary; expansion ill-conditioned"
         )
+    # The correction's trace is -log|zeta - w|: Re sum conj(w)^n zeta^n / n
+    # on the unit circle, and -log|w| + Re sum (zeta / w)^n / n on |zeta| = q.
     if domain.kind == "disc":
         if abs(w) == 0.0:
             return GreenFunctionRep(domain, w, HarmonicFunctionRep.zero())
-        m = _auto_truncation(abs(w))
-        n = np.arange(1, m + 1)
-        coeffs = np.conj(w) ** n / n
-        arr = np.zeros(m + 1, dtype=complex)
-        arr[1:] = coeffs
-        return GreenFunctionRep(domain, w, HarmonicFunctionRep(0.0, LaurentSeries(0, arr)))
+        n = np.arange(1, _auto_truncation(abs(w)) + 1)
+        return GreenFunctionRep(domain, w, _match_traces(domain, [0.0], [np.conj(w) ** n / n]))
     q = domain.q
-    ratio = max(abs(w), q / abs(w))
-    m = _auto_truncation(ratio)
-    n = np.arange(1, m + 1)
-    a_data = np.conj(w) ** n / n                      # outer-circle data coefficient
-    b_data = (q / w) ** n / n                         # inner-circle data coefficient
+    n = np.arange(1, _auto_truncation(max(abs(w), q / abs(w))) + 1)
+    means = [0.0, -np.log(abs(w))]
+    return GreenFunctionRep(domain, w, _match_traces(domain, means, [np.conj(w) ** n / n, (q / w) ** n / n]))
+
+
+def _match_traces(domain: DomainSpec, means, modes) -> HarmonicFunctionRep:
+    """The harmonic function whose trace on boundary component i is
+    means[i] + Re sum_{n >= 1} modes[i][n - 1] exp(i n theta).
+
+    Component 0 is the unit circle and 1 the inner circle |z| = q.  On the
+    disc C_0 = means[0] and C_n = modes[0][n - 1].  On the annulus the log
+    mode takes the means' difference, and each n solves
+    C_n + conj(C_-n) = outer and C_n q^n + conj(C_-n) q^-n = inner.
+    """
+    n = np.arange(1, len(modes[0]) + 1)
+    if domain.kind == "disc":
+        return HarmonicFunctionRep(0.0, LaurentSeries.from_terms(np.append(0, n), np.append(means[0], modes[0])))
+    q = domain.q
+    outer, inner = modes
     qn = q**n
-    b = (b_data * qn - a_data * qn**2) / (1.0 - qn**2)
-    a = a_data - b
-    alpha = -np.log(abs(w)) / np.log(q)
-    arr = np.zeros(2 * m + 1, dtype=complex)
-    arr[m + 1 :] = a
-    arr[:m] = np.conj(b[::-1])
-    return GreenFunctionRep(domain, w, HarmonicFunctionRep(alpha, LaurentSeries(-m, arr)))
+    y = (inner * qn - outer * qn**2) / (1.0 - qn**2)  # conj(C_-n)
+    alpha = (means[1] - means[0]) / np.log(q)
+    powers = np.concatenate([[0], n, -n])
+    values = np.concatenate([[means[0]], outer - y, np.conj(y)])
+    return HarmonicFunctionRep(alpha, LaurentSeries.from_terms(powers, values))
 
 
 def log_capacity(domain: DomainSpec, z0: complex) -> float:
@@ -441,28 +466,7 @@ def dirichlet_solve(domain: DomainSpec, boundary_data, m_max: int | None = None)
     if m_max > n_nodes // 2 - 1:
         raise ValueError("truncation exceeds what the samples determine")
     hat = [np.fft.fft(d) / n_nodes for d in data]
-    if domain.kind == "disc":
-        c0 = float(np.real(hat[0][0]))
-        coeffs = {0: c0}
-        for n in range(1, m_max + 1):
-            coeffs[n] = 2.0 * hat[0][n]
-        rep = HarmonicFunctionRep.from_coefficients(0.0, coeffs)
-    else:
-        q = domain.q
-        outer0 = float(np.real(hat[0][0]))
-        inner0 = float(np.real(hat[1][0]))
-        alpha = (inner0 - outer0) / np.log(q)
-        coeffs = {0: outer0}
-        for n in range(1, m_max + 1):
-            go = 2.0 * hat[0][n]
-            gi = 2.0 * hat[1][n]
-            qn = q**n
-            # Matching at both radii: C_n + conj(C_-n) = go and
-            # C_n q^n + conj(C_-n) q^-n = gi.
-            y = (gi - go * qn) * qn / (1.0 - qn**2)
-            coeffs[n] = go - y
-            coeffs[-n] = complex(np.conj(y))
-        rep = HarmonicFunctionRep.from_coefficients(alpha, coeffs)
+    rep = _match_traces(domain, [float(np.real(h[0])) for h in hat], [2.0 * h[1 : m_max + 1] for h in hat])
     # Residual check at the sample nodes.
     worst = 0.0
     for radius, d in zip(domain.component_radii, data):

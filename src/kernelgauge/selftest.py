@@ -20,7 +20,9 @@ from .gfunctional import (
     f0_construct,
     g_curve,
     g_of_t,
+    hardy_diagnostic,
     shell_identity_check,
+    superlevel_constant,
 )
 from .kernels import (
     BasisDescriptor,
@@ -41,7 +43,7 @@ from .potential import (
     green,
     log_capacity,
 )
-from .verifier import equality_predicate, superlevel_constant, verify, verify_suita
+from .verifier import equality_predicate, verify, verify_suita
 from .weights import CProfile, PhiSpec, PsiSpec, WeightConfig
 
 
@@ -432,8 +434,6 @@ def check_suita_disc() -> tuple[bool, str]:
 
 
 def check_hardy_diagnostic() -> tuple[bool, str]:
-    from .verifier import hardy_diagnostic
-
     cfg = WeightConfig(disc(), 0.0, 0, PsiSpec(1.0), PhiSpec(), CProfile.constant_one())
     res = Resolution(basis_schedule=(8, 16), radial_cells=256, angular_cells=128)
     bounded = hardy_diagnostic(lambda z, rings=None: np.ones(len(z)), cfg, res=res)
@@ -445,8 +445,8 @@ def check_hardy_diagnostic() -> tuple[bool, str]:
 def check_superlevel_constant() -> tuple[bool, str]:
     cfg = WeightConfig(disc(), 0.0, 0, PsiSpec(2.0), PhiSpec(), CProfile.constant_one())
     res = Resolution(basis_schedule=(8, 16), radial_cells=128, angular_cells=96)
-    out = superlevel_constant(cfg, res=res)
-    return abs(out.constant - 2.0) < 0.05, f"C={out.constant:.4f} (expect 2)"
+    constant = superlevel_constant(cfg, res=res)
+    return abs(constant - 2.0) < 0.05, f"C={constant:.4f} (expect 2)"
 
 
 def check_equality_predicate() -> tuple[bool, str]:

@@ -1,4 +1,4 @@
-"""Theorem-level checks: kernel comparison, equality prediction, diagnostics.
+"""Theorem-level checks: kernel comparison, equality prediction, capacity chain.
 
 The central quantity is
 
@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
 from .errors import InvalidConfig, RouteMismatch
 from .geometry import DomainSpec
-from .gfunctional import SHELL_RADII, _sublevel_integrals
-from .kernels import KernelValue, Resolution, area_quadrature_for, kernel_diag
+from .kernels import KernelValue, Resolution, kernel_diag
 from .numerics import ROUNDOFF_REL
 from .weights import CProfile, PhiSpec, PsiSpec, WeightConfig, validate_config
 
@@ -36,8 +35,6 @@ DEFAULT_TOL_EQ = 1e-4
 _ESTIMATE_CUSHION = 3.0
 _CHARACTER_TOL = 1e-8      # character distance below which the characters match
 _SUITA_TOL_EQ = 1e-6       # relative tolerance of the disc's Suita equalities
-_SUPERLEVEL_T0 = 0.25      # largest t of the superlevel constant
-_SUPERLEVEL_POINTS = 8     # t samples of the superlevel constant, evenly up to its t0
 
 
 @dataclass(frozen=True)
@@ -252,62 +249,3 @@ def verify_suita(
         ok = abs(left) <= _SUITA_TOL_EQ * scale and abs(right) <= _SUITA_TOL_EQ * scale
         verdict = "pass" if ok else "fail"
     return SuitaReport(cbeta**2, pi_b, k_hat.value, left, right, combined, strict, verdict)
-
-
-@dataclass(frozen=True)
-class HardyDiagnostic:
-    r_values: np.ndarray
-    ratios: np.ndarray
-    trend: Literal["bounded", "increasing"]
-
-
-def hardy_diagnostic(
-    f_abs2: Callable[..., np.ndarray],
-    config: WeightConfig,
-    res: Resolution | None = None,
-) -> HardyDiagnostic:
-    """Shell-average growth proxy for Hardy-class membership.
-
-    Samples r -> integral of |F|^2 over {psi >= log r} divided by (1-r),
-    at each r of `gfunctional.SHELL_RADII`.  A bounded trend indicates
-    square-integrable boundary behavior; the classification doubles as
-    the verdict (growth by more than 2x across the sample set reports
-    `increasing`).  f_abs2 is called as f_abs2(z, rings) with the
-    level-field protocol of `mask_quadrature`.
-    """
-    if res is None:
-        res = Resolution.for_domain(config.domain)
-    r_values = np.array(SHELL_RADII)
-    # {psi >= log r} is {2 psi >= 2 log r}: doubling is exact, so the masks are too.
-    integrals = _sublevel_integrals(config, res, f_abs2, [-2.0 * math.log(r) for r in r_values], "above")
-    ratios = np.array([integral / (1.0 - r) for integral, r in zip(integrals, r_values)])
-    trend = "increasing" if ratios[-1] > 2.0 * ratios[0] else "bounded"
-    return HardyDiagnostic(r_values, ratios, trend)
-
-
-@dataclass(frozen=True)
-class SuperlevelConstant:
-    t0: float
-    constant: float
-
-
-def superlevel_constant(
-    config: WeightConfig,
-    res: Resolution | None = None,
-) -> SuperlevelConstant:
-    """Smallest C with {G >= -t} inside {psi >= -C t} at 8 evenly spaced t up to 0.25.
-
-    Evaluated on area-quadrature nodes; for psi = p0 G the constant is
-    p0 up to grid resolution.
-    """
-    if res is None:
-        res = Resolution.for_domain(config.domain)
-    aq = area_quadrature_for(config, res)
-    gvals = config.green_rep.value(aq.nodes, aq.rings)
-    pvals = config.psi_value(aq.nodes, aq.rings)
-    best = 0.0
-    for t in np.linspace(_SUPERLEVEL_T0 / _SUPERLEVEL_POINTS, _SUPERLEVEL_T0, _SUPERLEVEL_POINTS):
-        sel = gvals >= -t
-        if np.any(sel):
-            best = max(best, float(np.max(-pvals[sel]) / t))
-    return SuperlevelConstant(_SUPERLEVEL_T0, best)

@@ -259,46 +259,32 @@ def _run_python(script: str, *args: str, cwd: Path) -> None:
                    timeout=600)
 
 
-def test_runtime_path_imports_no_scipy(tmp_path):
-    script = (
-        "import sys\n"
-        "import kernelgauge\n"
-        "from kernelgauge import cli\n"
-        "assert cli.main(['verify', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-        "assert kernelgauge.CProfile.poly(2.0).h(0.5) > 0.0\n"
-        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
-    )
-    _run_python(script, str(SCENARIOS / "disc_baseline.json"), str(tmp_path / "out"), cwd=tmp_path)
-    assert (tmp_path / "out" / "report.csv").exists()
-
-
 def test_runtime_runs_with_scipy_and_mpmath_unimportable(tmp_path):
     # The runtime needs numpy alone: verify and selftest both exit 0 when
-    # every import of scipy or mpmath fails.
+    # every import of scipy or mpmath fails, and none is attempted, so a
+    # runtime that caught the ImportError would not pass either.  Only the
+    # selftest command loads the oracle suite.
     script = (
         "import sys\n"
+        "blocked = []\n"
         "class Block:\n"
         "    def find_spec(self, name, path=None, target=None):\n"
         "        if name.split('.')[0] in ('scipy', 'mpmath'):\n"
+        "            blocked.append(name)\n"
         "            raise ImportError(f'{name} is blocked')\n"
         "sys.meta_path.insert(0, Block())\n"
+        "import kernelgauge\n"
         "from kernelgauge import cli\n"
+        "assert 'kernelgauge.selftest' not in sys.modules\n"
         "assert cli.main(['verify', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert kernelgauge.CProfile.poly(2.0).h(0.5) > 0.0\n"
+        "assert 'kernelgauge.selftest' not in sys.modules\n"
+        "assert not blocked, blocked\n"
         "assert cli.main(['selftest']) == 0\n"
+        "assert not blocked, blocked\n"
     )
     _run_python(script, str(SCENARIOS / "disc_baseline.json"), str(tmp_path / "out"), cwd=tmp_path)
     assert (tmp_path / "out" / "report.csv").exists()
-
-
-def test_cli_import_leaves_selftest_unloaded(tmp_path):
-    # Only the selftest command loads the oracle suite.
-    script = (
-        "import sys\n"
-        "import kernelgauge.cli\n"
-        "assert 'kernelgauge.selftest' not in sys.modules\n"
-    )
-    _run_python(script, cwd=tmp_path)
 
 
 def test_kernel_eval_radial_baseline(tmp_path):

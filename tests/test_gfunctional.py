@@ -22,7 +22,7 @@ from kernelgauge import (
     kernel_section,
     shell_identity_check,
 )
-from kernelgauge.gfunctional import _masked_gram, _sublevel_masks
+from kernelgauge.gfunctional import _masked_gram, _sublevel_masks, hardy_diagnostic, superlevel_constant
 from kernelgauge.kernels import BasisDescriptor, Measure, _dense_gram, area_quadrature_for, gram, side_measure
 from kernelgauge.numerics import constrained_min
 from kernelgauge.potential import HarmonicFunctionRep
@@ -202,7 +202,6 @@ def test_masked_callers_keep_the_graded_rule(monkeypatch):
     # refinement ring; every masked check still cuts the graded rule, whose
     # rings the level curves of G cross near z0.
     import kernelgauge.potential as potential
-    from kernelgauge.verifier import hardy_diagnostic, superlevel_constant
 
     levels = []
     real = potential.area_quadrature

@@ -510,6 +510,9 @@ def test_szego_normalization_consistency():
     lam = cfg.boundary_lambda(bq.nodes, bq.normal_signs)
     recomputed = float(np.sum(bq.weights * lam * np.abs(sec.two_point(bq.nodes)) ** 2)) / TWO_PI
     assert recomputed == pytest.approx(diag, rel=1e-6)
+    # The section sums its series: a term loop over the monomials agrees to roundoff.
+    loop = sum(c * bq.nodes ** int(n) for n, c in zip(sec.series.powers, sec.series.coeffs))
+    assert np.max(np.abs(sec(bq.nodes) - loop)) <= 1e-14 * np.max(np.abs(loop))
 
 
 def test_annulus_rotation_invariance():
@@ -550,9 +553,9 @@ def test_disc_bergman_section():
 def test_section_constant_at_center():
     cfg = _cfg(disc(), 0.0)
     sec = kernel_section(cfg, "szego", FAST_DISC)
-    nonconstant = np.abs(sec.coefficients[1:])
+    nonconstant = np.abs(sec.series.coeffs[1:])
     assert np.max(nonconstant) < 1e-10
-    assert sec.coefficients[0] == pytest.approx(1.0, abs=1e-12)
+    assert sec.series.coeffs[0] == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------- reproduction

@@ -156,6 +156,31 @@ def test_dirichlet_annulus_analytic_data():
         assert resid < 1e-8
 
 
+def _padded(series: LaurentSeries, lo: int, hi: int) -> np.ndarray:
+    """The series' coefficients of z^lo to z^hi, 0 outside its span."""
+    out = np.zeros(hi - lo + 1, dtype=complex)
+    out[series.m_min - lo : series.m_max - lo + 1] = series.coeffs
+    return out
+
+
+@pytest.mark.parametrize("domain, w", [
+    (annulus(0.1), 0.3 + 0.2j),
+    (annulus(0.25), 0.3 + 0.2j),
+    (annulus(0.25), -0.4 - 0.45j),
+    (annulus(0.5), 0.7 * np.exp(1.1j)),
+    (disc(), 0.3 + 0.2j),
+    (disc(), -0.6j + 0.1),
+], ids=["annulus0.1", "annulus0.25", "annulus0.25-third-quadrant", "annulus0.5", "disc", "disc-fourth-quadrant"])
+def test_dirichlet_of_green_trace_is_green_correction(domain, w):
+    # The correction's trace is -log|zeta - w|: solving for it from 512
+    # samples per circle reproduces the closed-form modes green() matches.
+    u = dirichlet_solve(domain, [_samples(lambda z: -np.log(np.abs(z - w)), r, 512) for r in domain.component_radii])
+    g = green(domain, w).correction
+    lo, hi = min(u.series.m_min, g.series.m_min), max(u.series.m_max, g.series.m_max)
+    assert np.max(np.abs(_padded(u.series, lo, hi) - _padded(g.series, lo, hi))) < 1e-13
+    assert abs(u.alpha_log - g.alpha_log) < 1e-13
+
+
 def test_dirichlet_truncation_insufficient():
     # Non-smooth data cannot be matched by a short expansion.
     n = 64
@@ -596,11 +621,22 @@ def test_rule_memo_reads_green_once_across_threads(monkeypatch):
         tables[0][0] = 0.0
 
 
+def _assert_spans_terms(series: LaurentSeries, terms: dict) -> None:
+    """The series spans exactly z^min(terms) to z^max(terms) and holds each term, 0 elsewhere."""
+    assert series.m_min == min(terms) and series.m_max == max(terms)
+    for m, c in zip(range(series.m_min, series.m_max + 1), series.coeffs):
+        assert c == terms.get(m, 0.0)
+
+
 def test_analytic_derivative_vectorized_matches_term_loop():
     rng = np.random.default_rng(3)
+    other_spans = {(-5, 7, 0.3): (2, 9), (0, 4, 0.0): (-3, -1), (-3, 0, -1.25): (0, 0), (0, 0, 0.7): (3, 6)}
     for lo, hi, alpha in ((-5, 7, 0.3), (0, 4, 0.0), (-3, 0, -1.25), (0, 0, 0.7)):
         coeffs = {m: complex(*rng.normal(size=2)) for m in range(lo, hi + 1) if m not in (lo + 1, 2)}
         u = HarmonicFunctionRep.from_coefficients(alpha, coeffs)
+        # from_coefficients spans the given powers and z^0.
+        assert u.alpha_log == alpha
+        _assert_spans_terms(u.series, {0: 0.0, **coeffs})
         terms = {}
         for m, c in zip(range(u.series.m_min, u.series.m_max + 1), u.series.coeffs):
             if m != 0 and c != 0.0:
@@ -613,3 +649,12 @@ def test_analytic_derivative_vectorized_matches_term_loop():
         for m, c in terms.items():
             assert got.coeffs[m - low] == c
         assert np.count_nonzero(got.coeffs) == len(terms)
+        # A sum spans both series and adds the coefficients of each power.
+        lo_v, hi_v = other_spans[lo, hi, alpha]
+        v_coeffs = {m: complex(*rng.normal(size=2)) for m in range(lo_v, hi_v + 1)}
+        v = HarmonicFunctionRep.from_coefficients(-0.1, v_coeffs)
+        _assert_spans_terms(v.series, {0: 0.0, **v_coeffs})
+        total = u + v
+        assert total.alpha_log == alpha - 0.1
+        powers = range(min(u.series.m_min, v.series.m_min), max(u.series.m_max, v.series.m_max) + 1)
+        _assert_spans_terms(total.series, {m: coeffs.get(m, 0.0) + v_coeffs.get(m, 0.0) for m in powers})
